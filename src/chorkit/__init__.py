@@ -41,7 +41,7 @@ from .core import (
     forget,
     state_digest,
 )
-from .merge import UNDEFINED, collapse, inject, merge, xmerge
+from .merge import UNDEFINED, xmerge
 from .net import (
     Branch,
     EMPTY_NET,
@@ -62,7 +62,7 @@ from .checker import (
     verify_epp,
 )
 from .projection import bproj, epp, epp_program, infer_params, projectable
-from .pruning import more_branches, net_more_branches
+from .pruning import net_more_branches
 from .runtime import ExecutionReport, RuntimeConfig, execute, validate_trace
 from .syntax import (
     ParseError,

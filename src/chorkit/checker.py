@@ -11,7 +11,8 @@ step still offers at least the options of the projection of the stepped
 choreography.
 
 Exploration is breadth-first with memoisation on canonical forms, so a
-reported counterexample is at minimal depth.  When the reachable space is
+reported counterexample is at minimal depth; the correspondence check and
+the deadlock-freedom and confluence suites share one engine, ``_explore``.  When the reachable space is
 exhausted below the depth bound the certificate is total for the program;
 otherwise it holds up to the bound.  Along the way the checker asserts
 per-label determinism and procedure-table stability of the network
@@ -22,8 +23,8 @@ these counts are reported in the verdict.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from . import projection, pruning
 from .chor import (
@@ -42,7 +43,7 @@ from .core import (
     forget,
     obs_label_text,
 )
-from .merge import UNDEFINED, collapse
+from .merge import UNDEFINED
 from .net import Network, NetProgram, sp_enabled, sp_step
 
 
@@ -52,25 +53,24 @@ def _prunes(wider: Network, projected: Network) -> bool:
 
 
 @dataclass(frozen=True)
-class PairedConfig:
-    """One node of the product exploration; the two sides share the state."""
-
-    cc_main: Choreography
-    sp_net: Network
-    state: State
-    depth: int
-
-
-@dataclass(frozen=True)
 class Counterexample:
-    direction: str  # completeness | soundness | locality | invariant
-    config: PairedConfig
+    """Where a check failed: the explored node and its BFS depth.
+
+    ``config`` is the node itself: (choreography, network, state) for the
+    correspondence, (choreography or network, state) for the suites.  A
+    confluence failure also names the two successors that do not join.
+    """
+
+    direction: str  # completeness | soundness | locality | invariant | deadlock | confluence
+    config: tuple
+    depth: int
     label: Optional[ObsLabel]
     explanation: str
+    successors: tuple = ()
 
     def __str__(self) -> str:
         lbl = f" on {obs_label_text(self.label)}" if self.label is not None else ""
-        return f"{self.direction} failure at depth {self.config.depth}{lbl}: {self.explanation}"
+        return f"{self.direction} failure at depth {self.depth}{lbl}: {self.explanation}"
 
 
 @dataclass(frozen=True)
@@ -167,12 +167,11 @@ def check_hypotheses(
 class _Context:
     """Per-verification immutable inputs plus the projection cache."""
 
-    __slots__ = ("cc_procs", "sp_procs", "xs", "ps", "epp_cache")
+    __slots__ = ("cc_procs", "sp_procs", "ps", "epp_cache")
 
-    def __init__(self, p: ChorProgram, sp: NetProgram, xs, ps):
+    def __init__(self, p: ChorProgram, sp: NetProgram, ps):
         self.cc_procs = p.procs
         self.sp_procs = sp.procs
-        self.xs = xs
         self.ps = ps
         self.epp_cache: dict = {}
 
@@ -187,7 +186,7 @@ class _Context:
             return hit if hit is not _NOT_PROJECTABLE else None
         entries = []
         for pid in self.ps:
-            b = collapse(projection.bproj(self.cc_procs, main, pid))
+            b = projection.bproj(self.cc_procs, main, pid)
             if b is UNDEFINED:
                 self.epp_cache[main] = _NOT_PROJECTABLE
                 return None
@@ -200,31 +199,49 @@ class _Context:
 _NOT_PROJECTABLE = object()
 
 
-def check_completeness_step(ctx: _Context, pc: PairedConfig):
+def _explore(root, step, depth: int, verdict: Verdict) -> Verdict:
+    """The breadth-first engine behind every check.
+
+    ``step(node, d)`` does one check's work at a node reached at depth
+    ``d`` and returns (successor nodes, counterexample or None).  Nodes are
+    hashable and explored once each; nodes at the depth bound are checked
+    but not expanded, and the verdict says whether that cut anything off.
+    """
+    seen = {root}
+    queue = deque(((root, 0),))
+    truncated = False
+    while queue:
+        node, d = queue.popleft()
+        verdict.configs_explored += 1
+        succs, cex = step(node, d)
+        if cex is not None:
+            verdict.status = "counterexample"
+            verdict.counterexample = cex
+            return verdict
+        if d >= depth:
+            if succs:
+                truncated = True
+            continue
+        for succ in succs:
+            if succ not in seen:
+                seen.add(succ)
+                queue.append((succ, d + 1))
+    verdict.status = "verified-to-depth" if truncated else "verified"
+    return verdict
+
+
+def _completeness(ctx: _Context, node, d: int, cc_trans, sp_trans, verdict: Verdict):
     """Match every choreography transition by a network transition.
 
-    Returns (successor configs, matches, counterexample or None).
+    Returns (successor nodes, counterexample or None).
     """
-    cc_trans = cc_enabled(ctx.cc_procs, pc.cc_main, pc.state)
-    if not cc_trans:
-        return [], 0, None
-    sp_trans = sp_enabled(ctx.sp_procs, pc.sp_net, pc.state)
     succs = []
-    matched = 0
     for rich_cc, main2, s2cc in cc_trans:
         obs = forget(rich_cc)
         target = ctx.epp_net(main2)
         if target is None:
-            return (
-                succs,
-                matched,
-                Counterexample(
-                    "completeness",
-                    pc,
-                    obs,
-                    "stepped choreography is no longer projectable",
-                ),
-            )
+            why = "stepped choreography is no longer projectable"
+            return succs, Counterexample("completeness", node, d, obs, why)
         found = None
         reasons = []
         for rich_sp, net2, s2sp in sp_trans:
@@ -238,49 +255,28 @@ def check_completeness_step(ctx: _Context, pc: PairedConfig):
                     "candidate network does not cover the projection of the successor"
                 )
                 continue
-            found = (net2, s2sp)
+            found = (main2, net2, s2sp)
             break
         if found is None:
             why = reasons[0] if reasons else "no network transition has this label"
-            return (
-                succs,
-                matched,
-                Counterexample("completeness", pc, obs, why),
-            )
-        matched += 1
-        succs.append(PairedConfig(main2, found[0], found[1], pc.depth + 1))
-    return succs, matched, None
+            return succs, Counterexample("completeness", node, d, obs, why)
+        verdict.transitions_matched += 1
+        succs.append(found)
+    return succs, None
 
 
-def check_soundness_step(ctx: _Context, pc: PairedConfig):
+def _soundness(ctx: _Context, node, d: int, cc_trans, sp_trans, verdict: Verdict):
     """Match every network transition by a choreography transition."""
-    sp_trans = sp_enabled(ctx.sp_procs, pc.sp_net, pc.state)
-    if not sp_trans:
-        return [], 0, None, 0, 0
-    cc_trans = cc_enabled(ctx.cc_procs, pc.cc_main, pc.state)
     succs = []
-    matched = 0
-    locality_checks = 0
-    locality_violations = 0
     for rich_sp, net2, s2sp in sp_trans:
+        obs = forget(rich_sp)
         if type(rich_sp) is RichCall:
-            locality_checks += 1
+            verdict.locality_checks += 1
             name = rich_sp.proc
             if not (isinstance(name, tuple) and name[1] == rich_sp.pid):
-                locality_violations += 1
-                return (
-                    succs,
-                    matched,
-                    Counterexample(
-                        "locality",
-                        pc,
-                        forget(rich_sp),
-                        f"call label names {name!r} but {rich_sp.pid} acts",
-                    ),
-                    locality_checks,
-                    locality_violations,
-                )
-        obs = forget(rich_sp)
+                verdict.locality_violations += 1
+                why = f"call label names {name!r} but {rich_sp.pid} acts"
+                return succs, Counterexample("locality", node, d, obs, why)
         found = None
         reasons = []
         for rich_cc, main2, s2cc in cc_trans:
@@ -298,32 +294,25 @@ def check_soundness_step(ctx: _Context, pc: PairedConfig):
                     "network after the step does not cover the projection of the successor"
                 )
                 continue
-            found = (main2, s2cc)
+            found = (main2, net2, s2cc)
             break
         if found is None:
             why = reasons[0] if reasons else "no choreography transition has this label"
-            return (
-                succs,
-                matched,
-                Counterexample("soundness", pc, obs, why),
-                locality_checks,
-                locality_violations,
-            )
-        matched += 1
-        succs.append(PairedConfig(found[0], net2, found[1], pc.depth + 1))
-    return succs, matched, None, locality_checks, locality_violations
+            return succs, Counterexample("soundness", node, d, obs, why)
+        verdict.transitions_matched += 1
+        succs.append(found)
+    return succs, None
 
 
-def _sp_self_checks(ctx: _Context, pc: PairedConfig, verdict: Verdict) -> None:
+def _sp_self_checks(ctx: _Context, net: Network, s: State, sp_trans, verdict: Verdict) -> None:
     """Determinism per rich label and procedure-table stability.
 
     Re-derives every network transition through sp_step and compares; two
     transitions with one label must agree on network and state.
     """
-    program = NetProgram(ctx.sp_procs, pc.sp_net)
-    trans = sp_enabled(ctx.sp_procs, pc.sp_net, pc.state)
+    program = NetProgram(ctx.sp_procs, net)
     by_label: dict = {}
-    for rich, net2, s2 in trans:
+    for rich, net2, s2 in sp_trans:
         by_label.setdefault(rich, []).append((net2, s2))
     for rich, succs in by_label.items():
         verdict.determinism_checks += 1
@@ -331,7 +320,7 @@ def _sp_self_checks(ctx: _Context, pc: PairedConfig, verdict: Verdict) -> None:
         if any(other != first for other in succs[1:]):
             verdict.determinism_violations += 1
         verdict.stability_checks += 1
-        stepped, _s2 = sp_step(program, pc.state, rich)
+        stepped, _s2 = sp_step(program, s, rich)
         if stepped.procs is not ctx.sp_procs or (stepped.net, _s2) != first:
             verdict.stability_violations += 1
 
@@ -343,7 +332,12 @@ def verify_epp(
     xs=None,
     ps=None,
 ) -> Verdict:
-    """Certify the correspondence for one program up to a depth bound."""
+    """Certify the correspondence for one program up to a depth bound.
+
+    Nodes are (choreography, network, state) triples; the enabled
+    transitions of both sides are derived once per node and shared by
+    the self-checks, completeness and soundness.
+    """
     if xs is None or ps is None:
         ixs, ips = projection.infer_params(p)
         xs = ixs if xs is None else xs
@@ -351,58 +345,32 @@ def verify_epp(
     failures = check_hypotheses(p, xs, ps)
     if failures:
         return Verdict("hypotheses-violated", depth, hypothesis_failures=failures)
-    sp = projection.epp(xs, ps, p)
-    ctx = _Context(p, sp, xs, ps)
+    sp = projection.compile_projectable(xs, ps, p)
+    ctx = _Context(p, sp, ps)
     verdict = Verdict("verified", depth)
-    root = PairedConfig(p.main, sp.net, s0, 0)
-    if not _prunes(root.sp_net, ctx.epp_net(p.main) or Network()):
-        return Verdict(
-            "counterexample",
-            depth,
-            counterexample=Counterexample(
-                "invariant", root, None, "initial network below its own projection"
-            ),
-        )
-    seen = {(root.cc_main, root.sp_net, root.state)}
-    queue = deque((root,))
-    truncated = False
-    while queue:
-        pc = queue.popleft()
-        verdict.configs_explored += 1
-        _sp_self_checks(ctx, pc, verdict)
-        comp_succs, comp_matched, cex = check_completeness_step(ctx, pc)
-        verdict.transitions_matched += comp_matched
-        if cex is not None:
-            verdict.status = "counterexample"
-            verdict.counterexample = cex
-            return verdict
-        snd_succs, snd_matched, cex, lc, lv = check_soundness_step(ctx, pc)
-        verdict.transitions_matched += snd_matched
-        verdict.locality_checks += lc
-        verdict.locality_violations += lv
-        if cex is not None:
-            verdict.status = "counterexample"
-            verdict.counterexample = cex
-            return verdict
-        if pc.depth >= depth:
-            if comp_succs or snd_succs:
-                truncated = True
-            continue
-        for succ in comp_succs + snd_succs:
-            key = (succ.cc_main, succ.sp_net, succ.state)
-            if key not in seen:
-                seen.add(key)
-                queue.append(succ)
-    if verdict.determinism_violations or verdict.stability_violations:
+    root = (p.main, sp.net, s0)
+    if not _prunes(sp.net, ctx.epp_net(p.main) or Network()):
+        why = "initial network below its own projection"
         verdict.status = "counterexample"
-        verdict.counterexample = Counterexample(
-            "invariant",
-            root,
-            None,
-            "network semantics violated determinism or stability",
-        )
+        verdict.counterexample = Counterexample("invariant", root, 0, None, why)
         return verdict
-    verdict.status = "verified" if not truncated else "verified-to-depth"
+
+    def step(node, d):
+        main, net, s = node
+        cc_trans = cc_enabled(ctx.cc_procs, main, s)
+        sp_trans = sp_enabled(ctx.sp_procs, net, s)
+        _sp_self_checks(ctx, net, s, sp_trans, verdict)
+        succs, cex = _completeness(ctx, node, d, cc_trans, sp_trans, verdict)
+        if cex is None:
+            more, cex = _soundness(ctx, node, d, cc_trans, sp_trans, verdict)
+            succs += more
+        return succs, cex
+
+    _explore(root, step, depth, verdict)
+    if verdict.ok and (verdict.determinism_violations or verdict.stability_violations):
+        why = "network semantics violated determinism or stability"
+        verdict.status = "counterexample"
+        verdict.counterexample = Counterexample("invariant", root, 0, None, why)
     return verdict
 
 
@@ -414,76 +382,37 @@ def check_deadlock_freedom(
     p: ChorProgram, depth: int = 10, s0: State = EMPTY_STATE
 ) -> Verdict:
     """Every reachable non-end configuration must have a transition."""
-    verdict = Verdict("verified", depth)
-    seen = {(p.main, s0)}
-    queue = deque(((p.main, s0, 0),))
-    truncated = False
-    while queue:
-        main, s, d = queue.popleft()
-        verdict.configs_explored += 1
-        trans = cc_enabled(p.procs, main, s)
-        if not trans and type(main) is not ChorEnd:
-            verdict.status = "counterexample"
-            verdict.counterexample = Counterexample(
-                "deadlock",
-                PairedConfig(main, Network(), s, d),
-                None,
-                "non-end choreography with no transition",
-            )
-            return verdict
-        if d >= depth:
-            if trans:
-                truncated = True
-            continue
-        for _rich, main2, s2 in trans:
-            key = (main2, s2)
-            if key not in seen:
-                seen.add(key)
-                queue.append((main2, s2, d + 1))
-    verdict.status = "verified" if not truncated else "verified-to-depth"
-    return verdict
+
+    def step(node, d):
+        main, s = node
+        succs = [(main2, s2) for _rich, main2, s2 in cc_enabled(p.procs, main, s)]
+        if not succs and type(main) is not ChorEnd:
+            why = "non-end choreography with no transition"
+            return succs, Counterexample("deadlock", node, d, None, why)
+        return succs, None
+
+    return _explore((p.main, s0), step, depth, Verdict("verified", depth))
 
 
-def _check_confluence(enabled_fn, root_key, depth: int, join_depth: int) -> Verdict:
-    """Shared engine: from each reached node, any two one-step successors
-    must reach a common node within ``join_depth`` steps each."""
+def _check_confluence(enabled_fn, root, depth: int, join_depth: int) -> Verdict:
+    """From each reached node, any two one-step successors must reach a
+    common node within ``join_depth`` steps each."""
     verdict = Verdict("verified", depth)
-    seen = {root_key}
-    queue = deque(((root_key, 0),))
-    truncated = False
-    while queue:
-        key, d = queue.popleft()
-        verdict.configs_explored += 1
-        succ_keys = enabled_fn(key)
+
+    def step(node, d):
+        succs = enabled_fn(node)
         # Configurations are not orderable; dedupe preserving first occurrence.
-        picked: set = set()
-        distinct = []
-        for sk in succ_keys:
-            if sk != key and sk not in picked:
-                picked.add(sk)
-                distinct.append(sk)
+        distinct = list(dict.fromkeys(sk for sk in succs if sk != node))
         for i in range(len(distinct)):
             for j in range(i + 1, len(distinct)):
                 verdict.transitions_matched += 1
                 if not _joins(enabled_fn, distinct[i], distinct[j], join_depth):
-                    verdict.status = "counterexample"
-                    verdict.counterexample = Counterexample(
-                        "confluence",
-                        PairedConfig(None, None, None, d),  # type: ignore[arg-type]
-                        None,
-                        f"successors do not join within {join_depth} steps",
-                    )
-                    return verdict
-        if d >= depth:
-            if succ_keys:
-                truncated = True
-            continue
-        for sk in succ_keys:
-            if sk not in seen:
-                seen.add(sk)
-                queue.append((sk, d + 1))
-    verdict.status = "verified" if not truncated else "verified-to-depth"
-    return verdict
+                    pair = (distinct[i], distinct[j])
+                    why = f"successors do not join within {join_depth} steps"
+                    return succs, Counterexample("confluence", node, d, None, why, pair)
+        return succs, None
+
+    return _explore(root, step, depth, verdict)
 
 
 def _joins(enabled_fn, a, b, join_depth: int) -> bool:

@@ -17,9 +17,8 @@ are reproducible.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, NamedTuple, Tuple, Union
 
 from .core import (
     BExpr,
@@ -32,14 +31,13 @@ from .core import (
     RichCond,
     RichLabel,
     RichSelect,
+    RunResult,
     State,
-    TraceRecord,
     VarName,
+    drive,
     eval_bexpr,
     eval_expr,
-    forget,
     label_pids,
-    state_digest,
 )
 
 # ---------------------------------------------------------------------------
@@ -195,15 +193,6 @@ def chor_pids(c: Choreography, vars_of: Callable[[ProcName], Iterable[Pid]]) -> 
     raise TypeError(f"not a choreography: {c!r}")
 
 
-def program_pids(p: ChorProgram) -> frozenset:
-    """All processes of a program, counting calls by declared parameters."""
-    vars_of = lambda name: p.procs[name].params if name in p.procs else ()
-    out = chor_pids(p.main, vars_of)
-    for d in p.procs.values():
-        out |= frozenset(d.params) | chor_pids(d.body, vars_of)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Well-formedness
 
@@ -350,9 +339,6 @@ class NotEnabledError(Exception):
         self.label = label
 
 
-Transition = Tuple[RichLabel, Choreography, State]
-
-
 def cc_enabled(
     procs: Mapping[ProcName, ProcDef], c: Choreography, s: State
 ) -> list:
@@ -437,18 +423,6 @@ def cc_step(p: ChorProgram, s: State, label: RichLabel) -> Tuple[ChorProgram, St
     raise NotEnabledError(label)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    trace: Tuple[TraceRecord, ...]
-    final_main: Choreography
-    final_state: State
-    outcome: str  # terminated | fuel-exhausted
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(r.label for r in self.trace)
-
-
 def cc_run(
     p: ChorProgram,
     s: State = EMPTY_STATE,
@@ -456,32 +430,5 @@ def cc_run(
     fuel: int = 1000,
     seed: int = 0,
 ) -> RunResult:
-    """Drive the transition system until no action remains or fuel runs out.
-
-    policy "first" always takes the first enabled transition in canonical
-    order; "random" draws from a seeded generator, so runs are repeatable.
-    """
-    if policy not in ("first", "random"):
-        raise ValueError(f"unknown policy {policy!r}")
-    rng = random.Random(seed)
-    main = p.main
-    trace: list = []
-    for step in range(fuel):
-        enabled = cc_enabled(p.procs, main, s)
-        if not enabled:
-            return RunResult(tuple(trace), main, s, "terminated")
-        label, main2, s2 = enabled[0] if policy == "first" else rng.choice(enabled)
-        trace.append(
-            TraceRecord(
-                step,
-                label,
-                forget(label),
-                label_pids(label),
-                state_digest(s),
-                state_digest(s2),
-            )
-        )
-        main, s = main2, s2
-    enabled = cc_enabled(p.procs, main, s)
-    outcome = "terminated" if not enabled else "fuel-exhausted"
-    return RunResult(tuple(trace), main, s, outcome)
+    """Run the choreography under ``core.drive``'s scheduling policies."""
+    return drive(lambda c, s2: cc_enabled(p.procs, c, s2), p.main, s, policy, fuel, seed)

@@ -3,7 +3,8 @@
 Subcommands cover the whole pipeline: static checking, projection to
 behaviour files, interpretation of either calculus, concurrent execution,
 and bounded verification.  Exit codes: 0 success, 1 check/verify failures
-or abnormal run outcomes, 2 usage or parse errors.
+or abnormal run outcomes, 2 usage or parse errors, 3 input nested too
+deeply for the recursive parser and analyses.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path as FsPath
 from typing import Dict, List, Optional
 
-from .chor import ChorProgram, cc_check_wf, cc_run
+from .chor import cc_check_wf, cc_run
 from .checker import (
     check_cc_confluence,
     check_deadlock_freedom,
@@ -24,7 +25,7 @@ from .checker import (
 from .core import State, TraceRecord, obs_label_text, rich_label_text, state_digest
 from .merge import UNDEFINED
 from .net import sp_run
-from .projection import epp, infer_params, projectable
+from .projection import compile_projectable, infer_params, projectable
 from .runtime import RuntimeConfig, execute
 from .syntax import ParseError, SourceUnit, parse, print_behaviour
 
@@ -92,6 +93,21 @@ def _emit_trace(trace, outcome: str, final_state: State, as_json: bool, extra=No
         print(json.dumps(_record_json(r)))
     tail = {k: v for k, v in doc.items() if k not in ("format", "trace")}
     print(json.dumps(tail))
+
+
+def _compile(unit: SourceUnit):
+    """Infer parameters, check projectability and compile.
+
+    Returns (pids, network program), or None after printing the
+    projectability failures on stderr.
+    """
+    xs, ps = infer_params(unit.program)
+    failures = projectable(xs, ps, unit.program)
+    if failures:
+        for f in failures:
+            print(f"{_loc(unit, f.path)}: {f}", file=sys.stderr)
+        return None
+    return ps, compile_projectable(xs, ps, unit.program)
 
 
 def _beh_text(b) -> str:
@@ -179,15 +195,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    unit = _load(args.file)
-    program = unit.program
-    xs, ps = infer_params(program)
-    issues = projectable(xs, ps, program)
-    if issues:
-        for f in issues:
-            print(f"{_loc(unit, f.path)}: {f}", file=sys.stderr)
+    compiled = _compile(_load(args.file))
+    if compiled is None:
         return 1
-    np = epp(xs, ps, program)
+    ps, np = compiled
     stem = FsPath(args.file).stem
     outdir = FsPath(args.outdir) if args.outdir else FsPath(args.file).parent
     outdir.mkdir(parents=True, exist_ok=True)
@@ -238,14 +249,10 @@ def _cmd_run(args) -> int:
 def _cmd_simulate(args) -> int:
     unit = _load(args.file)
     s0 = _parse_state(args.state)
-    xs, ps = infer_params(unit.program)
-    issues = projectable(xs, ps, unit.program)
-    if issues:
-        for f in issues:
-            print(f"{_loc(unit, f.path)}: {f}", file=sys.stderr)
+    compiled = _compile(unit)
+    if compiled is None:
         return 1
-    np = epp(xs, ps, unit.program)
-    res = sp_run(np, s0, policy=args.policy, fuel=args.fuel, seed=args.seed)
+    res = sp_run(compiled[1], s0, policy=args.policy, fuel=args.fuel, seed=args.seed)
     _emit_trace(res.trace, res.outcome, res.final_state, args.json)
     return 0 if res.outcome == "terminated" else 1
 
@@ -253,17 +260,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_exec(args) -> int:
     unit = _load(args.file)
     s0 = _parse_state(args.state)
-    xs, ps = infer_params(unit.program)
-    issues = projectable(xs, ps, unit.program)
-    if issues:
-        for f in issues:
-            print(f"{_loc(unit, f.path)}: {f}", file=sys.stderr)
+    compiled = _compile(unit)
+    if compiled is None:
         return 1
-    np = epp(xs, ps, unit.program)
     cfg = RuntimeConfig(
         seed=args.seed, step_timeout_ms=args.timeout_ms, max_steps=args.max_steps
     )
-    report = execute(np, s0, cfg)
+    report = execute(compiled[1], s0, cfg)
     _emit_trace(report.trace, report.outcome, report.final_state, args.json)
     return 0 if report.outcome == "terminated" else 1
 
@@ -274,12 +277,10 @@ def _cmd_verify(args) -> int:
     suites = [("epp-theorem", verify_epp(program, depth=args.depth))]
     suites.append(("deadlock-freedom", check_deadlock_freedom(program, depth=args.depth)))
     suites.append(("confluence-chor", check_cc_confluence(program, depth=args.depth)))
-    wide_ok = all(v.ok for _, v in suites)
-    if wide_ok:
-        xs, ps = infer_params(program)
-        suites.append(
-            ("confluence-net", check_sp_confluence(epp(xs, ps, program), depth=args.depth))
-        )
+    if all(v.ok for _, v in suites):
+        # epp-theorem passing includes the projectability hypothesis
+        net = compile_projectable(*infer_params(program), program)
+        suites.append(("confluence-net", check_sp_confluence(net, depth=args.depth)))
     ok = all(v.ok for _, v in suites)
     if args.json:
         print(
@@ -379,6 +380,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(str(e), file=sys.stderr)
         return 2
+    except RecursionError:
+        print(f"{args.file}: input too deeply nested", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Shared kernel: values, expressions, stores, and transition labels.
+"""Shared kernel: values, expressions, stores, labels, traces and runs.
 
 Both the choreography language and the process calculus are parametric in
 the same data layer: identifiers are strings, values are wrapping signed
@@ -16,16 +16,15 @@ merge-algebra test sweeps run hundreds of millions of comparisons.
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, Iterator, Mapping, NamedTuple, Tuple, Union
+import random
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Tuple, Union
 
 Pid = str
 VarName = str
 ProcName = str
 # Procedure names on the process-calculus side are (procedure, pid) pairs.
 ProcKey = Tuple[str, Pid]
-
-IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 LABEL_LEFT = "left"
 LABEL_RIGHT = "right"
@@ -38,10 +37,6 @@ _BIAS = 1 << 63
 def wrap64(n: int) -> int:
     """Reduce an int to the signed 64-bit range with wraparound."""
     return (n + _BIAS) % _SPAN - _BIAS
-
-
-def is_ident(name: str) -> bool:
-    return bool(IDENT_RE.match(name))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +188,6 @@ class State:
     def items(self) -> tuple:
         """Sorted ((pid, var), value) pairs; zero entries never appear."""
         return self._key
-
-    def pids(self) -> frozenset:
-        return frozenset(pid for (pid, _), _ in self._key)
 
     def __iter__(self) -> Iterator:
         return iter(self._key)
@@ -433,3 +425,57 @@ def state_digest(s: State) -> str:
     """16-hex-digit FNV-1a hash of the canonical store serialisation."""
     text = ";".join(f"{p}.{x}={v}" for (p, x), v in s.items())
     return f"{fnv1a64(text.encode('utf-8')):016x}"
+
+
+def trace_record(step: int, rich: RichLabel, pre_digest: str, post_digest: str) -> TraceRecord:
+    """The record of one committed transition."""
+    return TraceRecord(step, rich, forget(rich), label_pids(rich), pre_digest, post_digest)
+
+
+# ---------------------------------------------------------------------------
+# Runs
+
+
+@dataclass(frozen=True)
+class RunResult:
+    trace: Tuple[TraceRecord, ...]
+    final: object  # the choreography or network the run stopped at
+    final_state: State
+    outcome: str  # terminated | fuel-exhausted
+
+    @property
+    def labels(self) -> tuple:
+        return tuple(r.label for r in self.trace)
+
+
+def drive(
+    enabled: Callable[[object, State], list],
+    term: object,
+    s: State,
+    policy: str,
+    fuel: int,
+    seed: int,
+) -> RunResult:
+    """Step ``term`` until no action remains or fuel runs out.
+
+    ``enabled(term, s)`` lists the (label, term, state) transitions in
+    canonical order.  Policy "first" always takes the first; "random"
+    draws from a seeded generator, so runs are repeatable.  A step's
+    pre-state digest is the previous step's post-state digest, so each
+    step hashes the store once.
+    """
+    if policy not in ("first", "random"):
+        raise ValueError(f"unknown policy {policy!r}")
+    rng = random.Random(seed)
+    trace: list = []
+    digest = state_digest(s)
+    for step in range(fuel):
+        trans = enabled(term, s)
+        if not trans:
+            return RunResult(tuple(trace), term, s, "terminated")
+        label, term, s = trans[0] if policy == "first" else rng.choice(trans)
+        post = state_digest(s)
+        trace.append(trace_record(step, label, digest, post))
+        digest = post
+    outcome = "fuel-exhausted" if enabled(term, s) else "terminated"
+    return RunResult(tuple(trace), term, s, outcome)

@@ -6,10 +6,9 @@ everything except branching options, which are unioned.  Partiality is
 made total by extending behaviours with an ``UNDEFINED`` element which is
 absorbing and which any failed sub-merge propagates upward.
 
-Extended behaviours reuse the plain behaviour node types; a tree is an
-extended behaviour if ``UNDEFINED`` may appear in continuation or option
-positions.  ``inject`` is therefore the identity on proper behaviours and
-``collapse`` maps any tree containing ``UNDEFINED`` to ``UNDEFINED``.
+A merge result is therefore either a proper behaviour or ``UNDEFINED``,
+never a tree with ``UNDEFINED`` inside; projection keeps the same
+discipline, so the two compose without a separate collapsing pass.
 
 ``xmerge`` is on the hot path of exhaustive algebra sweeps (hundreds of
 millions of calls), hence the indexed tuple accesses and the early type
@@ -20,10 +19,9 @@ only taken when the recursive results are the operand's own children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional
 
-from .net import SP_END, Branch, Call, Cond, End, Recv, SelectSend, Send
+from .net import Branch, Call, Cond, End, Recv, SelectSend, Send
 
 
 class _Undefined:
@@ -37,45 +35,23 @@ class _Undefined:
 
 UNDEFINED = _Undefined()
 
-XBehaviour = object  # Behaviour | _Undefined, possibly with UNDEFINED subterms
-
-
-def inject(b):
-    """Behaviours embed into extended behaviours unchanged."""
-    return b
-
-
-def has_undefined(b) -> bool:
-    t = type(b)
-    if t is _Undefined:
-        return True
-    if t is Send or t is Recv or t is SelectSend:
-        return has_undefined(b[2])
-    if t is Branch:
-        l = b[1]
-        r = b[2]
-        return (l is not None and has_undefined(l)) or (
-            r is not None and has_undefined(r)
-        )
-    if t is Cond:
-        return has_undefined(b[1]) or has_undefined(b[2])
-    return False  # End, Call
-
 
 def collapse(b):
-    """UNDEFINED anywhere poisons the whole tree; otherwise identity."""
-    return UNDEFINED if has_undefined(b) else b
+    """UNDEFINED anywhere in the tree poisons the whole tree; otherwise identity.
 
-
-def is_defined(b) -> bool:
-    """True when the tree is a proper behaviour (no UNDEFINED subterm)."""
-    return not has_undefined(b)
-
-
-def behaviour_of(b):
-    """The unique proper behaviour an extended behaviour collapses to."""
-    if has_undefined(b):
-        raise ValueError(f"no behaviour: result is undefined ({b!r})")
+    Projection and merging propagate UNDEFINED as they build, so they
+    never produce such partial trees; this is for trees built by hand.
+    """
+    stack = [b]
+    while stack:
+        t = stack.pop()
+        k = type(t)
+        if k is _Undefined:
+            return UNDEFINED
+        if k is Send or k is Recv or k is SelectSend:
+            stack.append(t[2])
+        elif k is Branch or k is Cond:
+            stack.extend(x for x in t[1:3] if x is not None)
     return b
 
 
@@ -174,69 +150,8 @@ def xmerge(a, b):
     return UNDEFINED  # both UNDEFINED
 
 
-def merge(b1, b2):
-    """Merge two proper behaviours.  Same as ``xmerge`` after injection."""
-    return xmerge(b1, b2)
-
-
 # ---------------------------------------------------------------------------
-# Inversion and conflict reporting
-
-
-class NotInvertibleError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class MergeInversion:
-    """What a successful merge forces about its operands.
-
-    ``obligations`` pairs the sub-trees whose merges produced the result's
-    children.  For a branching result, ``option_origins`` classifies each
-    side as ``left-only`` / ``right-only`` / ``both`` / ``absent``
-    according to which operand supplied the option.
-    """
-
-    result: object
-    head: type
-    obligations: Tuple[tuple, ...] = ()
-    option_origins: Optional[dict] = None
-
-
-def invert_merge(b1, b2, expect: Optional[type] = None) -> MergeInversion:
-    """Decompose a successful merge of ``b1`` and ``b2``.
-
-    Raises NotInvertibleError when the merge is undefined or when the
-    result's head is not the expected constructor.
-    """
-    result = xmerge(b1, b2)
-    if result is UNDEFINED:
-        raise NotInvertibleError(f"merge of {b1!r} and {b2!r} is undefined")
-    head = type(result)
-    if expect is not None and head is not expect:
-        raise NotInvertibleError(f"result head {head.__name__}, expected {expect.__name__}")
-    if head is Send or head is Recv or head is SelectSend:
-        # both operands share the decorations and their tails merge to the
-        # result's tail
-        return MergeInversion(result, head, ((b1[2], b2[2]),))
-    if head is Cond:
-        return MergeInversion(result, head, ((b1[1], b2[1]), (b1[2], b2[2])))
-    if head is Branch:
-        origins = {}
-        obligations = []
-        for idx, side in ((1, "left"), (2, "right")):
-            x, y = b1[idx], b2[idx]
-            if x is not None and y is not None:
-                origins[side] = "both"
-                obligations.append((x, y))
-            elif x is not None:
-                origins[side] = "left-only"
-            elif y is not None:
-                origins[side] = "right-only"
-            else:
-                origins[side] = "absent"
-        return MergeInversion(result, head, tuple(obligations), origins)
-    return MergeInversion(result, head)  # End, Call
+# Conflict reporting
 
 
 def deepest_conflict(b1, b2) -> Optional[tuple]:
@@ -246,8 +161,6 @@ def deepest_conflict(b1, b2) -> Optional[tuple]:
     deepest point at which merging actually goes wrong; useful for
     reporting why a projection failed.
     """
-    if b1 is UNDEFINED or b2 is UNDEFINED:
-        return (b1, b2)
     if xmerge(b1, b2) is not UNDEFINED:
         return None
     ta = type(b1)

@@ -14,8 +14,6 @@ structural equality coincides with extensional equality.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .core import (
@@ -29,14 +27,12 @@ from .core import (
     RichCond,
     RichLabel,
     RichSelect,
+    RunResult,
     State,
-    TraceRecord,
     VarName,
+    drive,
     eval_bexpr,
     eval_expr,
-    forget,
-    label_pids,
-    state_digest,
 )
 from .chor import NotEnabledError
 
@@ -138,12 +134,7 @@ class Network:
         return self._map.get(pid, SP_END)
 
     def set(self, pid: Pid, b: Behaviour) -> "Network":
-        m = dict(self._map)
-        if b != SP_END:
-            m[pid] = b
-        else:
-            m.pop(pid, None)
-        return Network(m)
+        return self.set_many(((pid, b),))
 
     def set_many(self, entries: Iterable) -> "Network":
         m = dict(self._map)
@@ -175,11 +166,6 @@ class Network:
 EMPTY_NET = Network()
 
 
-def net_update(n: Network, pid: Pid, b: Behaviour) -> Network:
-    """Replace one process's behaviour, keeping the network canonical."""
-    return n.set(pid, b)
-
-
 class NetProgram(NamedTuple):
     procs: Mapping[ProcKey, Behaviour]
     net: Network
@@ -189,17 +175,9 @@ class NetProgram(NamedTuple):
         return f"NetProgram({dict(self.procs)!r}, {self.net!r})"
 
 
-def proc_body(procs: Mapping[ProcKey, Behaviour], key: ProcKey) -> Behaviour:
-    """Procedure lookup; undefined names behave as ``end``."""
-    return procs.get(key, SP_END)
-
-
 def _chosen_option(b: Branch, label: str) -> Optional[Behaviour]:
     """The branch continuation a label selects, or None if not offered."""
     return b.on_left if label == "left" else b.on_right
-
-
-Transition = Tuple[RichLabel, "Network", State]
 
 
 def sp_enabled(
@@ -244,7 +222,7 @@ def sp_enabled(
             out.append((RichCond(pid), n.set(pid, taken), s))
         elif t is Call:
             out.append(
-                (RichCall(b.name, pid), n.set(pid, proc_body(procs, b.name)), s)
+                (RichCall(b.name, pid), n.set(pid, procs.get(b.name, SP_END)), s)
             )
     return out
 
@@ -256,47 +234,12 @@ def sp_step(p: NetProgram, s: State, label: RichLabel) -> Tuple[NetProgram, Stat
     raise NotEnabledError(label)
 
 
-@dataclass(frozen=True)
-class SpRunResult:
-    trace: Tuple[TraceRecord, ...]
-    final_net: Network
-    final_state: State
-    outcome: str  # terminated | fuel-exhausted
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(r.label for r in self.trace)
-
-
 def sp_run(
     p: NetProgram,
     s: State = EMPTY_STATE,
     policy: str = "first",
     fuel: int = 1000,
     seed: int = 0,
-) -> SpRunResult:
-    """Scheduler driver mirroring the choreography runner."""
-    if policy not in ("first", "random"):
-        raise ValueError(f"unknown policy {policy!r}")
-    rng = random.Random(seed)
-    net = p.net
-    trace: list = []
-    for step in range(fuel):
-        enabled = sp_enabled(p.procs, net, s)
-        if not enabled:
-            return SpRunResult(tuple(trace), net, s, "terminated")
-        label, net2, s2 = enabled[0] if policy == "first" else rng.choice(enabled)
-        trace.append(
-            TraceRecord(
-                step,
-                label,
-                forget(label),
-                label_pids(label),
-                state_digest(s),
-                state_digest(s2),
-            )
-        )
-        net, s = net2, s2
-    enabled = sp_enabled(p.procs, net, s)
-    outcome = "terminated" if not enabled else "fuel-exhausted"
-    return SpRunResult(tuple(trace), net, s, outcome)
+) -> RunResult:
+    """Run the network under ``core.drive``'s scheduling policies."""
+    return drive(lambda n, s2: sp_enabled(p.procs, n, s2), p.net, s, policy, fuel, seed)

@@ -9,7 +9,7 @@ enters.  ``epp`` compiles a whole program, projecting the main
 choreography and every procedure body for every declared process.
 
 Projectability comes in two strengths.  The plain analysis asks that no
-projection collapses to undefined; the strong variant additionally
+projection is undefined; the strong variant additionally
 constrains running-call terms, requiring each still-pending process to be
 able to continue with the procedure's projected body, up to extra
 branching options.  The two coincide on initial choreographies.
@@ -31,12 +31,11 @@ from .chor import (
     Interaction,
     ProcDef,
     RunningCall,
-    SelectEta,
     called_procs,
     chor_pids,
 )
 from .core import Pid, ProcName
-from .merge import UNDEFINED, behaviour_of, collapse, deepest_conflict, xmerge
+from .merge import UNDEFINED, deepest_conflict, xmerge
 from .net import SP_END, Branch, Network, NetProgram
 from . import net as net_mod
 
@@ -58,13 +57,19 @@ def _running_call_projection(procs: Mapping[ProcName, ProcDef], c: RunningCall, 
 
 
 def bproj(procs: Mapping[ProcName, ProcDef], c: Choreography, r: Pid):
-    """Project one process's extended behaviour from a choreography."""
+    """Project one process's behaviour from a choreography, or UNDEFINED.
+
+    UNDEFINED propagates as soon as any sub-projection is undefined, so the
+    result never has UNDEFINED inside it.
+    """
     t = type(c)
     if t is End:
         return SP_END
     if t is Interaction:
         eta = c.eta
         cont = bproj(procs, c.cont, r)
+        if cont is UNDEFINED:
+            return UNDEFINED
         if type(eta) is CommEta:
             if eta.sender == r:
                 return net_mod.Send(eta.receiver, eta.expr, cont)
@@ -77,11 +82,13 @@ def bproj(procs: Mapping[ProcName, ProcDef], c: Choreography, r: Pid):
             return _branch_offer(eta.sender, eta.label, cont)
         return cont
     if t is Cond:
-        if c.pid == r:
-            return net_mod.Cond(
-                c.guard, bproj(procs, c.then_c, r), bproj(procs, c.else_c, r)
-            )
-        return xmerge(bproj(procs, c.then_c, r), bproj(procs, c.else_c, r))
+        then_b = bproj(procs, c.then_c, r)
+        else_b = bproj(procs, c.else_c, r)
+        if c.pid != r:
+            return xmerge(then_b, else_b)
+        if then_b is UNDEFINED or else_b is UNDEFINED:
+            return UNDEFINED
+        return net_mod.Cond(c.guard, then_b, else_b)
     if t is Call:
         d = procs.get(c.proc)
         if d is not None and r in d.params:
@@ -90,13 +97,6 @@ def bproj(procs: Mapping[ProcName, ProcDef], c: Choreography, r: Pid):
     if t is RunningCall:
         return _running_call_projection(procs, c, r)
     raise TypeError(f"not a choreography: {c!r}")
-
-
-def epp_list(
-    procs: Mapping[ProcName, ProcDef], c: Choreography, ps
-) -> list:
-    """Collapsed projections for each requested process, in given order."""
-    return [(p, collapse(bproj(procs, c, p))) for p in ps]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def _conflict_failures(
             return
         left = bproj(procs, c.then_c, r)
         right = bproj(procs, c.else_c, r)
-        if collapse(xmerge(left, right)) is UNDEFINED:
+        if xmerge(left, right) is UNDEFINED:
             pair = deepest_conflict(left, right)
             out.append(
                 ProjectionFailure(
@@ -161,8 +161,8 @@ def _conflict_failures(
 def projection_failures(
     procs: Mapping[ProcName, ProcDef], c: Choreography, r: Pid, root: Path = ()
 ) -> list:
-    """All reasons bproj at ``r`` collapses to undefined (empty when fine)."""
-    if collapse(bproj(procs, c, r)) is not UNDEFINED:
+    """All reasons bproj at ``r`` is undefined (empty when fine)."""
+    if bproj(procs, c, r) is not UNDEFINED:
         return []
     out: list = []
     _conflict_failures(procs, c, r, root, out)
@@ -317,7 +317,7 @@ def str_projectable(procs: Mapping[ProcName, ProcDef], c: Choreography, r: Pid) 
         if c.pid == r:
             return True
         merged = xmerge(bproj(procs, c.then_c, r), bproj(procs, c.else_c, r))
-        return collapse(merged) is not UNDEFINED
+        return merged is not UNDEFINED
     if t is RunningCall:
         if not str_projectable(procs, c.body, r):
             return False
@@ -351,25 +351,29 @@ class ProjectionError(Exception):
 def epp(xs, ps, p: ChorProgram) -> NetProgram:
     """Compile a projectable program to a network with compiled procedures.
 
-    Raises ProjectionError when projectability fails.  The network maps
-    each listed pid to its collapsed projection of main; the procedure
-    table has one entry per (listed procedure, declared process).
+    Raises ProjectionError when projectability fails; otherwise the same
+    as ``compile_projectable``.
     """
     failures = projectable(xs, ps, p)
     if failures:
         raise ProjectionError(failures)
-    net = Network(
-        (pid, behaviour_of(collapse(bproj(p.procs, p.main, pid)))) for pid in ps
-    )
+    return compile_projectable(xs, ps, p)
+
+
+def compile_projectable(xs, ps, p: ChorProgram) -> NetProgram:
+    """The compile step of ``epp``, for a program already found projectable.
+
+    The network maps each listed pid to its projection of main; the
+    procedure table has one entry per (listed procedure, declared process).
+    """
+    net = Network((pid, bproj(p.procs, p.main, pid)) for pid in ps)
     procs_b = {}
     for name in xs:
         d = p.procs.get(name)
         if d is None:
             continue
         for pid in d.params:
-            procs_b[(name, pid)] = behaviour_of(
-                collapse(bproj(p.procs, d.body, pid))
-            )
+            procs_b[(name, pid)] = bproj(p.procs, d.body, pid)
     return NetProgram(procs_b, net)
 
 

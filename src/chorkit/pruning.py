@@ -1,6 +1,6 @@
 """The more-branches preorder on behaviours and networks.
 
-``more_branches(a, b)`` holds when ``a`` is ``b`` with possibly more
+``xmore_branches(a, b)`` holds when ``a`` is ``b`` with possibly more
 branching options: the two trees must agree structurally everywhere
 except that at a branching ``a`` may offer an option ``b`` lacks.  The
 relation characterises merging (it holds exactly when merging ``a`` with
@@ -15,7 +15,6 @@ top is reflexivity, which is sound because nodes are immutable values.
 
 from __future__ import annotations
 
-from .merge import UNDEFINED, _Undefined
 from .net import Branch, Call, Cond, End, Network, Recv, SelectSend, Send
 
 
@@ -55,11 +54,6 @@ def xmore_branches(a, b) -> bool:
     if ta is Call:
         return a[0] == b[0]
     return True  # both UNDEFINED
-
-
-def more_branches(a, b) -> bool:
-    """The preorder restricted to proper behaviours."""
-    return xmore_branches(a, b)
 
 
 def net_more_branches(n1: Network, n2: Network) -> bool:

@@ -15,8 +15,8 @@ Because commits are serialised and the generator is seeded, a run is a
 deterministic function of (program, state, config), and the emitted
 trace replays step by step through the sequential semantics, which
 ``validate_trace`` checks.  Deadlock is declared when all live threads
-are blocked with no matching pair, or when offers stop arriving within
-the configured timeout.
+are blocked with no matching pair; when offers stop arriving within the
+configured timeout the run ends with outcome ``timeout`` instead.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ from .core import (
     TraceRecord,
     eval_bexpr,
     eval_expr,
-    forget,
-    label_pids,
     state_digest,
+    trace_record,
 )
 from .chor import NotEnabledError
 from .net import (
@@ -76,7 +75,7 @@ class ExecutionReport:
     trace: Tuple[TraceRecord, ...]
     final_state: State
     final_net: Network
-    outcome: str  # terminated | deadlocked | step-limit
+    outcome: str  # terminated | deadlocked | timeout | step-limit
 
     @property
     def labels(self) -> tuple:
@@ -165,9 +164,7 @@ def execute(
     for pid in p.net.support:
         initial = {var: v for (q_, var), v in s0.items() if q_ == pid}
         workers[pid] = _Worker(pid, p.net.get(pid), p.procs, initial, offers_q)
-    mirror_net = p.net
-    mirror_state = s0
-    mirror = NetProgram(p.procs, mirror_net)
+    mirror, mirror_state = p, s0
     for w in workers.values():
         w.start()
 
@@ -176,11 +173,12 @@ def execute(
     awaited = set(live)
     trace: list = []
     timeout = cfg.step_timeout_ms / 1000.0
+    digest = state_digest(s0)
 
     try:
         while True:
             if not _drain_offers(offers_q, offers, awaited, timeout):
-                outcome = "deadlocked"
+                outcome = "timeout"
                 break
             for pid in [q for q, o in offers.items() if o[0] == "done"]:
                 live.discard(pid)
@@ -196,18 +194,10 @@ def execute(
                 outcome = "step-limit"
                 break
             rich = candidates[rng.randrange(len(candidates))]
-            stepped, new_state = sp_step(mirror, mirror_state, rich)
-            trace.append(
-                TraceRecord(
-                    len(trace),
-                    rich,
-                    forget(rich),
-                    label_pids(rich),
-                    state_digest(mirror_state),
-                    state_digest(new_state),
-                )
-            )
-            mirror, mirror_state = stepped, new_state
+            mirror, mirror_state = sp_step(mirror, mirror_state, rich)
+            post = state_digest(mirror_state)
+            trace.append(trace_record(len(trace), rich, digest, post))
+            digest = post
             _grant(workers, offers, awaited, rich)
     finally:
         # stop whoever is still blocked on a grant
@@ -259,30 +249,20 @@ def _enabled_offers(offers: Dict[Pid, tuple]) -> list:
 
 def _grant(workers, offers, awaited, rich) -> None:
     k = type(rich)
-    if k is RichComm:
-        sender, receiver = rich.sender, rich.receiver
-        workers[sender].grants.put(("proceed",))
-        workers[receiver].grants.put(("deliver", rich.value))
-        del offers[sender]
-        del offers[receiver]
-        awaited.update((sender, receiver))
-    elif k is RichSelect:
+    if k is RichComm or k is RichSelect:
+        pids = (rich.sender, rich.receiver)
+        reply = ("deliver", rich.value) if k is RichComm else ("choose", rich.label)
         workers[rich.sender].grants.put(("proceed",))
-        workers[rich.receiver].grants.put(("choose", rich.label))
-        del offers[rich.sender]
-        del offers[rich.receiver]
-        awaited.update((rich.sender, rich.receiver))
-    elif k is RichCond:
-        taken = offers[rich.pid][1]
+        workers[rich.receiver].grants.put(reply)
+    elif k is RichCond or k is RichCall:
+        pids = (rich.pid,)
+        taken = offers[rich.pid][1] if k is RichCond else None
         workers[rich.pid].grants.put(("proceed", taken))
-        del offers[rich.pid]
-        awaited.add(rich.pid)
-    elif k is RichCall:
-        workers[rich.pid].grants.put(("proceed", None))
-        del offers[rich.pid]
-        awaited.add(rich.pid)
     else:
         raise AssertionError(f"unknown label {rich!r}")
+    for pid in pids:
+        del offers[pid]
+    awaited.update(pids)
 
 
 class ValidationResult(NamedTuple):

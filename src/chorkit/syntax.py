@@ -450,9 +450,6 @@ def parse_behaviour(text: str) -> Behaviour:
 # Printers
 
 
-_EXPR_PREC = {Lit: 3, VarRef: 3, Mul: 2, Add: 1, Sub: 1}
-
-
 def print_expr(e: Expr, min_prec: int = 0) -> str:
     t = type(e)
     if t is Lit:

@@ -6,6 +6,7 @@ import pytest
 
 from chorkit.chor import ChorProgram
 from chorkit.core import Eq, Lit, VarRef
+from chorkit.merge import UNDEFINED
 from chorkit.net import SP_END, Branch, Cond, Recv, SelectSend, Send
 from chorkit.syntax import SourceUnit, parse
 
@@ -78,6 +79,17 @@ AUTH_PROVIDER = Recv(
         SelectSend("s", "right", SelectSend("c", "right", SP_END)),
     ),
 )
+
+
+def has_undefined(b) -> bool:
+    """Whether UNDEFINED occurs anywhere in a behaviour tree."""
+    if b is UNDEFINED:
+        return True
+    if type(b) in (Send, Recv, SelectSend):
+        return has_undefined(b.cont)
+    if type(b) in (Branch, Cond):
+        return any(x is not None and has_undefined(x) for x in b[1:3])
+    return False
 
 
 # One line per acceptance criterion, replayed after the test summary so

@@ -12,7 +12,7 @@ from chorkit.checker import (
     check_sp_confluence,
     verify_epp,
 )
-from chorkit.chor import ChorProgram, CommEta, Interaction
+from chorkit.chor import ChorProgram, CommEta, Interaction, RunningCall, cc_enabled
 from chorkit.chor import End as ChorEnd
 from chorkit.core import EMPTY_STATE, Lit, State
 from chorkit.projection import epp_program
@@ -150,3 +150,40 @@ class TestConfluence:
         v = check_cc_confluence(load_program("counter"), depth=5)
         assert v.status == "verified-to-depth"
         assert v.ok
+
+
+class TestCounterexampleConfigs:
+    """A counterexample carries the explored node it was found at."""
+
+    def test_deadlock_reports_the_stuck_configuration(self):
+        stuck = RunningCall("X", (), ChorEnd())
+        s0 = State({("p", "x"): 1})
+        v = check_deadlock_freedom(ChorProgram({}, stuck), s0=s0)
+        assert v.status == "counterexample"
+        cex = v.counterexample
+        assert cex.direction == "deadlock"
+        assert cex.config == (stuck, s0)
+        assert cex.depth == 0
+        assert str(v) == (
+            "counterexample: deadlock failure at depth 0: "
+            "non-end choreography with no transition"
+        )
+
+    def test_confluence_reports_the_node_and_both_successors(self):
+        p = load_program("parallel")
+        v = check_cc_confluence(p, join_depth=0)
+        assert v.status == "counterexample"
+        cex = v.counterexample
+        assert cex.direction == "confluence"
+        assert cex.config == (p.main, EMPTY_STATE)
+        main, s = cex.config
+        succs = [(m2, s2) for _l, m2, s2 in cc_enabled(p.procs, main, s)]
+        a, b = cex.successors
+        assert a != b and a in succs and b in succs
+
+    def test_correspondence_reports_the_paired_node(self, auth, monkeypatch):
+        monkeypatch.setattr(checker_mod, "_prunes", lambda wider, projected: False)
+        cex = verify_epp(auth, depth=10).counterexample
+        main, net, s = cex.config
+        assert main == auth.main and s == EMPTY_STATE
+        assert net == epp_program(auth).net

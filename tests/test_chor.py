@@ -113,7 +113,7 @@ class TestAuthRuns:
             ObsComm("s", 42, "c"),
         )
         assert res.final_state.get("c", "t") == 42
-        assert res.final_main == CHOR_END
+        assert res.final == CHOR_END
 
     def test_reject_branch_labels(self, auth):
         s0 = State({("c", "credentials"): 7})

@@ -4,6 +4,7 @@ import json
 
 from conftest import CORPUS
 
+from chorkit import cli, projection
 from chorkit.cli import main
 
 AUTH = str(CORPUS / "auth.chor")
@@ -162,6 +163,19 @@ class TestVerify:
         out = lines(capsys)
         assert out[0].startswith("epp-theorem: hypotheses violated")
 
+    def test_projectability_checked_once(self, capsys, monkeypatch):
+        original = projection.projectable
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(projection, "projectable", counted)
+        monkeypatch.setattr(cli, "projectable", counted)
+        assert main(["verify", AUTH]) == 0
+        assert len(calls) == 1
+
     def test_json(self, capsys):
         assert main(["verify", AUTH, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -180,3 +194,14 @@ class TestArgumentErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate", AUTH]) == 2
+
+
+class TestDeepInput:
+    def test_deep_ring_exits_3_without_traceback(self, tmp_path, capsys):
+        hops = "".join(f"{a}.x -> {b}.x;\n" for a, b in [("p", "q"), ("q", "p")] * 2500)
+        path = tmp_path / "ring.chor"
+        path.write_text(f"// format: 1\nmain {{\n{hops}end\n}}\n")
+        assert main(["check", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"{path}: input too deeply nested\n"
+        assert "Traceback" not in captured.out + captured.err

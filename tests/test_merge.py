@@ -1,25 +1,15 @@
-"""The merge operator: algebra, collapse discipline, inversion."""
+"""The merge operator: algebra, collapse discipline, conflict reports."""
 
+import importlib
+import inspect
 import itertools
 
-import pytest
+from conftest import has_undefined
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chorkit.core import Eq, Lit, VarRef
-from chorkit.merge import (
-    MergeInversion,
-    NotInvertibleError,
-    UNDEFINED,
-    collapse,
-    deepest_conflict,
-    has_undefined,
-    inject,
-    invert_merge,
-    is_defined,
-    merge,
-    xmerge,
-)
+from chorkit.merge import UNDEFINED, collapse, deepest_conflict, xmerge
 from chorkit.net import Branch, Call, Cond, Recv, SP_END, SelectSend, Send
 from chorkit.smallterms import behaviour_space
 
@@ -32,7 +22,7 @@ def B(*args):
 
 class TestGoldenExamples:
     def test_receive_against_end_is_undefined(self):
-        assert merge(Recv("s", "t", SP_END), SP_END) is UNDEFINED
+        assert xmerge(Recv("s", "t", SP_END), SP_END) is UNDEFINED
 
     def test_branch_options_union(self):
         b = Recv("p", "x", SP_END)
@@ -41,7 +31,7 @@ class TestGoldenExamples:
         assert got == B("p", b, b2)
 
     def test_label_mismatch(self):
-        assert merge(
+        assert xmerge(
             SelectSend("q", "left", SP_END), SelectSend("q", "right", SP_END)
         ) is UNDEFINED
 
@@ -51,23 +41,18 @@ class TestGoldenExamples:
     def test_guard_must_match_syntactically(self):
         g1 = Eq(VarRef("x"), Lit(0))
         g2 = Eq(Lit(0), VarRef("x"))  # logically same, syntactically not
-        assert merge(Cond(g1, SP_END, SP_END), Cond(g2, SP_END, SP_END)) is UNDEFINED
-        assert merge(Cond(g1, SP_END, SP_END), Cond(g1, SP_END, SP_END)) == Cond(
+        assert xmerge(Cond(g1, SP_END, SP_END), Cond(g2, SP_END, SP_END)) is UNDEFINED
+        assert xmerge(Cond(g1, SP_END, SP_END), Cond(g1, SP_END, SP_END)) == Cond(
             g1, SP_END, SP_END
         )
 
     def test_call_names_must_match(self):
-        assert merge(Call(("X", "p")), Call(("X", "p"))) == Call(("X", "p"))
-        assert merge(Call(("X", "p")), Call(("Y", "p"))) is UNDEFINED
-        assert merge(Call(("X", "p")), Call(("X", "q"))) is UNDEFINED
+        assert xmerge(Call(("X", "p")), Call(("X", "p"))) == Call(("X", "p"))
+        assert xmerge(Call(("X", "p")), Call(("Y", "p"))) is UNDEFINED
+        assert xmerge(Call(("X", "p")), Call(("X", "q"))) is UNDEFINED
 
 
 class TestInjectCollapse:
-    def test_inject_preserves(self):
-        for b in SPACE2[:50]:
-            assert inject(b) == b
-            assert inject(b) is not UNDEFINED
-
     def test_collapse_fixed_point_on_defined(self):
         for b in SPACE2:
             assert collapse(b) == b
@@ -79,16 +64,25 @@ class TestInjectCollapse:
         assert collapse(UNDEFINED) is UNDEFINED
 
     def test_collapse_survivors_are_proper(self):
-        # anything collapse keeps contains no undefined subterm
-        for b in SPACE2:
-            m = xmerge(b, b)
-            if collapse(m) is not UNDEFINED:
-                assert is_defined(m)
+        # merging never builds a partial tree: the result is UNDEFINED or
+        # has no UNDEFINED subterm, so there is nothing left to collapse
+        for a, b in itertools.product(SPACE2, SPACE2):
+            m = xmerge(a, b)
+            assert m is UNDEFINED or not has_undefined(m)
 
     def test_has_undefined_nested(self):
+        # the walker the property tests rely on sees UNDEFINED at any depth
         deep = Send("p", Lit(1), B("q", Recv("p", "x", UNDEFINED), None))
         assert has_undefined(deep)
         assert not has_undefined(Send("p", Lit(1), SP_END))
+
+    def test_submodule_is_not_shadowed(self):
+        import chorkit
+        import chorkit.merge as m
+
+        assert inspect.ismodule(m)
+        assert inspect.ismodule(chorkit.merge)
+        assert m is importlib.import_module("chorkit.merge")
 
 
 class TestAbsorption:
@@ -182,48 +176,6 @@ class TestAlgebraProperties:
         left = xmerge(xmerge(a, b), c)
         right = xmerge(a, xmerge(b, c))
         assert (left is UNDEFINED and right is UNDEFINED) or left == right
-
-
-class TestInversion:
-    def test_send_head(self):
-        a = Send("q", Lit(1), B("q", SP_END, None))
-        b = Send("q", Lit(1), B("q", None, SP_END))
-        inv = invert_merge(a, b, expect=Send)
-        assert inv.head is Send
-        assert inv.obligations == ((a.cont, b.cont),)
-        assert inv.result == Send("q", Lit(1), B("q", SP_END, SP_END))
-
-    def test_end_head(self):
-        inv = invert_merge(SP_END, SP_END)
-        assert inv.head.__name__ == "End"
-        assert inv.obligations == ()
-
-    def test_branch_origins(self):
-        a = B("p", SP_END, None)
-        b = B("p", None, Recv("p", "x", SP_END))
-        inv = invert_merge(a, b, expect=Branch)
-        assert inv.option_origins == {"left": "left-only", "right": "right-only"}
-        both = invert_merge(B("p", SP_END, None), B("p", SP_END, None))
-        assert both.option_origins == {"left": "both", "right": "absent"}
-        assert both.obligations == ((SP_END, SP_END),)
-
-    def test_undefined_not_invertible(self):
-        with pytest.raises(NotInvertibleError):
-            invert_merge(Recv("s", "t", SP_END), SP_END)
-
-    def test_wrong_shape_not_invertible(self):
-        with pytest.raises(NotInvertibleError):
-            invert_merge(SP_END, SP_END, expect=Send)
-
-    @given(_behaviours(), _behaviours())
-    def test_obligations_recompose(self, a, b):
-        m = xmerge(a, b)
-        if m is UNDEFINED:
-            return
-        inv = invert_merge(a, b)
-        assert inv.result == m
-        for (x, y) in inv.obligations:
-            assert xmerge(x, y) is not UNDEFINED
 
 
 class TestDeepestConflict:

@@ -31,8 +31,6 @@ from chorkit.net import (
     SP_END,
     SelectSend,
     Send,
-    net_update,
-    proc_body,
     sp_enabled,
     sp_run,
     sp_step,
@@ -76,10 +74,7 @@ class TestNetworkCanonicalForm:
 
     def test_update_to_end_removes(self):
         n = Network({"q": Send("p", Lit(1), SP_END)})
-        assert net_update(n, "q", SP_END) == EMPTY_NET
-
-    def test_proc_body_defaults_to_end(self):
-        assert proc_body({}, ("X", "p")) == SP_END
+        assert n.set("q", SP_END) == EMPTY_NET
 
 
 class TestCommunication:

@@ -1,19 +1,25 @@
 """Per-process projection, diagnostics, and choreography compilation."""
 
 import pytest
-from conftest import AUTH_CLIENT, AUTH_PROVIDER, AUTH_SERVER, PROJECTABLE, load_program
+from conftest import (
+    AUTH_CLIENT,
+    AUTH_PROVIDER,
+    AUTH_SERVER,
+    PROJECTABLE,
+    has_undefined,
+    load_program,
+)
 
 from chorkit.chor import ChorProgram, ProcDef, RunningCall, cc_enabled, cc_step
 from chorkit.chor import End as ChorEnd
 from chorkit.core import EMPTY_STATE, Eq, Lit, VarRef
-from chorkit.merge import UNDEFINED, collapse, xmerge
+from chorkit.merge import UNDEFINED, xmerge
 from chorkit.net import Branch, Call, Cond, Network, Recv, SP_END, SelectSend, Send
 from chorkit.projection import (
     ProjectionError,
     ProjectionFailure,
     bproj,
     epp,
-    epp_list,
     epp_program,
     infer_params,
     projectable,
@@ -65,26 +71,32 @@ class TestBproj:
         assert bproj(filetransfer.procs, main, "z") == SP_END
 
     def test_unmergeable_conditional_poisons_on_collapse(self, auth_noselect):
-        raw = bproj(auth_noselect.procs, auth_noselect.main, "c")
-        # the conflict sits under the opening send until collapse runs
-        assert raw == Send("ip", VarRef("credentials"), UNDEFINED)
-        assert collapse(raw) is UNDEFINED
+        # the conflict under the opening send poisons the whole projection
+        assert bproj(auth_noselect.procs, auth_noselect.main, "c") is UNDEFINED
+        assert bproj(auth_noselect.procs, auth_noselect.main.cont, "c") is UNDEFINED
+
+    def test_projections_are_undefined_or_proper(self):
+        for name in PROJECTABLE + ["auth_noselect"]:
+            p = load_program(name)
+            _, ps = infer_params(p)
+            bodies = [p.main] + [d.body for d in p.procs.values()]
+            for r in ps:
+                for c in bodies:
+                    b = bproj(p.procs, c, r)
+                    assert b is UNDEFINED or not has_undefined(b), (name, r)
 
 
 class TestEppList:
     def test_noselect_entries(self, auth_noselect):
-        entries = dict(
-            epp_list(auth_noselect.procs, auth_noselect.main, ("c", "ip", "s"))
-        )
+        entries = {
+            pid: bproj(auth_noselect.procs, auth_noselect.main, pid)
+            for pid in ("c", "ip", "s")
+        }
         assert entries["c"] is UNDEFINED
         assert entries["s"] is UNDEFINED
         assert entries["ip"] == Recv(
             "c", "x", Cond(Eq(VarRef("x"), Lit(0)), SP_END, SP_END)
         )
-
-    def test_order_follows_request(self, auth):
-        got = epp_list(auth.procs, auth.main, ("s", "c"))
-        assert [pid for pid, _ in got] == ["s", "c"]
 
 
 class TestDiagnostics:
@@ -168,7 +180,7 @@ class TestStrProjectable:
             p = load_program(name)
             _, ps = infer_params(p)
             for r in ps:
-                direct = collapse(bproj(p.procs, p.main, r)) is not UNDEFINED
+                direct = bproj(p.procs, p.main, r) is not UNDEFINED
                 assert str_projectable(p.procs, p.main, r) == direct, (name, r)
 
     def test_preserved_along_execution(self, filetransfer):

@@ -8,6 +8,7 @@ from chorkit.chor import cc_run
 from chorkit.core import EMPTY_STATE, State
 from chorkit.net import Branch, EMPTY_NET, NetProgram, Network, SP_END, SelectSend
 from chorkit.projection import epp_program
+from chorkit import runtime
 from chorkit.runtime import ExecutionReport, RuntimeConfig, execute, validate_trace
 
 AUTH_STATE = State({("c", "credentials"): 0, ("s", "token"): 42})
@@ -75,6 +76,20 @@ class TestAbnormalOutcomes:
         assert report.outcome == "deadlocked"
         assert report.trace == ()
         assert threading.active_count() == before  # workers were joined
+
+    def test_stalled_offers_time_out(self, monkeypatch):
+        # offers that stop arriving are a timeout, not a deadlock
+        original = runtime._drain_offers
+        calls = []
+
+        def stalled(*args):
+            calls.append(args)
+            return False if len(calls) == 1 else original(*args)
+
+        monkeypatch.setattr(runtime, "_drain_offers", stalled)
+        report = execute(epp_program(load_program("auth")), AUTH_STATE, RuntimeConfig())
+        assert report.outcome == "timeout"
+        assert report.trace == ()
 
     def test_step_limit(self):
         np = epp_program(load_program("counter"))
