@@ -33,7 +33,6 @@ from .chor import (
     End as ChorEnd,
     cc_check_wf,
     cc_enabled,
-    chor_pids,
 )
 from .core import (
     EMPTY_STATE,
@@ -123,9 +122,10 @@ def check_hypotheses(
 ) -> Tuple[HypothesisFailure, ...]:
     """The preconditions under which the correspondence is claimed.
 
-    Well-formedness of the program, declared-parameter coverage of every
-    process the program can mention, projectability, and strong
-    projectability of main at every listed process.
+    Well-formedness of the program, projectability (whose coverage
+    conjuncts ask that ``xs`` and ``ps`` name every procedure and process
+    the program can reach), and strong projectability of main at every
+    listed process.
     """
     out: list = []
     wf = cc_check_wf(p)
@@ -134,24 +134,6 @@ def check_hypotheses(
         out.append(HypothesisFailure(name, str(v)))
     if not wf.ok:
         return tuple(out)
-    vars_of = lambda name: p.procs[name].params if name in p.procs else ()
-    ps_set = set(ps)
-    for pid in sorted(chor_pids(p.main, vars_of) - ps_set):
-        out.append(
-            HypothesisFailure("pid-coverage", f"process {pid} of main not in ps")
-        )
-    for name in sorted(xs):
-        d = p.procs.get(name)
-        if d is None:
-            out.append(HypothesisFailure("pid-coverage", f"procedure {name} undefined"))
-            continue
-        for pid in d.params:
-            if pid not in ps_set:
-                out.append(
-                    HypothesisFailure(
-                        "pid-coverage", f"declared process {pid} of {name} not in ps"
-                    )
-                )
     for f in projection.projectable(xs, ps, p):
         out.append(HypothesisFailure("projectability", str(f)))
     for pid in ps:
@@ -325,23 +307,16 @@ def _sp_self_checks(ctx: _Context, net: Network, s: State, sp_trans, verdict: Ve
             verdict.stability_violations += 1
 
 
-def verify_epp(
-    p: ChorProgram,
-    depth: int = 10,
-    s0: State = EMPTY_STATE,
-    xs=None,
-    ps=None,
-) -> Verdict:
+def verify_epp(p: ChorProgram, depth: int = 10, s0: State = EMPTY_STATE) -> Verdict:
     """Certify the correspondence for one program up to a depth bound.
 
-    Nodes are (choreography, network, state) triples; the enabled
-    transitions of both sides are derived once per node and shared by
-    the self-checks, completeness and soundness.
+    The hypotheses are checked against the procedure names and processes
+    ``projection.infer_params`` finds.  Nodes are (choreography, network,
+    state) triples; the enabled transitions of both sides are derived
+    once per node and shared by the self-checks, completeness and
+    soundness.
     """
-    if xs is None or ps is None:
-        ixs, ips = projection.infer_params(p)
-        xs = ixs if xs is None else xs
-        ps = ips if ps is None else ps
+    xs, ps = projection.infer_params(p)
     failures = check_hypotheses(p, xs, ps)
     if failures:
         return Verdict("hypotheses-violated", depth, hypothesis_failures=failures)
@@ -349,7 +324,7 @@ def verify_epp(
     ctx = _Context(p, sp, ps)
     verdict = Verdict("verified", depth)
     root = (p.main, sp.net, s0)
-    if not _prunes(sp.net, ctx.epp_net(p.main) or Network()):
+    if not _prunes(sp.net, ctx.epp_net(p.main)):
         why = "initial network below its own projection"
         verdict.status = "counterexample"
         verdict.counterexample = Counterexample("invariant", root, 0, None, why)

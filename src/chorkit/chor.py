@@ -38,6 +38,7 @@ from .core import (
     eval_bexpr,
     eval_expr,
     label_pids,
+    node_repr,
 )
 
 # ---------------------------------------------------------------------------
@@ -50,9 +51,7 @@ class CommEta(NamedTuple):
     receiver: Pid
     var: VarName
     tag: str = "cc.com"
-
-    def __repr__(self) -> str:
-        return f"CommEta({self.sender!r}, {self.expr!r}, {self.receiver!r}, {self.var!r})"
+    __repr__ = node_repr
 
 
 class SelectEta(NamedTuple):
@@ -60,9 +59,7 @@ class SelectEta(NamedTuple):
     receiver: Pid
     label: str
     tag: str = "cc.sel"
-
-    def __repr__(self) -> str:
-        return f"SelectEta({self.sender!r}, {self.receiver!r}, {self.label!r})"
+    __repr__ = node_repr
 
 
 Eta = Union[CommEta, SelectEta]
@@ -70,18 +67,14 @@ Eta = Union[CommEta, SelectEta]
 
 class End(NamedTuple):
     tag: str = "cc.end"
-
-    def __repr__(self) -> str:
-        return "End()"
+    __repr__ = node_repr
 
 
 class Interaction(NamedTuple):
     eta: Eta
     cont: "Choreography"
     tag: str = "cc.seq"
-
-    def __repr__(self) -> str:
-        return f"Interaction({self.eta!r}, {self.cont!r})"
+    __repr__ = node_repr
 
 
 class Cond(NamedTuple):
@@ -90,17 +83,13 @@ class Cond(NamedTuple):
     then_c: "Choreography"
     else_c: "Choreography"
     tag: str = "cc.cond"
-
-    def __repr__(self) -> str:
-        return f"Cond({self.pid!r}, {self.guard!r}, {self.then_c!r}, {self.else_c!r})"
+    __repr__ = node_repr
 
 
 class Call(NamedTuple):
     proc: ProcName
     tag: str = "cc.call"
-
-    def __repr__(self) -> str:
-        return f"Call({self.proc!r})"
+    __repr__ = node_repr
 
 
 class RunningCall(NamedTuple):
@@ -110,9 +99,7 @@ class RunningCall(NamedTuple):
     pending: Tuple[Pid, ...]
     body: "Choreography"
     tag: str = "cc.rtcall"
-
-    def __repr__(self) -> str:
-        return f"RunningCall({self.proc!r}, {self.pending!r}, {self.body!r})"
+    __repr__ = node_repr
 
 
 Choreography = Union[End, Interaction, Cond, Call, RunningCall]
@@ -126,18 +113,14 @@ class ProcDef(NamedTuple):
     params: Tuple[Pid, ...]
     body: Choreography
     tag: str = "cc.procdef"
-
-    def __repr__(self) -> str:
-        return f"ProcDef({self.params!r}, {self.body!r})"
+    __repr__ = node_repr
 
 
 class ChorProgram(NamedTuple):
     procs: Mapping[ProcName, ProcDef]
     main: Choreography
     tag: str = "cc.program"
-
-    def __repr__(self) -> str:
-        return f"ChorProgram({dict(self.procs)!r}, {self.main!r})"
+    __repr__ = node_repr
 
 
 def is_initial(c: Choreography) -> bool:
@@ -431,4 +414,6 @@ def cc_run(
     seed: int = 0,
 ) -> RunResult:
     """Run the choreography under ``core.drive``'s scheduling policies."""
-    return drive(lambda c, s2: cc_enabled(p.procs, c, s2), p.main, s, policy, fuel, seed)
+    return drive(
+        lambda c, s2: cc_enabled(p.procs, c, s2), p.main, CHOR_END, s, policy, fuel, seed
+    )

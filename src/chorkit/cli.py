@@ -2,9 +2,19 @@
 
 Subcommands cover the whole pipeline: static checking, projection to
 behaviour files, interpretation of either calculus, concurrent execution,
-and bounded verification.  Exit codes: 0 success, 1 check/verify failures
-or abnormal run outcomes, 2 usage or parse errors, 3 input nested too
-deeply for the recursive parser and analyses.
+and bounded verification.
+
+Every subcommand goes through one gate.  Its first level is
+well-formedness; its second, reached only by well-formed programs, is
+projectability.  ``check`` reports the gate's failures on stdout;
+``project``, ``simulate`` and ``exec`` need both levels, ``run`` and
+``verify`` only the first (``verify`` reports projectability as a
+hypothesis of the correspondence), and all five print the failures on
+stderr and exit 1 without going further.
+
+Exit codes: 0 success, 1 gate or verify failures or abnormal run
+outcomes, 2 usage or parse errors, 3 input nested too deeply for the
+recursive parser and analyses.
 """
 
 from __future__ import annotations
@@ -95,18 +105,57 @@ def _emit_trace(trace, outcome: str, final_state: State, as_json: bool, extra=No
     print(json.dumps(tail))
 
 
-def _compile(unit: SourceUnit):
-    """Infer parameters, check projectability and compile.
+def _wf_failures(unit: SourceUnit) -> List[dict]:
+    """The first level of the gate: one failure entry per well-formedness
+    violation."""
+    return [
+        {
+            "kind": "well-formedness",
+            "rule": v.rule,
+            "path": list(v.path),
+            "span": _span_json(unit, v.path),
+            "detail": v.detail,
+            "text": f"{_loc(unit, v.path)}: [{v.rule}] {v.detail}",
+        }
+        for v in cc_check_wf(unit.program).violations
+    ]
 
-    Returns (pids, network program), or None after printing the
-    projectability failures on stderr.
-    """
-    xs, ps = infer_params(unit.program)
-    failures = projectable(xs, ps, unit.program)
+
+def _compile_failures(unit: SourceUnit) -> List[dict]:
+    """The whole gate: well-formedness, then projectability, which only
+    makes sense on well-formed programs."""
+    failures = _wf_failures(unit)
     if failures:
-        for f in failures:
-            print(f"{_loc(unit, f.path)}: {f}", file=sys.stderr)
-        return None
+        return failures
+    xs, ps = infer_params(unit.program)
+    for f in projectable(xs, ps, unit.program):
+        entry = {
+            "kind": "projection",
+            "process": f.process,
+            "path": list(f.path),
+            "span": _span_json(unit, f.path),
+            "failure": f.kind,
+            "detail": f.detail,
+            "text": f"{_loc(unit, f.path)}: {f}",
+        }
+        if f.conflict is not None:
+            left, right = (_beh_text(x) for x in f.conflict)
+            entry["conflict"] = [left, right]
+            entry["text"] += f"\n  merge({left}, {right}) undefined"
+        failures.append(entry)
+    return failures
+
+
+def _refused(failures: List[dict]) -> bool:
+    """Print the gate's failure entries on stderr; True if there are any."""
+    for f in failures:
+        print(f["text"], file=sys.stderr)
+    return bool(failures)
+
+
+def _compile(unit: SourceUnit):
+    """Compile a program that passed the gate: (pids, network program)."""
+    xs, ps = infer_params(unit.program)
     return ps, compile_projectable(xs, ps, unit.program)
 
 
@@ -138,40 +187,7 @@ def _loc(unit: SourceUnit, path) -> str:
 
 
 def _cmd_check(args) -> int:
-    unit = _load(args.file)
-    program = unit.program
-    wf = cc_check_wf(program)
-    failures = []
-    if wf.violations:
-        for v in wf.violations:
-            failures.append(
-                {
-                    "kind": "well-formedness",
-                    "rule": v.rule,
-                    "path": list(v.path),
-                    "span": _span_json(unit, v.path),
-                    "detail": v.detail,
-                    "text": f"{_loc(unit, v.path)}: [{v.rule}] {v.detail}",
-                }
-            )
-    else:
-        # Projectability only makes sense on well-formed programs.
-        xs, ps = infer_params(program)
-        for f in projectable(xs, ps, program):
-            entry = {
-                "kind": "projection",
-                "process": f.process,
-                "path": list(f.path),
-                "span": _span_json(unit, f.path),
-                "failure": f.kind,
-                "detail": f.detail,
-                "text": f"{_loc(unit, f.path)}: {f}",
-            }
-            if f.conflict is not None:
-                left, right = (_beh_text(x) for x in f.conflict)
-                entry["conflict"] = [left, right]
-                entry["text"] += f"\n  merge({left}, {right}) undefined"
-            failures.append(entry)
+    failures = _compile_failures(_load(args.file))
     ok = not failures
     if args.json:
         print(
@@ -195,10 +211,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    compiled = _compile(_load(args.file))
-    if compiled is None:
+    unit = _load(args.file)
+    if _refused(_compile_failures(unit)):
         return 1
-    ps, np = compiled
+    ps, np = _compile(unit)
     stem = FsPath(args.file).stem
     outdir = FsPath(args.outdir) if args.outdir else FsPath(args.file).parent
     outdir.mkdir(parents=True, exist_ok=True)
@@ -241,6 +257,8 @@ def _cmd_project(args) -> int:
 def _cmd_run(args) -> int:
     unit = _load(args.file)
     s0 = _parse_state(args.state)
+    if _refused(_wf_failures(unit)):
+        return 1
     res = cc_run(unit.program, s0, policy=args.policy, fuel=args.fuel, seed=args.seed)
     _emit_trace(res.trace, res.outcome, res.final_state, args.json)
     return 0 if res.outcome == "terminated" else 1
@@ -249,10 +267,9 @@ def _cmd_run(args) -> int:
 def _cmd_simulate(args) -> int:
     unit = _load(args.file)
     s0 = _parse_state(args.state)
-    compiled = _compile(unit)
-    if compiled is None:
+    if _refused(_compile_failures(unit)):
         return 1
-    res = sp_run(compiled[1], s0, policy=args.policy, fuel=args.fuel, seed=args.seed)
+    res = sp_run(_compile(unit)[1], s0, policy=args.policy, fuel=args.fuel, seed=args.seed)
     _emit_trace(res.trace, res.outcome, res.final_state, args.json)
     return 0 if res.outcome == "terminated" else 1
 
@@ -260,19 +277,20 @@ def _cmd_simulate(args) -> int:
 def _cmd_exec(args) -> int:
     unit = _load(args.file)
     s0 = _parse_state(args.state)
-    compiled = _compile(unit)
-    if compiled is None:
+    if _refused(_compile_failures(unit)):
         return 1
     cfg = RuntimeConfig(
         seed=args.seed, step_timeout_ms=args.timeout_ms, max_steps=args.max_steps
     )
-    report = execute(compiled[1], s0, cfg)
+    report = execute(_compile(unit)[1], s0, cfg)
     _emit_trace(report.trace, report.outcome, report.final_state, args.json)
     return 0 if report.outcome == "terminated" else 1
 
 
 def _cmd_verify(args) -> int:
     unit = _load(args.file)
+    if _refused(_wf_failures(unit)):
+        return 1
     program = unit.program
     suites = [("epp-theorem", verify_epp(program, depth=args.depth))]
     suites.append(("deadlock-freedom", check_deadlock_freedom(program, depth=args.depth)))

@@ -8,9 +8,10 @@ flavours, rich labels that carry the full action detail and observable
 labels obtained by forgetting the parts an outside observer cannot see.
 
 AST nodes are NamedTuples with a defaulted ``tag`` discriminator as the
-last field.  Tags are globally unique, so two nodes of different kinds can
-never compare equal even when their payloads coincide, while equality and
-hashing stay at C speed (plain tuple comparison).  That speed matters: the
+last field; they share one constructor-style repr, ``node_repr``.  Tags
+are globally unique, so two nodes of different kinds can never compare
+equal even when their payloads coincide, while equality and hashing stay
+at C speed (plain tuple comparison).  That speed matters: the
 merge-algebra test sweeps run hundreds of millions of comparisons.
 """
 
@@ -39,6 +40,11 @@ def wrap64(n: int) -> int:
     return (n + _BIAS) % _SPAN - _BIAS
 
 
+def node_repr(node: tuple) -> str:
+    """Constructor-style repr of an AST node: every field but the tag."""
+    return f"{type(node).__name__}({', '.join(map(repr, node[:-1]))})"
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 
@@ -46,44 +52,34 @@ def wrap64(n: int) -> int:
 class Lit(NamedTuple):
     value: int
     tag: str = "e.lit"
-
-    def __repr__(self) -> str:
-        return f"Lit({self.value})"
+    __repr__ = node_repr
 
 
 class VarRef(NamedTuple):
     name: VarName
     tag: str = "e.var"
-
-    def __repr__(self) -> str:
-        return f"VarRef({self.name!r})"
+    __repr__ = node_repr
 
 
 class Add(NamedTuple):
     lhs: "Expr"
     rhs: "Expr"
     tag: str = "e.add"
-
-    def __repr__(self) -> str:
-        return f"Add({self.lhs!r}, {self.rhs!r})"
+    __repr__ = node_repr
 
 
 class Sub(NamedTuple):
     lhs: "Expr"
     rhs: "Expr"
     tag: str = "e.sub"
-
-    def __repr__(self) -> str:
-        return f"Sub({self.lhs!r}, {self.rhs!r})"
+    __repr__ = node_repr
 
 
 class Mul(NamedTuple):
     lhs: "Expr"
     rhs: "Expr"
     tag: str = "e.mul"
-
-    def __repr__(self) -> str:
-        return f"Mul({self.lhs!r}, {self.rhs!r})"
+    __repr__ = node_repr
 
 
 Expr = Union[Lit, VarRef, Add, Sub, Mul]
@@ -92,53 +88,41 @@ Expr = Union[Lit, VarRef, Add, Sub, Mul]
 class BoolLit(NamedTuple):
     value: bool
     tag: str = "b.lit"
-
-    def __repr__(self) -> str:
-        return f"BoolLit({self.value})"
+    __repr__ = node_repr
 
 
 class Eq(NamedTuple):
     lhs: Expr
     rhs: Expr
     tag: str = "b.eq"
-
-    def __repr__(self) -> str:
-        return f"Eq({self.lhs!r}, {self.rhs!r})"
+    __repr__ = node_repr
 
 
 class Le(NamedTuple):
     lhs: Expr
     rhs: Expr
     tag: str = "b.le"
-
-    def __repr__(self) -> str:
-        return f"Le({self.lhs!r}, {self.rhs!r})"
+    __repr__ = node_repr
 
 
 class Lt(NamedTuple):
     lhs: Expr
     rhs: Expr
     tag: str = "b.lt"
-
-    def __repr__(self) -> str:
-        return f"Lt({self.lhs!r}, {self.rhs!r})"
+    __repr__ = node_repr
 
 
 class Not(NamedTuple):
     operand: "BExpr"
     tag: str = "b.not"
-
-    def __repr__(self) -> str:
-        return f"Not({self.operand!r})"
+    __repr__ = node_repr
 
 
 class And(NamedTuple):
     lhs: "BExpr"
     rhs: "BExpr"
     tag: str = "b.and"
-
-    def __repr__(self) -> str:
-        return f"And({self.lhs!r}, {self.rhs!r})"
+    __repr__ = node_repr
 
 
 BExpr = Union[BoolLit, Eq, Le, Lt, Not, And]
@@ -264,9 +248,7 @@ class RichComm(NamedTuple):
     receiver: Pid
     var: VarName
     tag: str = "r.com"
-
-    def __repr__(self) -> str:
-        return f"RichComm({self.sender!r}, {self.value}, {self.receiver!r}, {self.var!r})"
+    __repr__ = node_repr
 
 
 class RichSelect(NamedTuple):
@@ -274,26 +256,20 @@ class RichSelect(NamedTuple):
     receiver: Pid
     label: str
     tag: str = "r.sel"
-
-    def __repr__(self) -> str:
-        return f"RichSelect({self.sender!r}, {self.receiver!r}, {self.label!r})"
+    __repr__ = node_repr
 
 
 class RichCond(NamedTuple):
     pid: Pid
     tag: str = "r.cond"
-
-    def __repr__(self) -> str:
-        return f"RichCond({self.pid!r})"
+    __repr__ = node_repr
 
 
 class RichCall(NamedTuple):
     proc: object  # ProcName | ProcKey
     pid: Pid
     tag: str = "r.call"
-
-    def __repr__(self) -> str:
-        return f"RichCall({self.proc!r}, {self.pid!r})"
+    __repr__ = node_repr
 
 
 RichLabel = Union[RichComm, RichSelect, RichCond, RichCall]
@@ -304,9 +280,7 @@ class ObsComm(NamedTuple):
     value: int
     receiver: Pid
     tag: str = "o.com"
-
-    def __repr__(self) -> str:
-        return f"ObsComm({self.sender!r}, {self.value}, {self.receiver!r})"
+    __repr__ = node_repr
 
 
 class ObsSelect(NamedTuple):
@@ -314,17 +288,13 @@ class ObsSelect(NamedTuple):
     receiver: Pid
     label: str
     tag: str = "o.sel"
-
-    def __repr__(self) -> str:
-        return f"ObsSelect({self.sender!r}, {self.receiver!r}, {self.label!r})"
+    __repr__ = node_repr
 
 
 class ObsTau(NamedTuple):
     pid: Pid
     tag: str = "o.tau"
-
-    def __repr__(self) -> str:
-        return f"ObsTau({self.pid!r})"
+    __repr__ = node_repr
 
 
 ObsLabel = Union[ObsComm, ObsSelect, ObsTau]
@@ -441,7 +411,7 @@ class RunResult:
     trace: Tuple[TraceRecord, ...]
     final: object  # the choreography or network the run stopped at
     final_state: State
-    outcome: str  # terminated | fuel-exhausted
+    outcome: str  # terminated | deadlocked | fuel-exhausted
 
     @property
     def labels(self) -> tuple:
@@ -451,6 +421,7 @@ class RunResult:
 def drive(
     enabled: Callable[[object, State], list],
     term: object,
+    end: object,
     s: State,
     policy: str,
     fuel: int,
@@ -459,7 +430,8 @@ def drive(
     """Step ``term`` until no action remains or fuel runs out.
 
     ``enabled(term, s)`` lists the (label, term, state) transitions in
-    canonical order.  Policy "first" always takes the first; "random"
+    canonical order.  A run with no action left has terminated if it
+    stopped at ``end`` and is deadlocked otherwise.  Policy "first" always takes the first; "random"
     draws from a seeded generator, so runs are repeatable.  A step's
     pre-state digest is the previous step's post-state digest, so each
     step hashes the store once.
@@ -469,13 +441,16 @@ def drive(
     rng = random.Random(seed)
     trace: list = []
     digest = state_digest(s)
-    for step in range(fuel):
+    for step in range(fuel + 1):
         trans = enabled(term, s)
         if not trans:
-            return RunResult(tuple(trace), term, s, "terminated")
+            outcome = "terminated" if term == end else "deadlocked"
+            break
+        if step == fuel:
+            outcome = "fuel-exhausted"
+            break
         label, term, s = trans[0] if policy == "first" else rng.choice(trans)
         post = state_digest(s)
         trace.append(trace_record(step, label, digest, post))
         digest = post
-    outcome = "fuel-exhausted" if enabled(term, s) else "terminated"
     return RunResult(tuple(trace), term, s, outcome)

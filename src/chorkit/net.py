@@ -33,15 +33,14 @@ from .core import (
     drive,
     eval_bexpr,
     eval_expr,
+    node_repr,
 )
 from .chor import NotEnabledError
 
 
 class End(NamedTuple):
     tag: str = "sp.end"
-
-    def __repr__(self) -> str:
-        return "End()"
+    __repr__ = node_repr
 
 
 class Send(NamedTuple):
@@ -49,9 +48,7 @@ class Send(NamedTuple):
     expr: Expr
     cont: "Behaviour"
     tag: str = "sp.send"
-
-    def __repr__(self) -> str:
-        return f"Send({self.peer!r}, {self.expr!r}, {self.cont!r})"
+    __repr__ = node_repr
 
 
 class Recv(NamedTuple):
@@ -59,9 +56,7 @@ class Recv(NamedTuple):
     var: VarName
     cont: "Behaviour"
     tag: str = "sp.recv"
-
-    def __repr__(self) -> str:
-        return f"Recv({self.peer!r}, {self.var!r}, {self.cont!r})"
+    __repr__ = node_repr
 
 
 class SelectSend(NamedTuple):
@@ -69,9 +64,7 @@ class SelectSend(NamedTuple):
     label: str
     cont: "Behaviour"
     tag: str = "sp.selsend"
-
-    def __repr__(self) -> str:
-        return f"SelectSend({self.peer!r}, {self.label!r}, {self.cont!r})"
+    __repr__ = node_repr
 
 
 class Branch(NamedTuple):
@@ -81,9 +74,7 @@ class Branch(NamedTuple):
     on_left: Optional["Behaviour"]
     on_right: Optional["Behaviour"]
     tag: str = "sp.branch"
-
-    def __repr__(self) -> str:
-        return f"Branch({self.peer!r}, {self.on_left!r}, {self.on_right!r})"
+    __repr__ = node_repr
 
 
 class Cond(NamedTuple):
@@ -91,17 +82,13 @@ class Cond(NamedTuple):
     then_b: "Behaviour"
     else_b: "Behaviour"
     tag: str = "sp.cond"
-
-    def __repr__(self) -> str:
-        return f"Cond({self.guard!r}, {self.then_b!r}, {self.else_b!r})"
+    __repr__ = node_repr
 
 
 class Call(NamedTuple):
     name: ProcKey
     tag: str = "sp.call"
-
-    def __repr__(self) -> str:
-        return f"Call({self.name!r})"
+    __repr__ = node_repr
 
 
 Behaviour = Union[End, Send, Recv, SelectSend, Branch, Cond, Call]
@@ -170,9 +157,7 @@ class NetProgram(NamedTuple):
     procs: Mapping[ProcKey, Behaviour]
     net: Network
     tag: str = "sp.program"
-
-    def __repr__(self) -> str:
-        return f"NetProgram({dict(self.procs)!r}, {self.net!r})"
+    __repr__ = node_repr
 
 
 def _chosen_option(b: Branch, label: str) -> Optional[Behaviour]:
@@ -242,4 +227,6 @@ def sp_run(
     seed: int = 0,
 ) -> RunResult:
     """Run the network under ``core.drive``'s scheduling policies."""
-    return drive(lambda n, s2: sp_enabled(p.procs, n, s2), p.net, s, policy, fuel, seed)
+    return drive(
+        lambda n, s2: sp_enabled(p.procs, n, s2), p.net, EMPTY_NET, s, policy, fuel, seed
+    )

@@ -14,37 +14,27 @@ maximal sharing.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from .core import Add, Eq, Lit, VarRef
 from .net import Branch, Call, Cond, Recv, SelectSend, Send, SP_END
 
-DEFAULT_PIDS = ("p", "q")
-DEFAULT_EXPR = Add(VarRef("x"), Lit(1))
-DEFAULT_VAR = "x"
-DEFAULT_GUARD = Eq(VarRef("x"), Lit(0))
+PIDS = ("p", "q")
+EXPR = Add(VarRef("x"), Lit(1))
+VAR = "x"
+GUARD = Eq(VarRef("x"), Lit(0))
 
 
-def behaviour_space(
-    max_depth: int = 3,
-    pids: Tuple[str, ...] = DEFAULT_PIDS,
-    expr=DEFAULT_EXPR,
-    var: str = DEFAULT_VAR,
-    guard=DEFAULT_GUARD,
-) -> list:
+def behaviour_space(max_depth: int = 3) -> list:
     """All distinct behaviours up to ``max_depth`` levels over the alphabet."""
-    leaves = [SP_END] + [Call(("X", p)) for p in pids]
-    space = list(leaves)
+    space = [SP_END] + [Call(("X", p)) for p in PIDS]
     seen = set(space)
-    layer = list(leaves)
     for _ in range(max_depth - 1):
         sub = list(space)
         options = [None] + sub
         grown: list = []
-        for p in pids:
+        for p in PIDS:
             for c in sub:
-                grown.append(Send(p, expr, c))
-                grown.append(Recv(p, var, c))
+                grown.append(Send(p, EXPR, c))
+                grown.append(Recv(p, VAR, c))
                 grown.append(SelectSend(p, "left", c))
                 grown.append(SelectSend(p, "right", c))
             for ol in options:
@@ -52,11 +42,9 @@ def behaviour_space(
                     grown.append(Branch(p, ol, orr))
         for c1 in sub:
             for c2 in sub:
-                grown.append(Cond(guard, c1, c2))
-        layer = []
+                grown.append(Cond(GUARD, c1, c2))
         for t in grown:
             if t not in seen:
                 seen.add(t)
                 space.append(t)
-                layer.append(t)
     return space

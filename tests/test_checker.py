@@ -82,7 +82,10 @@ class TestHypotheses:
     def test_coverage_failure_reported(self, auth):
         failures = check_hypotheses(auth, (), ("c", "ip"))
         assert any(
-            h.name == "pid-coverage" and "s" in h.detail for h in failures
+            h.name == "projectability"
+            and h.detail.startswith("projection fails for s ")
+            and "(coverage)" in h.detail
+            for h in failures
         )
 
 

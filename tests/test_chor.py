@@ -130,6 +130,12 @@ class TestAuthRuns:
         res = cc_run(ChorProgram({}, CHOR_END))
         assert res.trace == () and res.outcome == "terminated"
 
+    def test_stuck_term_deadlocks(self):
+        stuck = RunningCall("X", (), End())
+        res = cc_run(ChorProgram({}, stuck))
+        assert res.trace == () and res.outcome == "deadlocked"
+        assert res.final == stuck
+
 
 class TestFileTransfer:
     def test_failing_check_exhausts_fuel(self, filetransfer):

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from conftest import CORPUS
 
 from chorkit import cli, projection
@@ -11,6 +12,13 @@ AUTH = str(CORPUS / "auth.chor")
 NOSELECT = str(CORPUS / "auth_noselect.chor")
 FILETRANSFER = str(CORPUS / "filetransfer.chor")
 AUTH_STATE = ["--state", "c.credentials=0", "--state", "s.token=42"]
+
+# One ill-formed program per well-formedness rule the gate must catch.
+ILL_FORMED = {
+    "self-communication": "main { p.1 -> p.x; end }\n",
+    "undeclared-process-use": "def X(p) { p.1 -> q.x; end }\nmain { call X }\n",
+    "unknown-procedure": "main { call X }\n",
+}
 
 
 def lines(capsys):
@@ -185,6 +193,33 @@ class TestVerify:
         assert suite["status"] == "verified"
         assert suite["configs"] == 6
         assert suite["transitions"] == 10
+
+
+class TestGate:
+    """Every subcommand refuses an ill-formed program with check's diagnostic."""
+
+    @pytest.mark.parametrize("rule", sorted(ILL_FORMED))
+    @pytest.mark.parametrize(
+        "command", ["check", "project", "simulate", "exec", "run", "verify"]
+    )
+    def test_ill_formed_program_is_refused(self, rule, command, tmp_path, capsys):
+        path = tmp_path / "bad.chor"
+        path.write_text(ILL_FORMED[rule])
+        assert main(["check", str(path)]) == 1
+        *diagnostic, summary = lines(capsys)
+        assert summary == f"{path}: not projectable"
+        assert len(diagnostic) == 1 and f"[{rule}]" in diagnostic[0]
+        outdir = tmp_path / "out"
+        extra = ["-o", str(outdir)] if command == "project" else []
+        assert main([command, str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        if command == "check":
+            assert captured.out.splitlines() == [*diagnostic, summary]
+        else:
+            assert captured.err.splitlines() == diagnostic
+            assert captured.out == ""
+        assert not outdir.exists()
 
 
 class TestArgumentErrors:

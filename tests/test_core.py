@@ -197,3 +197,79 @@ class TestDigest:
     def test_fnv1a64_primitive(self):
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"p.x=1") == _fnv_oracle(b"p.x=1")
+
+
+class TestNodeRepr:
+    """Every tagged node prints as its constructor call, tag left out."""
+
+    def test_one_instance_of_each_class(self):
+        from chorkit import chor, core, net
+
+        x1 = Add(VarRef("x"), Lit(1))
+        body = chor.Interaction(chor.SelectEta("q", "p", "left"), chor.Call("X"))
+        b = net.Recv("q", "x", net.Branch("q", net.Call(("X", "p")), None))
+        cases = [
+            (Lit(7), "Lit(7)"),
+            (VarRef("x"), "VarRef('x')"),
+            (x1, "Add(VarRef('x'), Lit(1))"),
+            (Sub(Lit(1), Lit(2)), "Sub(Lit(1), Lit(2))"),
+            (Mul(Lit(1), Lit(2)), "Mul(Lit(1), Lit(2))"),
+            (BoolLit(True), "BoolLit(True)"),
+            (Eq(x1, Lit(0)), "Eq(Add(VarRef('x'), Lit(1)), Lit(0))"),
+            (Le(Lit(1), Lit(-2)), "Le(Lit(1), Lit(-2))"),
+            (Lt(Lit(1), Lit(2)), "Lt(Lit(1), Lit(2))"),
+            (Not(BoolLit(False)), "Not(BoolLit(False))"),
+            (And(Not(BoolLit(True)), BoolLit(False)), "And(Not(BoolLit(True)), BoolLit(False))"),
+            (RichComm("p", 3, "q", "x"), "RichComm('p', 3, 'q', 'x')"),
+            (RichSelect("p", "q", "left"), "RichSelect('p', 'q', 'left')"),
+            (RichCond("p"), "RichCond('p')"),
+            (RichCall(("X", "p"), "p"), "RichCall(('X', 'p'), 'p')"),
+            (ObsComm("p", -3, "q"), "ObsComm('p', -3, 'q')"),
+            (ObsSelect("p", "q", "right"), "ObsSelect('p', 'q', 'right')"),
+            (ObsTau("p"), "ObsTau('p')"),
+            (chor.CommEta("p", x1, "q", "x"), "CommEta('p', Add(VarRef('x'), Lit(1)), 'q', 'x')"),
+            (chor.SelectEta("q", "p", "left"), "SelectEta('q', 'p', 'left')"),
+            (chor.End(), "End()"),
+            (body, "Interaction(SelectEta('q', 'p', 'left'), Call('X'))"),
+            (
+                chor.Cond("q", BoolLit(True), chor.End(), chor.Call("X")),
+                "Cond('q', BoolLit(True), End(), Call('X'))",
+            ),
+            (chor.Call("X"), "Call('X')"),
+            (chor.RunningCall("X", ("p",), chor.End()), "RunningCall('X', ('p',), End())"),
+            (
+                chor.ProcDef(("p", "q"), body),
+                "ProcDef(('p', 'q'), Interaction(SelectEta('q', 'p', 'left'), Call('X')))",
+            ),
+            (
+                chor.ChorProgram({"X": chor.ProcDef(("p",), chor.End())}, chor.Call("X")),
+                "ChorProgram({'X': ProcDef(('p',), End())}, Call('X'))",
+            ),
+            (net.End(), "End()"),
+            (net.Send("q", x1, net.End()), "Send('q', Add(VarRef('x'), Lit(1)), End())"),
+            (b, "Recv('q', 'x', Branch('q', Call(('X', 'p')), None))"),
+            (net.SelectSend("q", "right", net.End()), "SelectSend('q', 'right', End())"),
+            (net.Branch("p", None, net.End()), "Branch('p', None, End())"),
+            (
+                net.Cond(Eq(VarRef("x"), Lit(0)), net.End(), net.Call(("X", "q"))),
+                "Cond(Eq(VarRef('x'), Lit(0)), End(), Call(('X', 'q')))",
+            ),
+            (net.Call(("X", "q")), "Call(('X', 'q'))"),
+            (
+                net.NetProgram({("X", "p"): net.End()}, net.Network([("p", b)])),
+                "NetProgram({('X', 'p'): End()}, "
+                "Network(p[Recv('q', 'x', Branch('q', Call(('X', 'p')), None))]))",
+            ),
+        ]
+        for node, expected in cases:
+            assert repr(node) == expected
+        # The cases cover every tagged node class except the trace record,
+        # which keeps a repr of its own.
+        tagged = {
+            cls
+            for mod in (core, chor, net)
+            for cls in vars(mod).values()
+            if isinstance(cls, type) and "tag" in getattr(cls, "_fields", ())
+        }
+        assert tagged - {core.TraceRecord} == {type(node) for node, _ in cases}
+        assert len(cases) == 35

@@ -107,6 +107,14 @@ class TestCommunication:
         assert res.outcome == "terminated"
         assert res.final_state == State({("q", "b"): 1, ("p", "a"): 2})
 
+    def test_stuck_network_deadlocks(self):
+        net = Network(
+            {"p": Send("q", Lit(1), SP_END), "q": Recv("r", "y", SP_END)}
+        )
+        res = sp_run(NetProgram({}, net))
+        assert res.trace == () and res.outcome == "deadlocked"
+        assert res.final == net
+
 
 class TestSelection:
     def test_left_goes_left(self):
