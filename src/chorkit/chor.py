@@ -24,6 +24,7 @@ from .core import (
     BExpr,
     EMPTY_STATE,
     Expr,
+    NotEnabledError,
     Pid,
     ProcName,
     RichCall,
@@ -121,18 +122,6 @@ class ChorProgram(NamedTuple):
     main: Choreography
     tag: str = "cc.program"
     __repr__ = node_repr
-
-
-def is_initial(c: Choreography) -> bool:
-    """True when no running-call term occurs anywhere in the tree."""
-    t = type(c)
-    if t is RunningCall:
-        return False
-    if t is Interaction:
-        return is_initial(c.cont)
-    if t is Cond:
-        return is_initial(c.then_c) and is_initial(c.else_c)
-    return True
 
 
 def called_procs(c: Choreography) -> frozenset:
@@ -289,14 +278,6 @@ def cc_check_wf(p: ChorProgram) -> WfReport:
                     "duplicate-params", ("def", name), f"duplicates in {d.params}"
                 )
             )
-        if not is_initial(d.body):
-            out.append(
-                WfViolation(
-                    "non-initial-procedure-body",
-                    ("def", name),
-                    "body contains a running-call term",
-                )
-            )
         _scan_chor(d.body, ("def", name), p.procs, out, True)
         used = chor_pids(d.body, vars_of)
         extra = used - set(d.params)
@@ -314,12 +295,6 @@ def cc_check_wf(p: ChorProgram) -> WfReport:
 
 # ---------------------------------------------------------------------------
 # Semantics
-
-
-class NotEnabledError(Exception):
-    def __init__(self, label: RichLabel):
-        super().__init__(f"transition not enabled: {label!r}")
-        self.label = label
 
 
 def cc_enabled(
@@ -370,7 +345,9 @@ def cc_enabled(
                 out.append((label, Cond(c.pid, c.guard, then2, else2), s2))
         return out
     if t is Call:
-        d = procs[c.proc]
+        d = procs.get(c.proc)
+        if d is None:  # an undefined procedure: the call is stuck
+            return []
         out = []
         for pid in d.params:
             rest = tuple(q for q in d.params if q != pid)

@@ -71,7 +71,7 @@ def _parse_state(pairs: Optional[List[str]]) -> State:
 
 
 def _state_json(s: State) -> Dict[str, int]:
-    return {f"{pid}.{var}": value for (pid, var), value in sorted(s.items())}
+    return {f"{pid}.{var}": value for (pid, var), value in s.items()}
 
 
 def _record_json(r: TraceRecord) -> dict:

@@ -135,57 +135,74 @@ FALSE = BoolLit(False)
 # Stores
 
 
-class State:
-    """Finite store keyed by (pid, variable); absent keys read as 0.
+class CanonicalMap:
+    """Finite map in canonical form: entries equal to the default are dropped.
 
-    The representation is canonical: zero-valued entries are dropped and
-    values are wrapped to 64 bits, so structural equality and hashing
+    Values pass through ``normalise`` on the way in and the sorted item
+    tuple is kept alongside the dict, so structural equality and hashing
     coincide with extensional equality of the underlying total function.
+    Subclasses set ``default`` and ``normalise``; updates copy the dict and
+    patch only the written entries, since the others are canonical already.
     """
 
     __slots__ = ("_map", "_key")
+    default: object = None
+    normalise = staticmethod(lambda value: value)
 
     def __init__(self, entries: Mapping | Iterable = ()) -> None:
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        m = {}
-        for (pid, var), value in items:
-            value = wrap64(value)
-            if value != 0:
-                m[(pid, var)] = value
+        self._fill({}, entries.items() if isinstance(entries, Mapping) else entries)
+
+    def _fill(self, m: dict, entries: Iterable) -> None:
+        norm, default = self.normalise, self.default
+        for key, value in entries:
+            value = norm(value)
+            if value != default:
+                m[key] = value
             else:
-                m.pop((pid, var), None)
+                m.pop(key, None)
         self._map = m
         self._key = tuple(sorted(m.items()))
+
+    def _patch(self, entries: Iterable):
+        """A copy with ``entries`` written, built without ``__init__``."""
+        new = object.__new__(type(self))
+        new._fill(dict(self._map), entries)
+        return new
+
+    def items(self) -> tuple:
+        """Sorted (key, value) pairs; default entries never appear."""
+        return self._key
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+
+class State(CanonicalMap):
+    """Finite store keyed by (pid, variable); absent keys read as 0.
+
+    Values are wrapped to 64 bits and zero entries are dropped.
+    """
+
+    __slots__ = ()
+    default = 0
+    normalise = staticmethod(wrap64)
 
     def get(self, pid: Pid, var: VarName) -> int:
         return self._map.get((pid, var), 0)
 
     def set(self, pid: Pid, var: VarName, value: int) -> "State":
-        m = dict(self._map)
-        value = wrap64(value)
-        if value != 0:
-            m[(pid, var)] = value
-        else:
-            m.pop((pid, var), None)
-        return State(m)
-
-    def items(self) -> tuple:
-        """Sorted ((pid, var), value) pairs; zero entries never appear."""
-        return self._key
+        return self._patch((((pid, var), value),))
 
     def __iter__(self) -> Iterator:
         return iter(self._key)
 
     def __len__(self) -> int:
         return len(self._key)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not State:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     def __repr__(self) -> str:
         if not self._key:
@@ -404,6 +421,12 @@ def trace_record(step: int, rich: RichLabel, pre_digest: str, post_digest: str) 
 
 # ---------------------------------------------------------------------------
 # Runs
+
+
+class NotEnabledError(Exception):
+    def __init__(self, label: RichLabel):
+        super().__init__(f"transition not enabled: {label!r}")
+        self.label = label
 
 
 @dataclass(frozen=True)

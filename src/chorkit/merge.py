@@ -12,9 +12,12 @@ discipline, so the two compose without a separate collapsing pass.
 
 ``xmerge`` is on the hot path of exhaustive algebra sweeps (hundreds of
 millions of calls), hence the indexed tuple accesses and the early type
-dispatch.  When a merge result would equal one operand, that operand is
-returned as-is; this is a pure allocation optimisation, the identity is
-only taken when the recursive results are the operand's own children.
+dispatch.  Children of different types cannot merge, so that case is
+rejected inline, before any recursive call, and every cheap rejection at
+a node comes before its first recursive call.  When a merge result would
+equal one operand, that operand is returned as-is; this is a pure
+allocation optimisation, the identity is only taken when the recursive
+results are the operand's own children.
 """
 
 from __future__ import annotations
@@ -71,22 +74,16 @@ def xmerge(a, b):
             return UNDEFINED
         al = a[1]
         bl = b[1]
-        if al is None:
-            nl = bl
-        elif bl is None:
-            nl = al
-        else:
-            nl = xmerge(al, bl)
-        if nl is UNDEFINED:
+        if type(al) is not type(bl) and al is not None and bl is not None:
             return UNDEFINED
         ar = a[2]
         br = b[2]
-        if ar is None:
-            nr = br
-        elif br is None:
-            nr = ar
-        else:
-            nr = xmerge(ar, br)
+        if type(ar) is not type(br) and ar is not None and br is not None:
+            return UNDEFINED
+        nl = bl if al is None else al if bl is None else xmerge(al, bl)
+        if nl is UNDEFINED:
+            return UNDEFINED
+        nr = br if ar is None else ar if br is None else xmerge(ar, br)
         if nr is UNDEFINED:
             return UNDEFINED
         if nl is al and nr is ar:
@@ -98,51 +95,39 @@ def xmerge(a, b):
         g = a[0]
         if g is not b[0] and g != b[0]:
             return UNDEFINED
-        t1 = xmerge(a[1], b[1])
+        x1 = a[1]
+        y1 = b[1]
+        x2 = a[2]
+        y2 = b[2]
+        if type(x1) is not type(y1) or type(x2) is not type(y2):
+            return UNDEFINED
+        t1 = xmerge(x1, y1)
         if t1 is UNDEFINED:
             return UNDEFINED
-        t2 = xmerge(a[2], b[2])
+        t2 = xmerge(x2, y2)
         if t2 is UNDEFINED:
             return UNDEFINED
-        if t1 is a[1] and t2 is a[2]:
+        if t1 is x1 and t2 is x2:
             return a
-        if t1 is b[1] and t2 is b[2]:
+        if t1 is y1 and t2 is y2:
             return b
         return Cond(g, t1, t2)
-    if ta is Send:
-        e = a[1]
-        if a[0] != b[0] or (e is not b[1] and e != b[1]):
+    if ta is Send or ta is Recv or ta is SelectSend:
+        d = a[1]
+        if a[0] != b[0] or (d is not b[1] and d != b[1]):
             return UNDEFINED
-        t1 = xmerge(a[2], b[2])
+        x = a[2]
+        y = b[2]
+        if type(x) is not type(y):
+            return UNDEFINED
+        t1 = xmerge(x, y)
         if t1 is UNDEFINED:
             return UNDEFINED
-        if t1 is a[2]:
+        if t1 is x:
             return a
-        if t1 is b[2]:
+        if t1 is y:
             return b
-        return Send(a[0], e, t1)
-    if ta is Recv:
-        if a[0] != b[0] or a[1] != b[1]:
-            return UNDEFINED
-        t1 = xmerge(a[2], b[2])
-        if t1 is UNDEFINED:
-            return UNDEFINED
-        if t1 is a[2]:
-            return a
-        if t1 is b[2]:
-            return b
-        return Recv(a[0], a[1], t1)
-    if ta is SelectSend:
-        if a[0] != b[0] or a[1] != b[1]:
-            return UNDEFINED
-        t1 = xmerge(a[2], b[2])
-        if t1 is UNDEFINED:
-            return UNDEFINED
-        if t1 is a[2]:
-            return a
-        if t1 is b[2]:
-            return b
-        return SelectSend(a[0], a[1], t1)
+        return ta(a[0], d, t1)
     if ta is End:
         return a
     if ta is Call:

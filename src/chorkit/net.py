@@ -19,7 +19,9 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 from .core import (
     BExpr,
     EMPTY_STATE,
+    CanonicalMap,
     Expr,
+    NotEnabledError,
     Pid,
     ProcKey,
     RichCall,
@@ -35,7 +37,6 @@ from .core import (
     eval_expr,
     node_repr,
 )
-from .chor import NotEnabledError
 
 
 class End(NamedTuple):
@@ -96,21 +97,11 @@ Behaviour = Union[End, Send, Recv, SelectSend, Branch, Cond, Call]
 SP_END = End()
 
 
-class Network:
+class Network(CanonicalMap):
     """Canonical finite map from pid to behaviour; unmapped pids are ``end``."""
 
-    __slots__ = ("_map", "_key")
-
-    def __init__(self, entries: Mapping | Iterable = ()) -> None:
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        m = {}
-        for pid, b in items:
-            if b != SP_END:
-                m[pid] = b
-            else:
-                m.pop(pid, None)
-        self._map = m
-        self._key = tuple(sorted(m.items()))
+    __slots__ = ()
+    default = SP_END
 
     @property
     def support(self) -> tuple:
@@ -121,27 +112,10 @@ class Network:
         return self._map.get(pid, SP_END)
 
     def set(self, pid: Pid, b: Behaviour) -> "Network":
-        return self.set_many(((pid, b),))
+        return self._patch(((pid, b),))
 
     def set_many(self, entries: Iterable) -> "Network":
-        m = dict(self._map)
-        for pid, b in entries:
-            if b != SP_END:
-                m[pid] = b
-            else:
-                m.pop(pid, None)
-        return Network(m)
-
-    def items(self) -> tuple:
-        return self._key
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Network:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
+        return self._patch(entries)
 
     def __repr__(self) -> str:
         if not self._key:
@@ -174,8 +148,7 @@ def sp_enabled(
     per acting process.
     """
     out: list = []
-    for pid in n.support:
-        b = n.get(pid)
+    for pid, b in n.items():
         t = type(b)
         if t is Send:
             q = b.peer

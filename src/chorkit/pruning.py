@@ -9,8 +9,9 @@ one network can mimic every move of the other while keeping spare
 options around.
 
 Like ``xmerge`` this is called inside exhaustive pair sweeps, so the code
-favours indexed access and early rejection.  The identity shortcut at the
-top is reflexivity, which is sound because nodes are immutable values.
+favours indexed access and early rejection: children are compared inline
+by identity (reflexivity, sound because nodes are immutable values) and
+by type before any recursive call.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .net import Branch, Call, Cond, End, Network, Recv, SelectSend, Send
 
 def xmore_branches(a, b) -> bool:
     """The preorder on extended behaviours; UNDEFINED relates only to itself."""
-    if a is b:
-        return True
     ta = type(a)
     if ta is not type(b):
         return False
@@ -31,24 +30,34 @@ def xmore_branches(a, b) -> bool:
         bl = b[1]
         if bl is not None:
             al = a[1]
-            if al is None or not xmore_branches(al, bl):
+            if type(al) is not type(bl) or (
+                al is not bl and not xmore_branches(al, bl)
+            ):
                 return False
         br = b[2]
         if br is not None:
             ar = a[2]
-            if ar is None or not xmore_branches(ar, br):
+            if type(ar) is not type(br) or (
+                ar is not br and not xmore_branches(ar, br)
+            ):
                 return False
         return True
     if ta is Cond:
-        return (
-            a[0] == b[0]
-            and xmore_branches(a[1], b[1])
-            and xmore_branches(a[2], b[2])
-        )
-    if ta is Send:
-        return a[0] == b[0] and a[1] == b[1] and xmore_branches(a[2], b[2])
-    if ta is Recv or ta is SelectSend:
-        return a[0] == b[0] and a[1] == b[1] and xmore_branches(a[2], b[2])
+        if a[0] != b[0]:
+            return False
+        x = a[1]
+        y = b[1]
+        if type(x) is not type(y) or (x is not y and not xmore_branches(x, y)):
+            return False
+        x = a[2]
+        y = b[2]
+        return type(x) is type(y) and (x is y or xmore_branches(x, y))
+    if ta is Send or ta is Recv or ta is SelectSend:
+        if a[0] != b[0] or a[1] != b[1]:
+            return False
+        x = a[2]
+        y = b[2]
+        return type(x) is type(y) and (x is y or xmore_branches(x, y))
     if ta is End:
         return True
     if ta is Call:

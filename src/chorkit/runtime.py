@@ -29,6 +29,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 from .core import (
     EMPTY_STATE,
+    NotEnabledError,
     Pid,
     RichCall,
     RichComm,
@@ -41,7 +42,6 @@ from .core import (
     state_digest,
     trace_record,
 )
-from .chor import NotEnabledError
 from .net import (
     SP_END,
     Branch,
@@ -85,17 +85,14 @@ class ExecutionReport:
 class _Worker(threading.Thread):
     """One process: owns its store and walks its behaviour between grants."""
 
-    def __init__(self, pid: Pid, behaviour, procs, initial_vars: Dict[str, int], offers):
+    def __init__(self, pid: Pid, behaviour, procs, store: State, offers):
         super().__init__(name=f"proc-{pid}", daemon=True)
         self.pid = pid
         self.behaviour = behaviour
         self.procs = procs
-        self.store = dict(initial_vars)
+        self.store = store
         self.offers = offers
         self.grants: "queue.Queue" = queue.Queue()
-
-    def _state_view(self) -> State:
-        return State({(self.pid, k): v for k, v in self.store.items()})
 
     def run(self) -> None:
         b = self.behaviour
@@ -105,7 +102,7 @@ class _Worker(threading.Thread):
                 self.offers.put((self.pid, ("done",)))
                 return
             if t is Send:
-                value = eval_expr(b.expr, self._state_view(), self.pid)
+                value = eval_expr(b.expr, self.store, self.pid)
                 self.offers.put((self.pid, ("send", b.peer, value)))
             elif t is Recv:
                 self.offers.put((self.pid, ("recv", b.peer, b.var)))
@@ -124,7 +121,7 @@ class _Worker(threading.Thread):
                     )
                 )
             elif t is Cond:
-                taken = eval_bexpr(b.guard, self._state_view(), self.pid)
+                taken = eval_bexpr(b.guard, self.store, self.pid)
                 self.offers.put((self.pid, ("cond", taken)))
             elif t is Call:
                 self.offers.put((self.pid, ("call", b.name)))
@@ -145,7 +142,7 @@ class _Worker(threading.Thread):
                     raise AssertionError(f"proceed grant for {t.__name__}")
             elif kind == "deliver":
                 # a value for our receive
-                self.store[b.var] = grant[1]
+                self.store = self.store.set(self.pid, b.var, grant[1])
                 b = b.cont
             elif kind == "choose":
                 # the peer picked one of our offered branch labels
@@ -161,9 +158,9 @@ def execute(
     rng = random.Random(cfg.seed)
     offers_q: "queue.Queue" = queue.Queue()
     workers: Dict[Pid, _Worker] = {}
-    for pid in p.net.support:
-        initial = {var: v for (q_, var), v in s0.items() if q_ == pid}
-        workers[pid] = _Worker(pid, p.net.get(pid), p.procs, initial, offers_q)
+    for pid, b in p.net.items():
+        own = State(((q, var), v) for (q, var), v in s0.items() if q == pid)
+        workers[pid] = _Worker(pid, b, p.procs, own, offers_q)
     mirror, mirror_state = p, s0
     for w in workers.values():
         w.start()

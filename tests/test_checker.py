@@ -12,10 +12,18 @@ from chorkit.checker import (
     check_sp_confluence,
     verify_epp,
 )
-from chorkit.chor import ChorProgram, CommEta, Interaction, RunningCall, cc_enabled
+from chorkit.chor import (
+    Call,
+    ChorProgram,
+    CommEta,
+    Interaction,
+    RunningCall,
+    cc_enabled,
+)
 from chorkit.chor import End as ChorEnd
 from chorkit.core import EMPTY_STATE, Lit, State
 from chorkit.projection import epp_program
+from chorkit.syntax import parse
 
 
 class TestVerifyAuth:
@@ -131,6 +139,12 @@ class TestDeadlockFreedom:
             v = check_deadlock_freedom(load_program(name), depth=10)
             assert v.ok, name
 
+    def test_undefined_procedure_is_a_deadlock(self):
+        v = check_deadlock_freedom(parse("main { call X }").program)
+        assert v.status == "counterexample"
+        assert v.counterexample.direction == "deadlock"
+        assert v.counterexample.config == (Call("X"), State())
+
 
 class TestConfluence:
     def test_parallel_choreography_joins(self):
@@ -153,6 +167,10 @@ class TestConfluence:
         v = check_cc_confluence(load_program("counter"), depth=5)
         assert v.status == "verified-to-depth"
         assert v.ok
+
+    def test_undefined_procedure_has_no_successors(self):
+        v = check_cc_confluence(parse("main { call X }").program)
+        assert v.status == "verified" and v.configs_explored == 1
 
 
 class TestCounterexampleConfigs:

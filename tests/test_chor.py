@@ -20,7 +20,6 @@ from chorkit.chor import (
     cc_enabled,
     cc_run,
     cc_step,
-    is_initial,
 )
 from chorkit.core import (
     EMPTY_STATE,
@@ -34,6 +33,8 @@ from chorkit.core import (
     VarRef,
     rich_label_text,
 )
+
+from chorkit.syntax import parse
 
 from conftest import PROJECTABLE, load_program
 
@@ -91,6 +92,17 @@ class TestWellFormedness:
         report = cc_check_wf(p)
         assert any(v.rule == "pending-not-declared" for v in report.violations)
 
+    def test_running_call_in_body_reported_once(self):
+        inner = RunningCall("Y", ("q",), CHOR_END)
+        body = Interaction(CommEta("p", Lit(1), "q", "x"), inner)
+        p = ChorProgram(
+            {"X": ProcDef(("p", "q"), body), "Y": ProcDef(("q",), CHOR_END)},
+            CHOR_END,
+        )
+        report = cc_check_wf(p)
+        paths = [v.path for v in report.violations if v.rule == "non-initial-procedure-body"]
+        assert paths == [("def", "X", "cont")]
+
     def test_preserved_under_steps(self):
         for name in PROJECTABLE:
             p = load_program(name)
@@ -135,6 +147,12 @@ class TestAuthRuns:
         res = cc_run(ChorProgram({}, stuck))
         assert res.trace == () and res.outcome == "deadlocked"
         assert res.final == stuck
+
+
+    def test_undefined_procedure_deadlocks(self):
+        res = cc_run(parse("main { call X }").program)
+        assert res.trace == () and res.outcome == "deadlocked"
+        assert res.final == Call("X")
 
 
 class TestFileTransfer:
@@ -281,11 +299,6 @@ class TestRunPolicies:
         a = cc_run(auth, EMPTY_STATE, policy="random", seed=5)
         b = cc_run(auth, EMPTY_STATE, policy="random", seed=5)
         assert a.trace == b.trace
-
-    def test_is_initial(self, auth, filetransfer):
-        assert is_initial(auth.main)
-        assert is_initial(filetransfer.main)
-        assert not is_initial(RunningCall("X", ("p",), CHOR_END))
 
     def test_bad_policy_rejected(self, auth):
         with pytest.raises(ValueError):

@@ -86,7 +86,13 @@ class TestState:
             st.tuples(
                 st.sampled_from(["p", "q"]),
                 st.sampled_from(["x", "y"]),
-                st.integers(min_value=-10, max_value=10),
+                st.one_of(
+                    st.integers(min_value=-10, max_value=10),
+                    st.sampled_from(
+                        [I64_MAX, I64_MIN, 2**63, I64_MIN - 1, 2**64, -(2**64)]
+                    ),
+                    st.integers(min_value=-(2**66), max_value=2**66),
+                ),
             )
         )
     )
@@ -97,9 +103,10 @@ class TestState:
             s = s.set(pid, var, v)
             d[(pid, var)] = v
         for (pid, var), v in d.items():
-            assert s.get(pid, var) == v
+            assert s.get(pid, var) == wrap64(v)
         rebuilt = State(d)
         assert s == rebuilt and hash(s) == hash(rebuilt)
+        assert s.items() == rebuilt.items() and repr(s) == repr(rebuilt)
 
 
 class TestEval:

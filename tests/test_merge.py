@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import itertools
+import random
 
 from conftest import has_undefined
 from hypothesis import given, settings
@@ -176,6 +177,72 @@ class TestAlgebraProperties:
         left = xmerge(xmerge(a, b), c)
         right = xmerge(a, xmerge(b, c))
         assert (left is UNDEFINED and right is UNDEFINED) or left == right
+
+
+def ref_merge(a, b):
+    """Merging read straight off its definition, with no fast path."""
+    if a is UNDEFINED or b is UNDEFINED or type(a) is not type(b):
+        return UNDEFINED
+    if type(a) is Branch:
+        if a.peer != b.peer:
+            return UNDEFINED
+        options = [
+            y if x is None else x if y is None else ref_merge(x, y)
+            for x, y in ((a.on_left, b.on_left), (a.on_right, b.on_right))
+        ]
+        if any(o is UNDEFINED for o in options):
+            return UNDEFINED
+        return Branch(a.peer, *options)
+    if type(a) is Cond:
+        then_b = ref_merge(a.then_b, b.then_b)
+        else_b = ref_merge(a.else_b, b.else_b)
+        if a.guard != b.guard or then_b is UNDEFINED or else_b is UNDEFINED:
+            return UNDEFINED
+        return Cond(a.guard, then_b, else_b)
+    if type(a) in (Send, Recv, SelectSend):
+        cont = ref_merge(a.cont, b.cont)
+        if a[:2] != b[:2] or cont is UNDEFINED:
+            return UNDEFINED
+        return type(a)(a[0], a[1], cont)
+    if type(a) is Call:
+        return a if a.name == b.name else UNDEFINED
+    return a
+
+
+# Hand-built partial trees, with UNDEFINED below the root.
+PARTIAL = [
+    UNDEFINED,
+    B("p", UNDEFINED, None),
+    B("p", SP_END, UNDEFINED),
+    Cond(Eq(VarRef("x"), Lit(0)), UNDEFINED, SP_END),
+    Send("p", Lit(1), UNDEFINED),
+    SelectSend("q", "left", UNDEFINED),
+]
+
+
+def _agrees_with_reference(a, b):
+    m, r = xmerge(a, b), ref_merge(a, b)
+    return m is r or (m is not UNDEFINED and r is not UNDEFINED and m == r)
+
+
+class TestAgainstReference:
+    """``xmerge`` against a plain recursive merge, fast paths excluded."""
+
+    def test_small_space_and_partial_trees(self):
+        terms = SPACE2 + PARTIAL
+        for a, b in itertools.product(terms, terms):
+            assert _agrees_with_reference(a, b), (a, b)
+
+    def test_depth3_sample(self):
+        space = behaviour_space(3)
+        rng = random.Random(1906)
+        for _ in range(20_000):
+            a, b = rng.choice(space), rng.choice(space)
+            assert _agrees_with_reference(a, b), (a, b)
+
+    @given(_behaviours(), _behaviours())
+    def test_random_pairs(self, a, b):
+        assert _agrees_with_reference(a, b)
 
 
 class TestDeepestConflict:

@@ -3,6 +3,8 @@
 from collections import deque
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chorkit.core import (
     EMPTY_STATE,
@@ -75,6 +77,37 @@ class TestNetworkCanonicalForm:
     def test_update_to_end_removes(self):
         n = Network({"q": Send("p", Lit(1), SP_END)})
         assert n.set("q", SP_END) == EMPTY_NET
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["p", "q", "r"]),
+                    st.sampled_from(
+                        [
+                            SP_END,
+                            Send("q", Lit(1), SP_END),
+                            Recv("p", "x", SP_END),
+                            Call(("X", "r")),
+                        ]
+                    ),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    def test_patched_update_matches_rebuild(self, batches):
+        n = EMPTY_NET
+        d = {}
+        for batch in batches:
+            n = n.set(*batch[0]) if len(batch) == 1 else n.set_many(batch)
+            d.update(batch)
+        for pid, b in d.items():
+            assert n.get(pid) == b
+        rebuilt = Network(d)
+        assert n == rebuilt and hash(n) == hash(rebuilt)
+        assert n.items() == rebuilt.items() and repr(n) == repr(rebuilt)
 
 
 class TestCommunication:

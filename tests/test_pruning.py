@@ -1,10 +1,15 @@
 """The more-branches preorder: pinned cases, lattice lemmas, simulation."""
 
+import itertools
+import random
+
 from chorkit.core import EMPTY_STATE, State
 from chorkit.chor import cc_enabled, cc_step
 from chorkit.merge import UNDEFINED, xmerge
 from chorkit.net import (
     Branch,
+    Call,
+    Cond,
     EMPTY_NET,
     Network,
     Recv,
@@ -13,7 +18,7 @@ from chorkit.net import (
     Send,
     sp_enabled,
 )
-from chorkit.core import Lit, VarRef
+from chorkit.core import Eq, Lit, VarRef
 from chorkit.projection import epp_program
 from chorkit.pruning import net_more_branches, xmore_branches
 from chorkit.smallterms import behaviour_space
@@ -84,6 +89,57 @@ class TestCharacterisation:
             row = R[i]
             for j, b in enumerate(SPACE2):
                 assert row[j] == (xmerge(a, b) == a)
+
+
+def ref_more(a, b):
+    """The preorder read straight off its definition, with no fast path."""
+    if a is UNDEFINED or b is UNDEFINED:
+        return a is b
+    if type(a) is not type(b):
+        return False
+    if type(a) is Branch:
+        return a.peer == b.peer and all(
+            y is None or (x is not None and ref_more(x, y))
+            for x, y in ((a.on_left, b.on_left), (a.on_right, b.on_right))
+        )
+    if type(a) is Cond:
+        return (
+            a.guard == b.guard
+            and ref_more(a.then_b, b.then_b)
+            and ref_more(a.else_b, b.else_b)
+        )
+    if type(a) in (Send, Recv, SelectSend):
+        return a[:2] == b[:2] and ref_more(a.cont, b.cont)
+    if type(a) is Call:
+        return a.name == b.name
+    return True
+
+
+# Hand-built partial trees, with UNDEFINED below the root.
+PARTIAL = [
+    UNDEFINED,
+    Branch("p", UNDEFINED, None),
+    Branch("p", SP_END, UNDEFINED),
+    Cond(Eq(VarRef("x"), Lit(0)), UNDEFINED, SP_END),
+    Send("p", Lit(1), UNDEFINED),
+    SelectSend("q", "left", UNDEFINED),
+]
+
+
+class TestAgainstReference:
+    """``xmore_branches`` against a plain recursive preorder."""
+
+    def test_small_space_and_partial_trees(self):
+        terms = SPACE2 + PARTIAL
+        for a, b in itertools.product(terms, terms):
+            assert xmore_branches(a, b) == ref_more(a, b), (a, b)
+
+    def test_depth3_sample(self):
+        space = behaviour_space(3)
+        rng = random.Random(1906)
+        for _ in range(20_000):
+            a, b = rng.choice(space), rng.choice(space)
+            assert xmore_branches(a, b) == ref_more(a, b), (a, b)
 
 
 class TestUpperBound:
