@@ -9,10 +9,13 @@ entered, and the body may start executing early as long as it does not
 touch a process that is still pending.
 
 The semantics is a labelled transition system over (choreography, state)
-pairs.  ``cc_enabled`` enumerates the derivable transitions in a fixed
-canonical order (head action first, then delayed actions in syntactic
-order, call entries in declaration order) so that runs and golden tests
-are reproducible.
+pairs.  An action may run out of order, overtaking the interactions,
+conditionals and pending call entries before it, only if it shares no
+process with any of them: a conditional's decider and a running call's
+pending processes count as used.  ``cc_enabled`` enumerates the
+derivable transitions in a fixed canonical order (head action first,
+then delayed actions in syntactic order, call entries in declaration
+order) so that runs and golden tests are reproducible.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .core import (
     drive,
     eval_bexpr,
     eval_expr,
-    label_pids,
     node_repr,
 )
 
@@ -298,82 +300,72 @@ def cc_check_wf(p: ChorProgram) -> WfReport:
 
 
 def cc_enabled(
-    procs: Mapping[ProcName, ProcDef], c: Choreography, s: State
+    procs: Mapping[ProcName, ProcDef],
+    c: Choreography,
+    s: State,
+    blocked: frozenset = frozenset(),
 ) -> list:
     """All derivable single transitions of ``c`` in canonical order.
 
     Head action first, then delayed actions of the continuation in
     left-to-right syntactic order; call entries follow the declared
-    parameter order (running calls: the pending order).
+    parameter order (running calls: the pending order).  An action fires
+    only if it shares no process with the actions it overtakes.
+
+    ``blocked`` is internal to the recursion: the processes of the
+    enclosing actions that the actions of ``c`` would overtake.
     """
     t = type(c)
     if t is End:
         return []
+    out: list = []
     if t is Interaction:
         eta = c.eta
-        out: list = []
-        if type(eta) is CommEta:
-            value = eval_expr(eta.expr, s, eta.sender)
-            out.append(
-                (
-                    RichComm(eta.sender, value, eta.receiver, eta.var),
-                    c.cont,
-                    s.set(eta.receiver, eta.var, value),
-                )
-            )
-        else:
-            out.append((RichSelect(eta.sender, eta.receiver, eta.label), c.cont, s))
-        blocked = (eta.sender, eta.receiver)
-        for (label, c2, s2) in cc_enabled(procs, c.cont, s):
-            if _may_delay_past_eta(label, blocked):
-                out.append((label, Interaction(eta, c2), s2))
+        pids = (eta.sender, eta.receiver)
+        if _may_delay_past_eta(pids, blocked):
+            if type(eta) is CommEta:
+                value = eval_expr(eta.expr, s, eta.sender)
+                head = RichComm(eta.sender, value, eta.receiver, eta.var)
+                out.append((head, c.cont, s.set(eta.receiver, eta.var, value)))
+            else:
+                out.append((RichSelect(eta.sender, eta.receiver, eta.label), c.cont, s))
+        for (label, c2, s2) in cc_enabled(procs, c.cont, s, blocked.union(pids)):
+            out.append((label, Interaction(eta, c2), s2))
         return out
     if t is Cond:
-        taken = c.then_c if eval_bexpr(c.guard, s, c.pid) else c.else_c
-        out = [(RichCond(c.pid), taken, s)]
-        else_enabled = {
-            label: (c2, s2) for (label, c2, s2) in cc_enabled(procs, c.else_c, s)
-        }
-        for (label, then2, s2) in cc_enabled(procs, c.then_c, s):
-            if c.pid in label_pids(label):
-                continue
+        if _may_delay_past_eta((c.pid,), blocked):
+            taken = c.then_c if eval_bexpr(c.guard, s, c.pid) else c.else_c
+            out.append((RichCond(c.pid), taken, s))
+        inner = blocked.union((c.pid,))
+        else_enabled = {tr[0]: tr for tr in cc_enabled(procs, c.else_c, s, inner)}
+        for (label, then2, s2) in cc_enabled(procs, c.then_c, s, inner):
             hit = else_enabled.get(label)
-            if hit is None:
-                continue
-            else2, s2e = hit
-            if s2 == s2e:
-                out.append((label, Cond(c.pid, c.guard, then2, else2), s2))
+            if hit is not None and hit[2] == s2:
+                out.append((label, Cond(c.pid, c.guard, then2, hit[1]), s2))
         return out
     if t is Call:
         d = procs.get(c.proc)
         if d is None:  # an undefined procedure: the call is stuck
             return []
-        out = []
-        for pid in d.params:
-            rest = tuple(q for q in d.params if q != pid)
-            succ = RunningCall(c.proc, rest, d.body) if rest else d.body
+        pending, body = d.params, d.body
+    elif t is RunningCall:
+        pending, body = c.pending, c.body
+    else:
+        raise TypeError(f"not a choreography: {c!r}")
+    for pid in pending:
+        if _may_delay_past_eta((pid,), blocked):
+            rest = tuple(q for q in pending if q != pid)
+            succ = RunningCall(c.proc, rest, body) if rest else body
             out.append((RichCall(c.proc, pid), succ, s))
-        return out
     if t is RunningCall:
-        out = []
-        for pid in c.pending:
-            rest = tuple(q for q in c.pending if q != pid)
-            succ = RunningCall(c.proc, rest, c.body) if rest else c.body
-            out.append((RichCall(c.proc, pid), succ, s))
-        pending = frozenset(c.pending)
-        for (label, body2, s2) in cc_enabled(procs, c.body, s):
-            if pending.isdisjoint(label_pids(label)):
-                out.append((label, RunningCall(c.proc, c.pending, body2), s2))
-        return out
-    raise TypeError(f"not a choreography: {c!r}")
+        for (label, body2, s2) in cc_enabled(procs, body, s, blocked.union(pending)):
+            out.append((label, RunningCall(c.proc, pending, body2), s2))
+    return out
 
 
-def _may_delay_past_eta(label: RichLabel, eta_pids: tuple) -> bool:
-    """An action can move past an interaction only if their processes are disjoint."""
-    for pid in label_pids(label):
-        if pid in eta_pids:
-            return False
-    return True
+def _may_delay_past_eta(pids: tuple, blocked: frozenset) -> bool:
+    """An action may overtake others only if it shares no process with them."""
+    return blocked.isdisjoint(pids)
 
 
 def cc_step(p: ChorProgram, s: State, label: RichLabel) -> Tuple[ChorProgram, State]:

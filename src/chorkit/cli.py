@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 from pathlib import Path as FsPath
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .chor import cc_check_wf, cc_run
 from .checker import (
@@ -121,14 +121,15 @@ def _wf_failures(unit: SourceUnit) -> List[dict]:
     ]
 
 
-def _compile_failures(unit: SourceUnit) -> List[dict]:
+def _compile_failures(unit: SourceUnit) -> Tuple[List[dict], Optional[tuple]]:
     """The whole gate: well-formedness, then projectability, which only
-    makes sense on well-formed programs."""
+    makes sense on well-formed programs.  Returns the failure entries and
+    the inferred (procedure names, pids) to compile with, None if ill-formed."""
     failures = _wf_failures(unit)
     if failures:
-        return failures
-    xs, ps = infer_params(unit.program)
-    for f in projectable(xs, ps, unit.program):
+        return failures, None
+    params = infer_params(unit.program)
+    for f in projectable(*params, unit.program):
         entry = {
             "kind": "projection",
             "process": f.process,
@@ -143,7 +144,7 @@ def _compile_failures(unit: SourceUnit) -> List[dict]:
             entry["conflict"] = [left, right]
             entry["text"] += f"\n  merge({left}, {right}) undefined"
         failures.append(entry)
-    return failures
+    return failures, params
 
 
 def _refused(failures: List[dict]) -> bool:
@@ -151,12 +152,6 @@ def _refused(failures: List[dict]) -> bool:
     for f in failures:
         print(f["text"], file=sys.stderr)
     return bool(failures)
-
-
-def _compile(unit: SourceUnit):
-    """Compile a program that passed the gate: (pids, network program)."""
-    xs, ps = infer_params(unit.program)
-    return ps, compile_projectable(xs, ps, unit.program)
 
 
 def _beh_text(b) -> str:
@@ -187,7 +182,7 @@ def _loc(unit: SourceUnit, path) -> str:
 
 
 def _cmd_check(args) -> int:
-    failures = _compile_failures(_load(args.file))
+    failures, _ = _compile_failures(_load(args.file))
     ok = not failures
     if args.json:
         print(
@@ -212,9 +207,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_project(args) -> int:
     unit = _load(args.file)
-    if _refused(_compile_failures(unit)):
+    failures, params = _compile_failures(unit)
+    if _refused(failures):
         return 1
-    ps, np = _compile(unit)
+    xs, ps = params
+    np = compile_projectable(xs, ps, unit.program)
     stem = FsPath(args.file).stem
     outdir = FsPath(args.outdir) if args.outdir else FsPath(args.file).parent
     outdir.mkdir(parents=True, exist_ok=True)
@@ -267,9 +264,11 @@ def _cmd_run(args) -> int:
 def _cmd_simulate(args) -> int:
     unit = _load(args.file)
     s0 = _parse_state(args.state)
-    if _refused(_compile_failures(unit)):
+    failures, params = _compile_failures(unit)
+    if _refused(failures):
         return 1
-    res = sp_run(_compile(unit)[1], s0, policy=args.policy, fuel=args.fuel, seed=args.seed)
+    np = compile_projectable(*params, unit.program)
+    res = sp_run(np, s0, policy=args.policy, fuel=args.fuel, seed=args.seed)
     _emit_trace(res.trace, res.outcome, res.final_state, args.json)
     return 0 if res.outcome == "terminated" else 1
 
@@ -277,12 +276,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_exec(args) -> int:
     unit = _load(args.file)
     s0 = _parse_state(args.state)
-    if _refused(_compile_failures(unit)):
+    failures, params = _compile_failures(unit)
+    if _refused(failures):
         return 1
     cfg = RuntimeConfig(
         seed=args.seed, step_timeout_ms=args.timeout_ms, max_steps=args.max_steps
     )
-    report = execute(_compile(unit)[1], s0, cfg)
+    report = execute(compile_projectable(*params, unit.program), s0, cfg)
     _emit_trace(report.trace, report.outcome, report.final_state, args.json)
     return 0 if report.outcome == "terminated" else 1
 
@@ -331,10 +331,23 @@ def _cmd_verify(args) -> int:
 # Argument parsing
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
+
+
 def _add_run_flags(sp) -> None:
     sp.add_argument("--state", action="append", metavar="PID.VAR=VALUE")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--fuel", type=int, default=1000)
+    sp.add_argument("--fuel", type=_int_at_least(0), default=1000)
     sp.add_argument("--policy", choices=("first", "random"), default="first")
 
 
@@ -345,39 +358,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("check", help="well-formedness and projectability")
-    sp.add_argument("file")
     sp.set_defaults(fn=_cmd_check)
 
     sp = sub.add_parser("project", help="compile to per-process behaviour files")
-    sp.add_argument("file")
     sp.add_argument("-o", "--outdir", default=None)
     sp.set_defaults(fn=_cmd_project)
 
     sp = sub.add_parser("run", help="interpret the choreography")
-    sp.add_argument("file")
     _add_run_flags(sp)
     sp.set_defaults(fn=_cmd_run)
 
     sp = sub.add_parser("simulate", help="project, then interpret the network")
-    sp.add_argument("file")
     _add_run_flags(sp)
     sp.set_defaults(fn=_cmd_simulate)
 
     sp = sub.add_parser("exec", help="project, then execute concurrently")
-    sp.add_argument("file")
     sp.add_argument("--state", action="append", metavar="PID.VAR=VALUE")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--timeout-ms", type=int, default=2000)
-    sp.add_argument("--max-steps", type=int, default=10000)
+    sp.add_argument("--timeout-ms", type=_int_at_least(1), default=2000)
+    sp.add_argument("--max-steps", type=_int_at_least(1), default=10000)
     sp.set_defaults(fn=_cmd_exec)
 
     sp = sub.add_parser("verify", help="bounded correspondence checking")
-    sp.add_argument("file")
-    sp.add_argument("--depth", type=int, default=10)
+    sp.add_argument("--depth", type=_int_at_least(0), default=10)
     sp.set_defaults(fn=_cmd_verify)
 
     for action in sub.choices.values():
         action.add_argument("--json", action="store_true")
+        action.add_argument("file")
     return parser
 
 
@@ -389,13 +397,10 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.fn(args)
-    except ParseError as e:
+    except (ParseError, UnicodeDecodeError) as e:
         print(f"{args.file}: {e}", file=sys.stderr)
         return 2
-    except argparse.ArgumentTypeError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (argparse.ArgumentTypeError, OSError) as e:
         print(str(e), file=sys.stderr)
         return 2
     except RecursionError:

@@ -461,6 +461,8 @@ def drive(
     """
     if policy not in ("first", "random"):
         raise ValueError(f"unknown policy {policy!r}")
+    if fuel < 0:
+        raise ValueError(f"fuel must be at least 0, got {fuel}")
     rng = random.Random(seed)
     trace: list = []
     digest = state_digest(s)

@@ -3,6 +3,9 @@
 from collections import deque
 
 import pytest
+from cc_reference import reference_cc_enabled
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chorkit.chor import (
     CHOR_END,
@@ -23,6 +26,7 @@ from chorkit.chor import (
 )
 from chorkit.core import (
     EMPTY_STATE,
+    Add,
     Eq,
     Lit,
     ObsComm,
@@ -36,7 +40,7 @@ from chorkit.core import (
 
 from chorkit.syntax import parse
 
-from conftest import PROJECTABLE, load_program
+from conftest import CORPUS, PROJECTABLE, load_program
 
 
 def explore(p: ChorProgram, s0=EMPTY_STATE, depth=12):
@@ -303,3 +307,90 @@ class TestRunPolicies:
     def test_bad_policy_rejected(self, auth):
         with pytest.raises(ValueError):
             cc_run(auth, EMPTY_STATE, policy="bogus")
+
+    def test_negative_fuel_rejected(self, auth):
+        with pytest.raises(ValueError):
+            cc_run(auth, EMPTY_STATE, fuel=-1)
+
+
+# Choreographies over four processes for the differential test: every
+# kind of term, conditionals whose branches share their delayed actions
+# (the same body twice, or the same first action) and running calls
+# with non-empty pending lists, some naming undeclared processes.
+_pids = st.sampled_from(["p", "q", "r", "s"])
+_exprs = st.sampled_from([Lit(1), Lit(2), VarRef("x"), Add(VarRef("x"), Lit(1))])
+_guards = st.sampled_from([Eq(VarRef("x"), Lit(0)), Eq(VarRef("y"), Lit(1))])
+_vars = st.sampled_from(["x", "y"])
+_etas = st.one_of(
+    st.builds(lambda a, e, b, v: CommEta(a, e, b, v), _pids, _exprs, _pids, _vars),
+    st.builds(
+        lambda a, b, l: SelectEta(a, b, l), _pids, _pids, st.sampled_from(["left", "right"])
+    ),
+)
+_proc_names = st.sampled_from(["X", "Y", "Z"])  # Z is never defined
+
+
+def _choreographies():
+    base = st.one_of(st.just(CHOR_END), st.builds(lambda x: Call(x), _proc_names))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(lambda e, c: Interaction(e, c), _etas, children),
+            st.builds(lambda p, g, t, e: Cond(p, g, t, e), _pids, _guards, children, children),
+            st.builds(lambda p, g, c: Cond(p, g, c, c), _pids, _guards, children),
+            st.builds(
+                lambda p, g, e, t, f: Cond(p, g, Interaction(e, t), Interaction(e, f)),
+                _pids, _guards, _etas, children, children,
+            ),
+            st.builds(
+                lambda x, pending, c: RunningCall(x, tuple(pending), c),
+                _proc_names, st.lists(_pids, min_size=1, max_size=3, unique=True), children,
+            ),
+        )
+
+    return st.recursive(base, extend, max_leaves=10)
+
+
+_stores = st.dictionaries(st.tuples(_pids, _vars), st.integers(-1, 2), max_size=4).map(State)
+
+
+class TestAgainstReference:
+    """``cc_enabled`` against the frozen derive-then-filter copy in
+    ``cc_reference.py``: same labels, successors, states and order."""
+
+    STORES = [EMPTY_STATE, State({("c", "credentials"): 7, ("s", "token"): 42})]
+
+    @pytest.mark.parametrize("store", STORES, ids=["empty", "credentials"])
+    @pytest.mark.parametrize("name", sorted(f.stem for f in CORPUS.glob("*.chor")))
+    def test_corpus_walks(self, name, store):
+        # depth 40 exhausts every corpus program but the unbounded counter
+        p = load_program(name)
+        for main, s, trans in explore(p, store, depth=40):
+            assert trans == reference_cc_enabled(p.procs, main, s), (name, main)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_choreographies(), _choreographies(), _choreographies(), _stores)
+    def test_generated(self, c, body_x, body_y, s):
+        procs = {"X": ProcDef(("p", "q"), body_x), "Y": ProcDef(("q", "r", "s"), body_y)}
+        trans = cc_enabled(procs, c, s)
+        assert trans == reference_cc_enabled(procs, c, s)
+        for _label, c2, s2 in trans:
+            assert cc_enabled(procs, c2, s2) == reference_cc_enabled(procs, c2, s2)
+
+    def test_blocked_heads_are_not_evaluated(self, monkeypatch):
+        # a ring: each interaction shares a process with the one before it,
+        # so only the root's head fires and only it writes the store
+        ring = CHOR_END
+        for i in reversed(range(200)):
+            ring = Interaction(CommEta(f"p{i % 10}", Lit(i), f"p{(i + 1) % 10}", "x"), ring)
+        writes = []
+        original = State.set
+
+        def counted(self, *args):
+            writes.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(State, "set", counted)
+        trans = cc_enabled({}, ring, EMPTY_STATE)
+        assert [label for label, _c, _s in trans] == [RichComm("p0", 0, "p1", "x")]
+        assert writes == [("p1", "x", 0)]

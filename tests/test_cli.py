@@ -230,6 +230,44 @@ class TestArgumentErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate", AUTH]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, least",
+        [
+            (["run", AUTH, "--fuel", "-1"], 0),
+            (["simulate", AUTH, "--fuel", "-1"], 0),
+            (["exec", AUTH, "--max-steps", "0"], 1),
+            (["exec", AUTH, "--timeout-ms", "0"], 1),
+            (["verify", AUTH, "--depth", "-1"], 0),
+        ],
+        ids=["run-fuel", "simulate-fuel", "exec-max-steps", "exec-timeout-ms", "verify-depth"],
+    )
+    def test_out_of_range_number(self, argv, least, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        command, _, flag, value = argv
+        assert captured.err.startswith(f"usage: chorkit {command} ")
+        assert captured.err.splitlines()[-1] == (
+            f"chorkit {command}: error: argument {flag}: "
+            f"must be at least {least}, got {value}"
+        )
+
+    def test_smallest_numbers_accepted(self, capsys):
+        assert main(["run", AUTH, "--fuel", "0"]) == 1
+        assert json.loads(lines(capsys)[-1])["outcome"] == "fuel-exhausted"
+        assert main(["verify", AUTH, "--depth", "0"]) == 0
+
+    def test_invalid_utf8_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.chor"
+        bad.write_bytes(b"main { c.1 -> \xff s.x; end }\n")
+        assert main(["check", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{bad}: 'utf-8' codec can't decode byte 0xff in position 14: "
+            "invalid start byte\n"
+        )
+
 
 class TestDeepInput:
     def test_deep_ring_exits_3_without_traceback(self, tmp_path, capsys):
