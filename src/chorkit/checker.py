@@ -10,6 +10,13 @@ discarded alternatives, so the requirement is that the network after the
 step still offers at least the options of the projection of the stepped
 choreography.
 
+Each observable label names its acting process and a network has at most
+one transition per acting process, so a label has at most one network
+partner.  Completeness pairs each choreography transition with that
+partner and checks state and pruning for the pair; once it has passed,
+soundness reduces to label inclusion, since every network transition
+whose label the choreography also offers has just been checked.
+
 Exploration is breadth-first with memoisation on canonical forms, so a
 reported counterexample is at minimal depth; the correspondence check and
 the deadlock-freedom and confluence suites share one engine, ``_explore``.  When the reachable space is
@@ -86,6 +93,7 @@ class Verdict:
     status: str  # verified | verified-to-depth | counterexample | hypotheses-violated
     depth: int
     configs_explored: int = 0
+    # correspondence: one per matched transition per direction; confluence: pairs checked
     transitions_matched: int = 0
     counterexample: Optional[Counterexample] = None
     hypothesis_failures: Tuple[HypothesisFailure, ...] = ()
@@ -212,45 +220,41 @@ def _explore(root, step, depth: int, verdict: Verdict) -> Verdict:
     return verdict
 
 
-def _completeness(ctx: _Context, node, d: int, cc_trans, sp_trans, verdict: Verdict):
-    """Match every choreography transition by a network transition.
+def _completeness(ctx: _Context, node, d: int, cc_trans, index: dict, verdict: Verdict):
+    """Match every choreography transition by its one network partner.
 
-    Returns (successor nodes, counterexample or None).
+    ``index`` maps each observable label to the network transition that
+    carries it.  Returns (successor nodes, counterexample or None).
     """
     succs = []
-    for rich_cc, main2, s2cc in cc_trans:
+    for rich_cc, main2, s2 in cc_trans:
         obs = forget(rich_cc)
         target = ctx.epp_net(main2)
+        partner = index.get(obs)
         if target is None:
             why = "stepped choreography is no longer projectable"
-            return succs, Counterexample("completeness", node, d, obs, why)
-        found = None
-        reasons = []
-        for rich_sp, net2, s2sp in sp_trans:
-            if forget(rich_sp) != obs:
-                continue
-            if s2sp != s2cc:
-                reasons.append("candidate changes the state differently")
-                continue
-            if not _prunes(net2, target):
-                reasons.append(
-                    "candidate network does not cover the projection of the successor"
-                )
-                continue
-            found = (main2, net2, s2sp)
-            break
-        if found is None:
-            why = reasons[0] if reasons else "no network transition has this label"
-            return succs, Counterexample("completeness", node, d, obs, why)
-        verdict.transitions_matched += 1
-        succs.append(found)
+        elif partner is None:
+            why = "no network transition has this label"
+        elif partner[2] != s2:
+            why = "candidate changes the state differently"
+        elif not _prunes(partner[1], target):
+            why = "candidate network does not cover the projection of the successor"
+        else:
+            verdict.transitions_matched += 1
+            succs.append((main2, partner[1], s2))
+            continue
+        return succs, Counterexample("completeness", node, d, obs, why)
     return succs, None
 
 
-def _soundness(ctx: _Context, node, d: int, cc_trans, sp_trans, verdict: Verdict):
-    """Match every network transition by a choreography transition."""
-    succs = []
-    for rich_sp, net2, s2sp in sp_trans:
+def _soundness(node, d: int, cc_trans, sp_trans, verdict: Verdict):
+    """Every network transition must be local and carry a choreography label.
+
+    Completeness has already checked each such transition against its one
+    choreography partner.  Returns a counterexample or None.
+    """
+    cc_labels = {forget(rich) for rich, _main2, _s2 in cc_trans}
+    for rich_sp, _net2, _s2 in sp_trans:
         obs = forget(rich_sp)
         if type(rich_sp) is RichCall:
             verdict.locality_checks += 1
@@ -258,53 +262,36 @@ def _soundness(ctx: _Context, node, d: int, cc_trans, sp_trans, verdict: Verdict
             if not (isinstance(name, tuple) and name[1] == rich_sp.pid):
                 verdict.locality_violations += 1
                 why = f"call label names {name!r} but {rich_sp.pid} acts"
-                return succs, Counterexample("locality", node, d, obs, why)
-        found = None
-        reasons = []
-        for rich_cc, main2, s2cc in cc_trans:
-            if forget(rich_cc) != obs:
-                continue
-            if s2cc != s2sp:
-                reasons.append("candidate changes the state differently")
-                continue
-            target = ctx.epp_net(main2)
-            if target is None:
-                reasons.append("stepped choreography is no longer projectable")
-                continue
-            if not _prunes(net2, target):
-                reasons.append(
-                    "network after the step does not cover the projection of the successor"
-                )
-                continue
-            found = (main2, net2, s2cc)
-            break
-        if found is None:
-            why = reasons[0] if reasons else "no choreography transition has this label"
-            return succs, Counterexample("soundness", node, d, obs, why)
+                return Counterexample("locality", node, d, obs, why)
+        if obs not in cc_labels:
+            why = "no choreography transition has this label"
+            return Counterexample("soundness", node, d, obs, why)
         verdict.transitions_matched += 1
-        succs.append(found)
-    return succs, None
+    return None
 
 
-def _sp_self_checks(ctx: _Context, net: Network, s: State, sp_trans, verdict: Verdict) -> None:
-    """Determinism per rich label and procedure-table stability.
+def _sp_self_checks(ctx: _Context, net: Network, s: State, sp_trans, verdict: Verdict) -> dict:
+    """Determinism per observable label and procedure-table stability.
 
-    Re-derives every network transition through sp_step and compares; two
-    transitions with one label must agree on network and state.
+    Returns the index of the network transitions by observable label.  A
+    label that repeats is a determinism violation and keeps its first
+    transition; each distinct label is re-derived once through sp_step.
     """
     program = NetProgram(ctx.sp_procs, net)
-    by_label: dict = {}
-    for rich, net2, s2 in sp_trans:
-        by_label.setdefault(rich, []).append((net2, s2))
-    for rich, succs in by_label.items():
-        verdict.determinism_checks += 1
-        first = succs[0]
-        if any(other != first for other in succs[1:]):
+    index: dict = {}
+    for tr in sp_trans:
+        rich = tr[0]
+        obs = forget(rich)
+        if obs in index:
             verdict.determinism_violations += 1
+            continue
+        index[obs] = tr
+        verdict.determinism_checks += 1
         verdict.stability_checks += 1
-        stepped, _s2 = sp_step(program, s, rich)
-        if stepped.procs is not ctx.sp_procs or (stepped.net, _s2) != first:
+        stepped, s2 = sp_step(program, s, rich)
+        if stepped.procs is not ctx.sp_procs or (stepped.net, s2) != tr[1:]:
             verdict.stability_violations += 1
+    return index
 
 
 def verify_epp(p: ChorProgram, depth: int = 10, s0: State = EMPTY_STATE) -> Verdict:
@@ -312,9 +299,11 @@ def verify_epp(p: ChorProgram, depth: int = 10, s0: State = EMPTY_STATE) -> Verd
 
     The hypotheses are checked against the procedure names and processes
     ``projection.infer_params`` finds.  Nodes are (choreography, network,
-    state) triples; the enabled transitions of both sides are derived
-    once per node and shared by the self-checks, completeness and
-    soundness.
+    state) triples.  The enabled transitions of both sides are derived
+    once per node and paired once, by observable label: completeness
+    looks up each choreography transition's one network partner, so
+    soundness only checks that every network label is a choreography
+    label (and that call labels are local).
     """
     xs, ps = projection.infer_params(p)
     failures = check_hypotheses(p, xs, ps)
@@ -334,11 +323,10 @@ def verify_epp(p: ChorProgram, depth: int = 10, s0: State = EMPTY_STATE) -> Verd
         main, net, s = node
         cc_trans = cc_enabled(ctx.cc_procs, main, s)
         sp_trans = sp_enabled(ctx.sp_procs, net, s)
-        _sp_self_checks(ctx, net, s, sp_trans, verdict)
-        succs, cex = _completeness(ctx, node, d, cc_trans, sp_trans, verdict)
+        index = _sp_self_checks(ctx, net, s, sp_trans, verdict)
+        succs, cex = _completeness(ctx, node, d, cc_trans, index, verdict)
         if cex is None:
-            more, cex = _soundness(ctx, node, d, cc_trans, sp_trans, verdict)
-            succs += more
+            cex = _soundness(node, d, cc_trans, sp_trans, verdict)
         return succs, cex
 
     _explore(root, step, depth, verdict)

@@ -339,8 +339,9 @@ def cc_enabled(
         inner = blocked.union((c.pid,))
         else_enabled = {tr[0]: tr for tr in cc_enabled(procs, c.else_c, s, inner)}
         for (label, then2, s2) in cc_enabled(procs, c.then_c, s, inner):
+            # a label fixes its store update, so both branches reach state s2
             hit = else_enabled.get(label)
-            if hit is not None and hit[2] == s2:
+            if hit is not None:
                 out.append((label, Cond(c.pid, c.guard, then2, hit[1]), s2))
         return out
     if t is Call:

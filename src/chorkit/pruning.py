@@ -67,18 +67,7 @@ def xmore_branches(a, b) -> bool:
 
 def net_more_branches(n1: Network, n2: Network) -> bool:
     """Pointwise lifting: every process of either support must be related."""
-    m1 = dict(n1.items())
-    m2 = dict(n2.items())
-    for pid in m1.keys() | m2.keys():
-        a = m1.get(pid)
-        b = m2.get(pid)
-        if a is None:
-            a = _END
-        if b is None:
-            b = _END
-        if not xmore_branches(a, b):
-            return False
-    return True
-
-
-_END = End()
+    return all(
+        xmore_branches(n1.get(pid), n2.get(pid))
+        for pid in set(n1.support).union(n2.support)
+    )

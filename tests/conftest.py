@@ -4,6 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from chorkit import checker as checker_mod
+from chorkit import chor as chor_mod
+from chorkit import net as net_mod
+from chorkit import projection as projection_mod
 from chorkit.chor import ChorProgram
 from chorkit.core import Eq, Lit, VarRef
 from chorkit.merge import UNDEFINED
@@ -90,6 +94,43 @@ def has_undefined(b) -> bool:
     if type(b) in (Branch, Cond):
         return any(x is not None and has_undefined(x) for x in b[1:3])
     return False
+
+
+# Seeded mutations of live seams, as (name, module, attribute, broken
+# stand-in); acceptance criterion 5 must notice each one.
+
+SEAM_MUTATIONS = [
+    (
+        "bproj-drops-selection-clause",
+        projection_mod,
+        "_branch_offer",
+        lambda sender, label, cont: cont,
+    ),
+    (
+        "checker-skips-pruning-match",
+        checker_mod,
+        "_prunes",
+        lambda wider, projected: True,
+    ),
+    (
+        "selection-delivers-wrong-branch",
+        net_mod,
+        "_chosen_option",
+        lambda b, label: b.on_right if label == "left" else b.on_left,
+    ),
+    (
+        "delay-past-interaction-missing",
+        chor_mod,
+        "_may_delay_past_eta",
+        lambda label, eta_pids: False,
+    ),
+    (
+        "running-call-ignores-pending",
+        projection_mod,
+        "_running_call_projection",
+        lambda procs, c, r: projection_mod.bproj(procs, c.body, r),
+    ),
+]
 
 
 # One line per acceptance criterion, replayed after the test summary so

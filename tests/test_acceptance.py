@@ -18,13 +18,11 @@ from conftest import (
     AUTH_SERVER,
     CORPUS,
     PROJECTABLE,
+    SEAM_MUTATIONS,
     load_program,
 )
 
 from chorkit import checker as checker_mod
-from chorkit import chor as chor_mod
-from chorkit import net as net_mod
-from chorkit import projection as projection_mod
 from chorkit.checker import (
     check_cc_confluence,
     check_deadlock_freedom,
@@ -211,42 +209,10 @@ def _failed_detectors():
 
 
 def test_criterion_5_mutation_sensitivity(monkeypatch):
-    mutations = [
-        (
-            "bproj-drops-selection-clause",
-            projection_mod,
-            "_branch_offer",
-            lambda sender, label, cont: cont,
-        ),
-        (
-            "checker-skips-pruning-match",
-            checker_mod,
-            "_prunes",
-            lambda wider, projected: True,
-        ),
-        (
-            "selection-delivers-wrong-branch",
-            net_mod,
-            "_chosen_option",
-            lambda b, label: b.on_right if label == "left" else b.on_left,
-        ),
-        (
-            "delay-past-interaction-missing",
-            chor_mod,
-            "_may_delay_past_eta",
-            lambda label, eta_pids: False,
-        ),
-        (
-            "running-call-ignores-pending",
-            projection_mod,
-            "_running_call_projection",
-            lambda procs, c, r: projection_mod.bproj(procs, c.body, r),
-        ),
-    ]
     with criterion(5, "mutation-sensitivity", budget=60.0):
         assert _failed_detectors() == []  # control: clean build passes
         caught = {}
-        for name, module, attr, broken in mutations:
+        for name, module, attr, broken in SEAM_MUTATIONS:
             with monkeypatch.context() as m:
                 m.setattr(module, attr, broken)
                 caught[name] = _failed_detectors()

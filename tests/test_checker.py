@@ -1,9 +1,11 @@
 """The bounded correspondence checker and its companion suites."""
 
 import pytest
-from conftest import load_program
+from checker_reference import reference_verify_epp
+from conftest import CORPUS, PROJECTABLE, SEAM_MUTATIONS, load_program
 
 from chorkit import checker as checker_mod
+from chorkit import chor as chor_mod
 from chorkit import net as net_mod
 from chorkit.checker import (
     check_cc_confluence,
@@ -21,9 +23,13 @@ from chorkit.chor import (
     cc_enabled,
 )
 from chorkit.chor import End as ChorEnd
-from chorkit.core import EMPTY_STATE, Lit, State
+from chorkit.core import EMPTY_STATE, Lit, State, forget
+from chorkit.net import sp_enabled
 from chorkit.projection import epp_program
 from chorkit.syntax import parse
+
+CORPUS_NAMES = sorted(f.stem for f in CORPUS.glob("*.chor"))
+STORES = [EMPTY_STATE, State({("c", "credentials"): 7, ("s", "token"): 42})]
 
 
 class TestVerifyAuth:
@@ -121,6 +127,94 @@ class TestNegativeControls:
             v = verify_epp(auth, depth=10)
         assert v.status == "counterexample"
         assert v.counterexample.direction == "invariant"
+
+    def test_network_step_without_choreography_partner(self, monkeypatch):
+        # the choreography refuses every action, the network does not
+        monkeypatch.setattr(chor_mod, "_may_delay_past_eta", lambda pids, blocked: False)
+        v = verify_epp(load_program("parallel"))
+        assert str(v.counterexample) == (
+            "soundness failure at depth 0 on a.0 -> b: "
+            "no choreography transition has this label"
+        )
+
+    def test_choreography_step_without_network_partner(self, auth, monkeypatch):
+        # the network refuses every selection, the choreography does not
+        monkeypatch.setattr(net_mod, "_chosen_option", lambda b, label: None)
+        v = verify_epp(auth)
+        assert str(v.counterexample) == (
+            "completeness failure at depth 2 on ip -> s[left]: "
+            "no network transition has this label"
+        )
+
+    def test_network_step_with_another_store(self, auth, monkeypatch):
+        # every network step also writes a variable the choreography never does
+        original = checker_mod.sp_enabled
+
+        def drifting(procs, n, s):
+            return [(rich, n2, s2.set("z", "x", 1)) for rich, n2, s2 in original(procs, n, s)]
+
+        monkeypatch.setattr(checker_mod, "sp_enabled", drifting)
+        v = verify_epp(auth)
+        assert str(v.counterexample) == (
+            "completeness failure at depth 0 on c.0 -> ip: "
+            "candidate changes the state differently"
+        )
+
+    def test_repeated_label_is_a_determinism_violation(self, auth, monkeypatch):
+        original = checker_mod.sp_enabled
+        monkeypatch.setattr(checker_mod, "sp_enabled", lambda *a: original(*a) * 2)
+        v = verify_epp(auth)
+        assert (v.determinism_checks, v.determinism_violations) == (5, 5)
+        assert v.counterexample.direction == "invariant"
+
+
+def _reachable(root, successors, depth=40):
+    """Nodes reachable from ``root`` within ``depth`` steps, breadth-first."""
+    seen = {root}
+    frontier = [root]
+    for _ in range(depth):
+        frontier = [n for node in frontier for n in successors(node) if n not in seen]
+        seen.update(frontier)
+    return seen
+
+
+class TestSinglePartner:
+    """The pairing in ``verify_epp`` looks up one partner per label, which
+    relies on both semantics offering each observable label at most once."""
+
+    @pytest.mark.parametrize("store", STORES, ids=["empty", "credentials"])
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_observable_labels_are_distinct(self, name, store):
+        p = load_program(name)
+        walks = [(lambda c, s: cc_enabled(p.procs, c, s), p.main)]
+        if name in PROJECTABLE:
+            np = epp_program(p)
+            walks.append((lambda n, s: sp_enabled(np.procs, n, s), np.net))
+        for enabled, root in walks:
+            nodes = _reachable(
+                (root, store), lambda node: [tr[1:] for tr in enabled(*node)]
+            )
+            for node in nodes:
+                labels = [forget(tr[0]) for tr in enabled(*node)]
+                assert len(set(labels)) == len(labels), (name, node)
+
+
+class TestAgainstReference:
+    """``verify_epp`` against the frozen two-scan checker in
+    ``checker_reference.py``: every verdict field, counterexample included."""
+
+    @pytest.mark.parametrize(
+        "mutation", [None] + SEAM_MUTATIONS, ids=["none"] + [m[0] for m in SEAM_MUTATIONS]
+    )
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_corpus(self, name, mutation, monkeypatch):
+        if mutation is not None:
+            monkeypatch.setattr(*mutation[1:])
+        p = load_program(name)
+        for depth in (3, 10):
+            for s0 in STORES:
+                v = verify_epp(p, depth=depth, s0=s0)
+                assert v == reference_verify_epp(p, depth=depth, s0=s0), (depth, s0)
 
 
 class TestDeadlockFreedom:
