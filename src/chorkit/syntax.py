@@ -3,6 +3,10 @@
 Choreography sources use the ``.chor`` grammar; behaviours have their own
 single-line notation used by ``project`` output.  Both printers are exact
 inverses of the corresponding parsers on parseable terms.
+
+Tokens carry only the offset of their first character, and spans hold
+offsets too.  A line and column are computed from the text only where
+they are read: when a ``ParseError`` is raised and in ``span_for``.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ from .chor import (
     Choreography,
     CommEta,
     Cond,
+    End as ChorEnd,
     Eta,
     Interaction,
     Path,
     ProcDef,
+    RunningCall,
     SelectEta,
 )
 from .core import (
@@ -48,6 +54,7 @@ from .net import (
     Branch,
     Call as SpCall,
     Cond as SpCond,
+    End as SpEnd,
     Recv,
     SelectSend,
     Send,
@@ -83,18 +90,23 @@ class Span(NamedTuple):
 class Token(NamedTuple):
     kind: str  # ident | int | punct | eof
     text: str
-    line: int
-    col: int
-    end_line: int
-    end_col: int
+    pos: int  # offset of the first character
 
 
+def _line_col(text: str, pos: int) -> Tuple[int, int]:
+    """1-based line and column of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+# Every character matches: whitespace and comments have no group, and a
+# lone "=" or any other stray character is a "bad" token.
 _TOKEN_RE = re.compile(
     r"""[ \t\r\n]+
       | //[^\n]*
-      | (?P<int>\d+)
+      | (?P<int>[0-9]+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>\(\+\)|->|==|<=|&&|[.;{}()\[\],!+\-*?:@<&=])
+      | (?P<punct>\(\+\)|->|==|<=|&&|[.;{}()\[\],!+\-*?:@<&])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -102,33 +114,17 @@ _TOKEN_RE = re.compile(
 
 def tokenize(text: str) -> List[Token]:
     toks: List[Token] = []
-    pos = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        # Track the position of the end of the lexeme.
-        nl = lexeme.count("\n")
-        if nl:
-            end_line = line + nl
-            end_col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            end_line = line
-            end_col = col + len(lexeme)
-        if m.lastgroup is not None:
-            if m.lastgroup == "punct" and lexeme == "=":
-                raise ParseError("single '=' (did you mean '==')", line, col)
-            toks.append(
-                Token(m.lastgroup, lexeme, line, col, end_line, end_col - 1)
-            )
-        pos = m.end()
-        line = end_line
-        col = end_col
-    toks.append(Token("eof", "", line, col, line, col))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            c = m.group()
+            msg = f"unexpected character {c!r}"
+            if c == "=":
+                msg = "single '=' (did you mean '==')"
+            raise ParseError(msg, *_line_col(text, m.start()))
+        if kind is not None:
+            toks.append(Token(kind, m.group(), m.start()))
+    toks.append(Token("eof", "", len(text)))
     return toks
 
 
@@ -138,30 +134,32 @@ class SourceUnit:
 
     Spans are keyed by node path: ("main",) or ("def", X) for the top of
     each body, extended with "cont"/"then"/"else" segments below, the
-    same scheme diagnostics use.
+    same scheme diagnostics use.  Each holds the offsets of the node's
+    first and last characters.
     """
 
     path: str
     text: str
     program: ChorProgram
-    spans: Dict[Path, Span] = field(default_factory=dict)
+    spans: Dict[Path, Tuple[int, int]] = field(default_factory=dict)
 
     def span_for(self, path: Path) -> Optional[Span]:
         """Span at ``path``, falling back to the nearest enclosing node."""
         p = tuple(path)
-        while p:
-            sp = self.spans.get(p)
-            if sp is not None:
-                return sp
+        while p and p not in self.spans:
             p = p[:-1]
-        return self.spans.get(())
+        if p not in self.spans:
+            return None
+        first, last = self.spans[p]
+        return Span(*_line_col(self.text, first), *_line_col(self.text, last))
 
 
 class _Parser:
-    def __init__(self, toks: List[Token]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text)
         self.i = 0
-        self.spans: Dict[Path, Span] = {}
+        self.spans: Dict[Path, Tuple[int, int]] = {}
 
     # -- plumbing ----------------------------------------------------
 
@@ -170,33 +168,32 @@ class _Parser:
 
     def advance(self) -> Token:
         t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
+        self.i += 1
         return t
 
     def fail(self, msg: str) -> "ParseError":
-        t = self.peek()
-        return ParseError(msg, t.line, t.col)
+        return ParseError(msg, *_line_col(self.text, self.peek().pos))
+
+    def expected(self, what: str) -> "ParseError":
+        found = self.peek().text or "end of input"
+        return self.fail(f"expected {what}, found {found!r}")
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        return self.toks[self.i].text == text
 
     def expect(self, text: str) -> Token:
         if not self.at(text):
-            raise self.fail(f"expected {text!r}, found {self.peek().text!r}")
+            raise self.expected(repr(text))
         return self.advance()
 
     def ident(self, what: str = "identifier") -> Token:
         t = self.peek()
         if t.kind != "ident" or t.text in RESERVED:
-            raise self.fail(f"expected {what}, found {t.text or 'end of input'!r}")
+            raise self.expected(what)
         return self.advance()
 
     def note(self, path: Path, start: Token, end: Token) -> None:
-        self.spans[path] = Span(start.line, start.col, end.end_line, end.end_col)
-
-    def prev(self) -> Token:
-        return self.toks[self.i - 1]
+        self.spans[path] = (start.pos, end.pos + len(end.text) - 1)
 
     # -- expressions -------------------------------------------------
 
@@ -228,7 +225,7 @@ class _Parser:
             e = self.expr()
             self.expect(")")
             return e
-        raise self.fail(f"expected expression, found {t.text or 'end of input'!r}")
+        raise self.expected("expression")
 
     def bexpr(self) -> BExpr:
         b = self.batom()
@@ -270,9 +267,7 @@ class _Parser:
             b = self.bexpr()
             self.expect(")")
             return b
-        raise self.fail(
-            f"expected boolean expression, found {t.text or 'end of input'!r}"
-        )
+        raise self.expected("boolean expression")
 
     # -- choreographies ----------------------------------------------
 
@@ -305,7 +300,7 @@ class _Parser:
         eta = self.eta()
         self.expect(";")
         cont = self.chor(path + ("cont",))
-        self.note(path, start, self.prev())
+        self.note(path, start, self.toks[self.i - 1])
         return Interaction(eta, cont)
 
     def eta(self) -> Eta:
@@ -338,7 +333,8 @@ class _Parser:
             name = self.ident("procedure name").text
             if name in procs:
                 raise ParseError(
-                    f"duplicate definition of {name}", start.line, start.col
+                    f"duplicate definition of {name}",
+                    *_line_col(self.text, start.pos),
                 )
             self.expect("(")
             params = [self.ident("process name").text]
@@ -364,7 +360,6 @@ class _Parser:
     # -- behaviours --------------------------------------------------
 
     def behaviour(self) -> Behaviour:
-        t = self.peek()
         if self.at("end"):
             self.advance()
             return SP_END
@@ -386,8 +381,7 @@ class _Parser:
             self.expect("@")
             pid = self.ident("process name").text
             return SpCall((name, pid))
-        peer_tok = self.ident("process name")
-        peer = peer_tok.text
+        peer = self.ident("process name").text
         if self.at("!"):
             self.advance()
             e = self.expr()
@@ -432,13 +426,13 @@ class _Parser:
 
 def parse(text: str, path: str = "<string>") -> SourceUnit:
     """Parse a choreography source file into a program with spans."""
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     program = p.program()
     return SourceUnit(path, text, program, p.spans)
 
 
 def parse_behaviour(text: str) -> Behaviour:
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     b = p.behaviour()
     t = p.peek()
     if t.kind != "eof":
@@ -492,8 +486,6 @@ def _print_eta(eta: Eta) -> str:
 
 
 def _print_chor(c: Choreography, indent: str, out: List[str]) -> None:
-    from .chor import End as ChorEnd, RunningCall
-
     while True:
         t = type(c)
         if t is Interaction:
@@ -534,8 +526,6 @@ def print_choreography(p: ChorProgram) -> str:
 
 def print_behaviour(b: Behaviour) -> str:
     """Single-line behaviour notation, inverse of parse_behaviour."""
-    from .net import End as SpEnd
-
     t = type(b)
     if t is SpEnd:
         return "end"
