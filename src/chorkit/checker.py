@@ -19,18 +19,24 @@ whose label the choreography also offers has just been checked.
 
 Exploration is breadth-first with memoisation on canonical forms, so a
 reported counterexample is at minimal depth; the correspondence check and
-the deadlock-freedom and confluence suites share one engine, ``_explore``.  When the reachable space is
-exhausted below the depth bound the certificate is total for the program;
-otherwise it holds up to the bound.  Along the way the checker asserts
-per-label determinism and procedure-table stability of the network
-semantics, and that every network call label names the acting process;
-these counts are reported in the verdict.
+the deadlock-freedom and confluence suites share one engine, ``_explore``.
+They also share one ``SuccessorTable`` per program, which derives the
+enabled transitions of each reached (choreography, state) and (network,
+state) once: ``chorkit verify`` builds one per file and passes it to all
+four suites, so the later suites and the confluence joins mostly reuse
+what ``verify_epp`` derived; a suite called without one builds its own.
+When the reachable space is exhausted below the depth bound the
+certificate is total for the program; otherwise it holds up to the bound.
+Along the way the checker asserts per-label determinism and
+procedure-table stability of the network semantics, and that every
+network call label names the acting process; these counts are reported
+in the verdict.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from . import projection, pruning
@@ -103,6 +109,11 @@ class Verdict:
     stability_violations: int = 0
     locality_checks: int = 0
     locality_violations: int = 0
+    # What the exploration cost the successor table: transition lists it
+    # derived and lists it served again.  Not part of the verdict, which
+    # is the same whether the table started empty or not.
+    successors_derived: int = field(default=0, compare=False)
+    successors_reused: int = field(default=0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -189,14 +200,58 @@ class _Context:
 _NOT_PROJECTABLE = object()
 
 
-def _explore(root, step, depth: int, verdict: Verdict) -> Verdict:
+class SuccessorTable:
+    """The enabled transitions of one program's configurations, each
+    derived once.
+
+    ``cc((choreography, state))`` memoises ``cc_enabled`` over the
+    choreography program's procedures, ``sp((network, state))`` memoises
+    ``sp_enabled`` over the network program's; ``verify_epp`` stores the
+    network program it compiles in ``net``.  A table serves one program
+    for one ``chorkit verify`` run, and the lists it hands out are shared,
+    so callers must not mutate them.  ``derived`` and ``reused`` count the
+    lists computed and the lists served again.
+    """
+
+    __slots__ = ("chor", "net", "derived", "reused", "_cc", "_sp")
+
+    def __init__(self, chor: Optional[ChorProgram] = None, net: Optional[NetProgram] = None):
+        self.chor = chor
+        self.net = net
+        self.derived = 0
+        self.reused = 0
+        self._cc: dict = {}
+        self._sp: dict = {}
+
+    def cc(self, key: tuple) -> list:
+        trans = self._cc.get(key)
+        if trans is None:
+            trans = self._cc[key] = cc_enabled(self.chor.procs, *key)
+            self.derived += 1
+        else:
+            self.reused += 1
+        return trans
+
+    def sp(self, key: tuple) -> list:
+        trans = self._sp.get(key)
+        if trans is None:
+            trans = self._sp[key] = sp_enabled(self.net.procs, *key)
+            self.derived += 1
+        else:
+            self.reused += 1
+        return trans
+
+
+def _explore(root, step, depth: int, verdict: Verdict, table: SuccessorTable) -> Verdict:
     """The breadth-first engine behind every check.
 
     ``step(node, d)`` does one check's work at a node reached at depth
     ``d`` and returns (successor nodes, counterexample or None).  Nodes are
     hashable and explored once each; nodes at the depth bound are checked
-    but not expanded, and the verdict says whether that cut anything off.
+    but not expanded, and the verdict says whether that cut anything off,
+    and how many transition lists ``table`` derived and reused meanwhile.
     """
+    derived, reused = table.derived, table.reused
     seen = {root}
     queue = deque(((root, 0),))
     truncated = False
@@ -207,7 +262,7 @@ def _explore(root, step, depth: int, verdict: Verdict) -> Verdict:
         if cex is not None:
             verdict.status = "counterexample"
             verdict.counterexample = cex
-            return verdict
+            break
         if d >= depth:
             if succs:
                 truncated = True
@@ -216,7 +271,10 @@ def _explore(root, step, depth: int, verdict: Verdict) -> Verdict:
             if succ not in seen:
                 seen.add(succ)
                 queue.append((succ, d + 1))
-    verdict.status = "verified-to-depth" if truncated else "verified"
+    else:
+        verdict.status = "verified-to-depth" if truncated else "verified"
+    verdict.successors_derived = table.derived - derived
+    verdict.successors_reused = table.reused - reused
     return verdict
 
 
@@ -294,22 +352,32 @@ def _sp_self_checks(ctx: _Context, net: Network, s: State, sp_trans, verdict: Ve
     return index
 
 
-def verify_epp(p: ChorProgram, depth: int = 10, s0: State = EMPTY_STATE) -> Verdict:
+def verify_epp(
+    p: ChorProgram,
+    depth: int = 10,
+    s0: State = EMPTY_STATE,
+    *,
+    table: Optional[SuccessorTable] = None,
+) -> Verdict:
     """Certify the correspondence for one program up to a depth bound.
 
     The hypotheses are checked against the procedure names and processes
     ``projection.infer_params`` finds.  Nodes are (choreography, network,
-    state) triples.  The enabled transitions of both sides are derived
-    once per node and paired once, by observable label: completeness
-    looks up each choreography transition's one network partner, so
-    soundness only checks that every network label is a choreography
-    label (and that call labels are local).
+    state) triples.  The enabled transitions of both sides come from
+    ``table`` (a fresh one for ``p`` if None), which also keeps the
+    compiled network program in ``table.net``, and are paired once per
+    node, by observable label: completeness looks up each choreography
+    transition's one network partner, so soundness only checks that every
+    network label is a choreography label (and that call labels are
+    local).
     """
     xs, ps = projection.infer_params(p)
     failures = check_hypotheses(p, xs, ps)
     if failures:
         return Verdict("hypotheses-violated", depth, hypothesis_failures=failures)
-    sp = projection.compile_projectable(xs, ps, p)
+    if table is None:
+        table = SuccessorTable(p)
+    table.net = sp = projection.compile_projectable(xs, ps, p)
     ctx = _Context(p, sp, ps)
     verdict = Verdict("verified", depth)
     root = (p.main, sp.net, s0)
@@ -321,15 +389,15 @@ def verify_epp(p: ChorProgram, depth: int = 10, s0: State = EMPTY_STATE) -> Verd
 
     def step(node, d):
         main, net, s = node
-        cc_trans = cc_enabled(ctx.cc_procs, main, s)
-        sp_trans = sp_enabled(ctx.sp_procs, net, s)
+        cc_trans = table.cc((main, s))
+        sp_trans = table.sp((net, s))
         index = _sp_self_checks(ctx, net, s, sp_trans, verdict)
         succs, cex = _completeness(ctx, node, d, cc_trans, index, verdict)
         if cex is None:
             cex = _soundness(node, d, cc_trans, sp_trans, verdict)
         return succs, cex
 
-    _explore(root, step, depth, verdict)
+    _explore(root, step, depth, verdict, table)
     if verdict.ok and (verdict.determinism_violations or verdict.stability_violations):
         why = "network semantics violated determinism or stability"
         verdict.status = "counterexample"
@@ -342,40 +410,51 @@ def verify_epp(p: ChorProgram, depth: int = 10, s0: State = EMPTY_STATE) -> Verd
 
 
 def check_deadlock_freedom(
-    p: ChorProgram, depth: int = 10, s0: State = EMPTY_STATE
+    p: ChorProgram,
+    depth: int = 10,
+    s0: State = EMPTY_STATE,
+    *,
+    table: Optional[SuccessorTable] = None,
 ) -> Verdict:
     """Every reachable non-end configuration must have a transition."""
+    if table is None:
+        table = SuccessorTable(p)
 
     def step(node, d):
-        main, s = node
-        succs = [(main2, s2) for _rich, main2, s2 in cc_enabled(p.procs, main, s)]
-        if not succs and type(main) is not ChorEnd:
+        succs = [tr[1:] for tr in table.cc(node)]
+        if not succs and type(node[0]) is not ChorEnd:
             why = "non-end choreography with no transition"
             return succs, Counterexample("deadlock", node, d, None, why)
         return succs, None
 
-    return _explore((p.main, s0), step, depth, Verdict("verified", depth))
+    return _explore((p.main, s0), step, depth, Verdict("verified", depth), table)
 
 
-def _check_confluence(enabled_fn, root, depth: int, join_depth: int) -> Verdict:
+def _check_confluence(
+    enabled, root, depth: int, join_depth: int, table: SuccessorTable
+) -> Verdict:
     """From each reached node, any two one-step successors must reach a
-    common node within ``join_depth`` steps each."""
+    common node within ``join_depth`` steps each.  ``enabled`` is one of
+    ``table``'s two memos."""
     verdict = Verdict("verified", depth)
 
+    def succs_fn(node):
+        return [tr[1:] for tr in enabled(node)]
+
     def step(node, d):
-        succs = enabled_fn(node)
+        succs = succs_fn(node)
         # Configurations are not orderable; dedupe preserving first occurrence.
         distinct = list(dict.fromkeys(sk for sk in succs if sk != node))
         for i in range(len(distinct)):
             for j in range(i + 1, len(distinct)):
                 verdict.transitions_matched += 1
-                if not _joins(enabled_fn, distinct[i], distinct[j], join_depth):
+                if not _joins(succs_fn, distinct[i], distinct[j], join_depth):
                     pair = (distinct[i], distinct[j])
                     why = f"successors do not join within {join_depth} steps"
                     return succs, Counterexample("confluence", node, d, None, why, pair)
         return succs, None
 
-    return _explore(root, step, depth, verdict)
+    return _explore(root, step, depth, verdict, table)
 
 
 def _joins(enabled_fn, a, b, join_depth: int) -> bool:
@@ -404,20 +483,27 @@ def _joins(enabled_fn, a, b, join_depth: int) -> bool:
 
 
 def check_cc_confluence(
-    p: ChorProgram, depth: int = 8, s0: State = EMPTY_STATE, join_depth: int = 4
+    p: ChorProgram,
+    depth: int = 8,
+    s0: State = EMPTY_STATE,
+    join_depth: int = 4,
+    *,
+    table: Optional[SuccessorTable] = None,
 ) -> Verdict:
-    def enabled_fn(key):
-        main, s = key
-        return [(m2, s2) for _t, m2, s2 in cc_enabled(p.procs, main, s)]
-
-    return _check_confluence(enabled_fn, (p.main, s0), depth, join_depth)
+    if table is None:
+        table = SuccessorTable(p)
+    return _check_confluence(table.cc, (p.main, s0), depth, join_depth, table)
 
 
 def check_sp_confluence(
-    p: NetProgram, depth: int = 8, s0: State = EMPTY_STATE, join_depth: int = 4
+    p: NetProgram,
+    depth: int = 8,
+    s0: State = EMPTY_STATE,
+    join_depth: int = 4,
+    *,
+    table: Optional[SuccessorTable] = None,
 ) -> Verdict:
-    def enabled_fn(key):
-        net, s = key
-        return [(n2, s2) for _t, n2, s2 in sp_enabled(p.procs, net, s)]
-
-    return _check_confluence(enabled_fn, (p.net, s0), depth, join_depth)
+    """``table``, when given, must hold ``p`` as its ``net``."""
+    if table is None:
+        table = SuccessorTable(net=p)
+    return _check_confluence(table.sp, (p.net, s0), depth, join_depth, table)

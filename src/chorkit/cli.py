@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .chor import cc_check_wf, cc_run
 from .checker import (
+    SuccessorTable,
     check_cc_confluence,
     check_deadlock_freedom,
     check_sp_confluence,
@@ -291,14 +292,17 @@ def _cmd_verify(args) -> int:
     unit = _load(args.file)
     if _refused(_wf_failures(unit)):
         return 1
-    program = unit.program
-    suites = [("epp-theorem", verify_epp(program, depth=args.depth))]
-    suites.append(("deadlock-freedom", check_deadlock_freedom(program, depth=args.depth)))
-    suites.append(("confluence-chor", check_cc_confluence(program, depth=args.depth)))
+    program, depth = unit.program, args.depth
+    # One table for the file: the suites after epp-theorem reuse the
+    # transitions it derived.
+    table = SuccessorTable(program)
+    suites = [("epp-theorem", verify_epp(program, depth=depth, table=table))]
+    suites.append(("deadlock-freedom", check_deadlock_freedom(program, depth=depth, table=table)))
+    suites.append(("confluence-chor", check_cc_confluence(program, depth=depth, table=table)))
     if all(v.ok for _, v in suites):
-        # epp-theorem passing includes the projectability hypothesis
-        net = compile_projectable(*infer_params(program), program)
-        suites.append(("confluence-net", check_sp_confluence(net, depth=args.depth)))
+        # epp-theorem passing includes the projectability hypothesis, and
+        # it left the network it compiled in the table
+        suites.append(("confluence-net", check_sp_confluence(table.net, depth=depth, table=table)))
     ok = all(v.ok for _, v in suites)
     if args.json:
         print(
@@ -313,6 +317,8 @@ def _cmd_verify(args) -> int:
                             "configs": v.configs_explored,
                             "transitions": v.transitions_matched,
                             "detail": str(v),
+                            "successorsDerived": v.successors_derived,
+                            "successorsReused": v.successors_reused,
                         }
                         for name, v in suites
                     },

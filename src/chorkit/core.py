@@ -41,8 +41,22 @@ def wrap64(n: int) -> int:
 
 
 def node_repr(node: tuple) -> str:
-    """Constructor-style repr of an AST node: every field but the tag."""
-    return f"{type(node).__name__}({', '.join(map(repr, node[:-1]))})"
+    """Constructor-style repr of an AST node: every field but the tag.
+
+    Iterative along the sequential spine (a last field named ``cont``),
+    where the depth of a long program comes from, so its repr does not
+    recurse once per interaction.
+    """
+    parts = []
+    while True:
+        fields = node[:-1]
+        cont = fields[-1] if fields and node._fields[-2] == "cont" else None
+        if type(cont).__repr__ is not node_repr:
+            parts.append(f"{type(node).__name__}({', '.join(map(repr, fields))})")
+            break
+        parts.append(f"{type(node).__name__}({''.join(repr(f) + ', ' for f in fields[:-1])}")
+        node = cont
+    return "".join(parts) + ")" * (len(parts) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +157,12 @@ class CanonicalMap:
     coincide with extensional equality of the underlying total function.
     Subclasses set ``default`` and ``normalise``; updates copy the dict and
     patch only the written entries, since the others are canonical already.
+    A map never changes once built, so its hash is computed on first use
+    and kept; construction leaves ``_hash`` unset, since run drivers build
+    a map per step and never hash it.
     """
 
-    __slots__ = ("_map", "_key")
+    __slots__ = ("_map", "_key", "_hash")
     default: object = None
     normalise = staticmethod(lambda value: value)
 
@@ -179,7 +196,11 @@ class CanonicalMap:
         return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(self._key)
+            return h
 
 
 class State(CanonicalMap):

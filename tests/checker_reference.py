@@ -1,22 +1,53 @@
-"""A frozen copy of ``checker.verify_epp`` as it was before the two
-directions shared one pairing per configuration.
+"""Frozen copies of the checker as it was before its suites shared
+anything: ``verify_epp`` before the two directions shared one pairing per
+configuration, and the deadlock-freedom and confluence suites and their
+engine before they shared one successor table.
 
 Completeness scans the network transitions for a partner of each
 choreography transition, and soundness scans the other way, re-checking
 state, projectability and pruning for every pair and building the same
-successors a second time.  Slow but plain; the differential tests in
-``test_checker.py`` hold the live checker to it.
+successors a second time.  Every suite calls ``cc_enabled`` or
+``sp_enabled`` afresh at each node it visits, the confluence joins
+included.  Slow but plain; the differential tests in ``test_checker.py``
+hold the live checker to it.
 
-The engine, the projection cache and the hypotheses are the live ones,
-and ``_prunes`` is looked up on the live module at call time, so a
+The projection cache and the hypotheses are the live ones, and
+``_prunes`` is looked up on the live module at call time, so a
 monkeypatched seam reaches both checkers.
 """
 
+from collections import deque
+
 from chorkit import checker, projection
-from chorkit.checker import Counterexample, Verdict, _Context, _explore, check_hypotheses
+from chorkit.checker import Counterexample, Verdict, _Context, check_hypotheses
+from chorkit.chor import End as ChorEnd
 from chorkit.chor import cc_enabled
 from chorkit.core import EMPTY_STATE, RichCall, forget
 from chorkit.net import NetProgram, sp_enabled, sp_step
+
+
+def _explore(root, step, depth, verdict):
+    seen = {root}
+    queue = deque(((root, 0),))
+    truncated = False
+    while queue:
+        node, d = queue.popleft()
+        verdict.configs_explored += 1
+        succs, cex = step(node, d)
+        if cex is not None:
+            verdict.status = "counterexample"
+            verdict.counterexample = cex
+            return verdict
+        if d >= depth:
+            if succs:
+                truncated = True
+            continue
+        for succ in succs:
+            if succ not in seen:
+                seen.add(succ)
+                queue.append((succ, d + 1))
+    verdict.status = "verified-to-depth" if truncated else "verified"
+    return verdict
 
 
 def _completeness(ctx, node, d, cc_trans, sp_trans, verdict):
@@ -136,3 +167,74 @@ def reference_verify_epp(p, depth=10, s0=EMPTY_STATE):
         verdict.status = "counterexample"
         verdict.counterexample = Counterexample("invariant", root, 0, None, why)
     return verdict
+
+
+def reference_check_deadlock_freedom(p, depth=10, s0=EMPTY_STATE):
+    def step(node, d):
+        main, s = node
+        succs = [(main2, s2) for _rich, main2, s2 in cc_enabled(p.procs, main, s)]
+        if not succs and type(main) is not ChorEnd:
+            why = "non-end choreography with no transition"
+            return succs, Counterexample("deadlock", node, d, None, why)
+        return succs, None
+
+    return _explore((p.main, s0), step, depth, Verdict("verified", depth))
+
+
+def _check_confluence(enabled_fn, root, depth, join_depth):
+    verdict = Verdict("verified", depth)
+
+    def step(node, d):
+        succs = enabled_fn(node)
+        distinct = list(dict.fromkeys(sk for sk in succs if sk != node))
+        for i in range(len(distinct)):
+            for j in range(i + 1, len(distinct)):
+                verdict.transitions_matched += 1
+                if not _joins(enabled_fn, distinct[i], distinct[j], join_depth):
+                    pair = (distinct[i], distinct[j])
+                    why = f"successors do not join within {join_depth} steps"
+                    return succs, Counterexample("confluence", node, d, None, why, pair)
+        return succs, None
+
+    return _explore(root, step, depth, verdict)
+
+
+def _joins(enabled_fn, a, b, join_depth):
+    reach_a = {a}
+    reach_b = {b}
+    frontier_a = {a}
+    frontier_b = {b}
+    if reach_a & reach_b:
+        return True
+    for _ in range(join_depth):
+        frontier_a = {
+            s for k in frontier_a for s in enabled_fn(k) if s not in reach_a
+        }
+        reach_a |= frontier_a
+        if reach_a & reach_b:
+            return True
+        frontier_b = {
+            s for k in frontier_b for s in enabled_fn(k) if s not in reach_b
+        }
+        reach_b |= frontier_b
+        if reach_a & reach_b:
+            return True
+        if not frontier_a and not frontier_b:
+            return False
+    return False
+
+
+def reference_check_cc_confluence(p, depth=8, s0=EMPTY_STATE, join_depth=4):
+    def enabled_fn(key):
+        main, s = key
+        return [(m2, s2) for _t, m2, s2 in cc_enabled(p.procs, main, s)]
+
+    return _check_confluence(enabled_fn, (p.main, s0), depth, join_depth)
+
+
+def reference_check_sp_confluence(p, depth=8, s0=EMPTY_STATE, join_depth=4):
+    def enabled_fn(key):
+        net, s = key
+        return [(n2, s2) for _t, n2, s2 in sp_enabled(p.procs, net, s)]
+
+    return _check_confluence(enabled_fn, (p.net, s0), depth, join_depth)

@@ -1,13 +1,19 @@
 """The bounded correspondence checker and its companion suites."""
 
 import pytest
-from checker_reference import reference_verify_epp
+from checker_reference import (
+    reference_check_cc_confluence,
+    reference_check_deadlock_freedom,
+    reference_check_sp_confluence,
+    reference_verify_epp,
+)
 from conftest import CORPUS, PROJECTABLE, SEAM_MUTATIONS, load_program
 
 from chorkit import checker as checker_mod
 from chorkit import chor as chor_mod
 from chorkit import net as net_mod
 from chorkit.checker import (
+    SuccessorTable,
     check_cc_confluence,
     check_deadlock_freedom,
     check_hypotheses,
@@ -215,6 +221,44 @@ class TestAgainstReference:
             for s0 in STORES:
                 v = verify_epp(p, depth=depth, s0=s0)
                 assert v == reference_verify_epp(p, depth=depth, s0=s0), (depth, s0)
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_suites_alone_and_behind_one_table(self, name):
+        """All four suites against the frozen ones that derive every
+        transition afresh, each alone and all behind one table that lives
+        across both stores, both depths and both join depths, as
+        ``chorkit verify`` shares one per file.  Verdicts compare every
+        field but the table's two counters, counterexample included."""
+        p = load_program(name)
+        np = epp_program(p) if name in PROJECTABLE else None
+        shared = SuccessorTable(p)
+        for s0 in STORES:
+            for depth in (3, 10):
+                for join_depth in (0, 4):
+                    expected = [
+                        reference_verify_epp(p, depth, s0),
+                        reference_check_deadlock_freedom(p, depth, s0),
+                        reference_check_cc_confluence(p, depth, s0, join_depth),
+                    ]
+                    alone = [
+                        verify_epp(p, depth, s0),
+                        check_deadlock_freedom(p, depth, s0),
+                        check_cc_confluence(p, depth, s0, join_depth),
+                    ]
+                    behind = [
+                        verify_epp(p, depth, s0, table=shared),
+                        check_deadlock_freedom(p, depth, s0, table=shared),
+                        check_cc_confluence(p, depth, s0, join_depth, table=shared),
+                    ]
+                    if np is not None:
+                        expected.append(reference_check_sp_confluence(np, depth, s0, join_depth))
+                        alone.append(check_sp_confluence(np, depth, s0, join_depth))
+                        behind.append(
+                            check_sp_confluence(shared.net, depth, s0, join_depth, table=shared)
+                        )
+                    assert alone == expected, (s0, depth, join_depth)
+                    assert behind == expected, (s0, depth, join_depth)
+        assert shared.reused > 0
 
 
 class TestDeadlockFreedom:

@@ -184,6 +184,19 @@ class TestVerify:
         assert main(["verify", AUTH]) == 0
         assert len(calls) == 1
 
+    def test_network_compiled_once(self, capsys, monkeypatch):
+        original = projection.compile_projectable
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(projection, "compile_projectable", counted)
+        monkeypatch.setattr(cli, "compile_projectable", counted)
+        assert main(["verify", AUTH]) == 0
+        assert len(calls) == 1
+
     def test_json(self, capsys):
         assert main(["verify", AUTH, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -193,6 +206,18 @@ class TestVerify:
         assert suite["status"] == "verified"
         assert suite["configs"] == 6
         assert suite["transitions"] == 10
+        # epp-theorem derives both sides' transitions at each of its 6
+        # configurations; every later suite finds them in the shared table.
+        counts = {
+            name: (s["successorsDerived"], s["successorsReused"])
+            for name, s in doc["suites"].items()
+        }
+        assert counts == {
+            "epp-theorem": (12, 0),
+            "deadlock-freedom": (0, 6),
+            "confluence-chor": (0, 6),
+            "confluence-net": (0, 6),
+        }
 
 
 class TestGate:

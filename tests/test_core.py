@@ -100,6 +100,7 @@ class TestState:
         s = EMPTY_STATE
         d = {}
         for pid, var, v in writes:
+            hash(s)  # the hash cached here must not reach the patched copy
             s = s.set(pid, var, v)
             d[(pid, var)] = v
         for (pid, var), v in d.items():
@@ -280,3 +281,18 @@ class TestNodeRepr:
         }
         assert tagged - {core.TraceRecord} == {type(node) for node, _ in cases}
         assert len(cases) == 35
+
+    def test_long_spine_at_the_default_recursion_limit(self):
+        from chorkit import chor, net
+
+        ring, chain = chor.End(), net.End()
+        for i in range(2000):
+            eta = chor.CommEta(f"p{i % 3}", Lit(i), f"p{(i + 1) % 3}", "t")
+            ring = chor.Interaction(eta, ring)
+            chain = net.Send("q", Lit(i), net.Recv("q", "x", chain))
+        text = repr(ring)
+        assert text.startswith("Interaction(CommEta('p1', Lit(1999), 'p2', 't'), Interaction(")
+        assert text.endswith("Interaction(CommEta('p0', Lit(0), 'p1', 't'), End())" + ")" * 1999)
+        text = repr(chain)
+        assert text.startswith("Send('q', Lit(1999), Recv('q', 'x', Send('q', Lit(1998), ")
+        assert text.endswith("Recv('q', 'x', End())" + ")" * 3999)
