@@ -17,6 +17,17 @@ partner and checks state and pruning for the pair; once it has passed,
 soundness reduces to label inclusion, since every network transition
 whose label the choreography also offers has just been checked.
 
+Projecting each reached choreography is incremental.  One ``verify_epp``
+call keeps one ``bproj`` memo, keyed by node identity and process, that
+answers only for the very node it stored and keeps that node alive; the
+initial network is compiled through it.  A step rebuilds only the part
+of the term in front of the action it takes, so the successor is
+projected only there, and every other behaviour comes back as the
+object already projected, which is often the live network's own: the
+pruning check relates a process whose two behaviours are one object by
+reflexivity, without walking them.  The memo lives for one call, so a
+projection seam patched between calls is always seen.
+
 Exploration is breadth-first with memoisation on canonical forms, so a
 reported counterexample is at minimal depth; the correspondence check and
 the deadlock-freedom and confluence suites share one engine, ``_explore``.
@@ -46,6 +57,7 @@ from .chor import (
     End as ChorEnd,
     cc_check_wf,
     cc_enabled,
+    program_pids,
 )
 from .core import (
     EMPTY_STATE,
@@ -166,15 +178,17 @@ def check_hypotheses(
 
 
 class _Context:
-    """Per-verification immutable inputs plus the projection cache."""
+    """Per-verification immutable inputs plus the projection caches: the
+    network of each reached choreography, and the call's ``bproj`` memo."""
 
-    __slots__ = ("cc_procs", "sp_procs", "ps", "epp_cache")
+    __slots__ = ("cc_procs", "sp_procs", "ps", "epp_cache", "memo")
 
-    def __init__(self, p: ChorProgram, sp: NetProgram, ps):
+    def __init__(self, p: ChorProgram, sp: NetProgram, ps, memo: dict):
         self.cc_procs = p.procs
         self.sp_procs = sp.procs
         self.ps = ps
         self.epp_cache: dict = {}
+        self.memo = memo
 
     def epp_net(self, main: Choreography) -> Optional[Network]:
         """Network of the projection of a reached choreography, or None.
@@ -187,7 +201,7 @@ class _Context:
             return hit if hit is not _NOT_PROJECTABLE else None
         entries = []
         for pid in self.ps:
-            b = projection.bproj(self.cc_procs, main, pid)
+            b = projection.bproj(self.cc_procs, main, pid, self.memo)
             if b is UNDEFINED:
                 self.epp_cache[main] = _NOT_PROJECTABLE
                 return None
@@ -205,7 +219,8 @@ class SuccessorTable:
     derived once.
 
     ``cc((choreography, state))`` memoises ``cc_enabled`` over the
-    choreography program's procedures, ``sp((network, state))`` memoises
+    choreography program's procedures, with the walk stopped once every
+    process of the program is blocked; ``sp((network, state))`` memoises
     ``sp_enabled`` over the network program's; ``verify_epp`` stores the
     network program it compiles in ``net``.  A table serves one program
     for one ``chorkit verify`` run, and the lists it hands out are shared,
@@ -213,7 +228,7 @@ class SuccessorTable:
     lists computed and the lists served again.
     """
 
-    __slots__ = ("chor", "net", "derived", "reused", "_cc", "_sp")
+    __slots__ = ("chor", "net", "derived", "reused", "_cc", "_sp", "_pids")
 
     def __init__(self, chor: Optional[ChorProgram] = None, net: Optional[NetProgram] = None):
         self.chor = chor
@@ -222,11 +237,15 @@ class SuccessorTable:
         self.reused = 0
         self._cc: dict = {}
         self._sp: dict = {}
+        self._pids = None if chor is None else program_pids(chor)
 
     def cc(self, key: tuple) -> list:
         trans = self._cc.get(key)
         if trans is None:
-            trans = self._cc[key] = cc_enabled(self.chor.procs, *key)
+            main, s = key
+            trans = self._cc[key] = cc_enabled(
+                self.chor.procs, main, s, frozenset(), self._pids
+            )
             self.derived += 1
         else:
             self.reused += 1
@@ -370,6 +389,11 @@ def verify_epp(
     transition's one network partner, so soundness only checks that every
     network label is a choreography label (and that call labels are
     local).
+
+    The call creates one ``bproj`` memo, keyed by ``(id(node), pid)``,
+    that compiles the initial network and projects every reached
+    choreography; it answers only when its stored node is the queried
+    node, and dies with the call.
     """
     xs, ps = projection.infer_params(p)
     failures = check_hypotheses(p, xs, ps)
@@ -377,8 +401,9 @@ def verify_epp(
         return Verdict("hypotheses-violated", depth, hypothesis_failures=failures)
     if table is None:
         table = SuccessorTable(p)
-    table.net = sp = projection.compile_projectable(xs, ps, p)
-    ctx = _Context(p, sp, ps)
+    memo: dict = {}
+    table.net = sp = projection.compile_projectable(xs, ps, p, memo)
+    ctx = _Context(p, sp, ps, memo)
     verdict = Verdict("verified", depth)
     root = (p.main, sp.net, s0)
     if not _prunes(sp.net, ctx.epp_net(p.main)):

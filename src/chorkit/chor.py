@@ -21,7 +21,7 @@ order) so that runs and golden tests are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Tuple, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .core import (
     BExpr,
@@ -146,25 +146,30 @@ def chor_pids(c: Choreography, vars_of: Callable[[ProcName], Iterable[Pid]]) -> 
     ``vars_of`` supplies the processes attributed to each procedure call;
     pass ``lambda _: ()`` for a purely syntactic scan or the declared
     parameter lists to count call sites as using their procedure's
-    processes.
+    processes.  The scan keeps its own stack, so a long term does not
+    reach the recursion limit.
     """
-    t = type(c)
-    if t is End:
-        return frozenset()
-    if t is Interaction:
-        eta = c.eta
-        return frozenset((eta.sender, eta.receiver)) | chor_pids(c.cont, vars_of)
-    if t is Cond:
-        return (
-            frozenset((c.pid,))
-            | chor_pids(c.then_c, vars_of)
-            | chor_pids(c.else_c, vars_of)
-        )
-    if t is Call:
-        return frozenset(vars_of(c.proc))
-    if t is RunningCall:
-        return frozenset(c.pending) | chor_pids(c.body, vars_of)
-    raise TypeError(f"not a choreography: {c!r}")
+    out: set = set()
+    todo = [c]
+    while todo:
+        c = todo.pop()
+        t = type(c)
+        if t is Interaction:
+            out.add(c.eta.sender)
+            out.add(c.eta.receiver)
+            todo.append(c.cont)
+        elif t is Cond:
+            out.add(c.pid)
+            todo.append(c.then_c)
+            todo.append(c.else_c)
+        elif t is Call:
+            out.update(vars_of(c.proc))
+        elif t is RunningCall:
+            out.update(c.pending)
+            todo.append(c.body)
+        elif t is not End:
+            raise TypeError(f"not a choreography: {c!r}")
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +304,23 @@ def cc_check_wf(p: ChorProgram) -> WfReport:
 # Semantics
 
 
+def program_pids(p: ChorProgram) -> frozenset:
+    """Every process a term reached from ``p`` can mention: main's, and
+    each procedure's declared and used ones, even where the program is
+    not well-formed."""
+    syntactic = lambda _name: ()
+    out = chor_pids(p.main, syntactic)
+    for d in p.procs.values():
+        out = out.union(d.params, chor_pids(d.body, syntactic))
+    return out
+
+
 def cc_enabled(
     procs: Mapping[ProcName, ProcDef],
     c: Choreography,
     s: State,
     blocked: frozenset = frozenset(),
+    everyone: Optional[frozenset] = None,
 ) -> list:
     """All derivable single transitions of ``c`` in canonical order.
 
@@ -312,11 +329,16 @@ def cc_enabled(
     parameter order (running calls: the pending order).  An action fires
     only if it shares no process with the actions it overtakes.
 
-    ``blocked`` is internal to the recursion: the processes of the
-    enclosing actions that the actions of ``c`` would overtake.
+    ``blocked`` and ``everyone`` are internal to the recursion:
+    ``blocked`` holds the processes of the enclosing actions that the
+    actions of ``c`` would overtake, and ``everyone``, when given, is
+    ``program_pids`` of the program.  Every action uses some process of
+    the program, so once ``blocked`` holds all of ``everyone`` nothing
+    below can fire and the walk stops there instead of running to the end
+    of the term.
     """
     t = type(c)
-    if t is End:
+    if t is End or (everyone is not None and blocked >= everyone):
         return []
     out: list = []
     if t is Interaction:
@@ -329,7 +351,7 @@ def cc_enabled(
                 out.append((head, c.cont, s.set(eta.receiver, eta.var, value)))
             else:
                 out.append((RichSelect(eta.sender, eta.receiver, eta.label), c.cont, s))
-        for (label, c2, s2) in cc_enabled(procs, c.cont, s, blocked.union(pids)):
+        for (label, c2, s2) in cc_enabled(procs, c.cont, s, blocked.union(pids), everyone):
             out.append((label, Interaction(eta, c2), s2))
         return out
     if t is Cond:
@@ -337,8 +359,8 @@ def cc_enabled(
             taken = c.then_c if eval_bexpr(c.guard, s, c.pid) else c.else_c
             out.append((RichCond(c.pid), taken, s))
         inner = blocked.union((c.pid,))
-        else_enabled = {tr[0]: tr for tr in cc_enabled(procs, c.else_c, s, inner)}
-        for (label, then2, s2) in cc_enabled(procs, c.then_c, s, inner):
+        else_enabled = {tr[0]: tr for tr in cc_enabled(procs, c.else_c, s, inner, everyone)}
+        for (label, then2, s2) in cc_enabled(procs, c.then_c, s, inner, everyone):
             # a label fixes its store update, so both branches reach state s2
             hit = else_enabled.get(label)
             if hit is not None:
@@ -359,7 +381,9 @@ def cc_enabled(
             succ = RunningCall(c.proc, rest, body) if rest else body
             out.append((RichCall(c.proc, pid), succ, s))
     if t is RunningCall:
-        for (label, body2, s2) in cc_enabled(procs, body, s, blocked.union(pending)):
+        for (label, body2, s2) in cc_enabled(
+            procs, body, s, blocked.union(pending), everyone
+        ):
             out.append((label, RunningCall(c.proc, pending, body2), s2))
     return out
 
@@ -370,7 +394,7 @@ def _may_delay_past_eta(pids: tuple, blocked: frozenset) -> bool:
 
 
 def cc_step(p: ChorProgram, s: State, label: RichLabel) -> Tuple[ChorProgram, State]:
-    for (t, c2, s2) in cc_enabled(p.procs, p.main, s):
+    for (t, c2, s2) in cc_enabled(p.procs, p.main, s, frozenset(), program_pids(p)):
         if t == label:
             return ChorProgram(p.procs, c2), s2
     raise NotEnabledError(label)
@@ -384,6 +408,6 @@ def cc_run(
     seed: int = 0,
 ) -> RunResult:
     """Run the choreography under ``core.drive``'s scheduling policies."""
-    return drive(
-        lambda c, s2: cc_enabled(p.procs, c, s2), p.main, CHOR_END, s, policy, fuel, seed
-    )
+    everyone = program_pids(p)
+    enabled = lambda c, s2: cc_enabled(p.procs, c, s2, frozenset(), everyone)
+    return drive(enabled, p.main, CHOR_END, s, policy, fuel, seed)

@@ -158,7 +158,7 @@ class CanonicalMap:
     Subclasses set ``default`` and ``normalise``; updates copy the dict and
     patch only the written entries, since the others are canonical already.
     A map never changes once built, so its hash is computed on first use
-    and kept; construction leaves ``_hash`` unset, since run drivers build
+    and kept; construction only clears ``_hash``, since run drivers build
     a map per step and never hash it.
     """
 
@@ -179,6 +179,7 @@ class CanonicalMap:
                 m.pop(key, None)
         self._map = m
         self._key = tuple(sorted(m.items()))
+        self._hash = None
 
     def _patch(self, entries: Iterable):
         """A copy with ``entries`` written, built without ``__init__``."""
@@ -196,11 +197,10 @@ class CanonicalMap:
         return self._key == other._key
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             self._hash = h = hash(self._key)
-            return h
+        return h
 
 
 class State(CanonicalMap):

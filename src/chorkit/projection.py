@@ -56,47 +56,66 @@ def _running_call_projection(procs: Mapping[ProcName, ProcDef], c: RunningCall, 
     return bproj(procs, c.body, r)
 
 
-def bproj(procs: Mapping[ProcName, ProcDef], c: Choreography, r: Pid):
+def bproj(procs: Mapping[ProcName, ProcDef], c: Choreography, r: Pid, memo=None):
     """Project one process's behaviour from a choreography, or UNDEFINED.
 
     UNDEFINED propagates as soon as any sub-projection is undefined, so the
     result never has UNDEFINED inside it.
+
+    ``memo``, when given, is a dict owned by the caller that maps
+    ``(id(node), r)`` to ``(node, projection)`` for every node projected
+    through it, so a term that shares subtrees with one projected before
+    is projected only where it differs, and the shared parts come back
+    as the same objects.  A lookup answers only when the stored node is
+    the queried one; the memo also keeps each node alive, so its id
+    cannot be reused by another node while the memo lives.  A memo
+    serves one procedure table.  The seams ``_branch_offer`` and
+    ``_running_call_projection`` are read when a node is first projected,
+    so a memo must not outlive a patch of either; the seam projects a
+    running call's body, a procedure body, without the memo.
     """
     t = type(c)
     if t is End:
         return SP_END
+    if memo is not None:
+        hit = memo.get((id(c), r))
+        if hit is not None and hit[0] is c:
+            return hit[1]
     if t is Interaction:
         eta = c.eta
-        cont = bproj(procs, c.cont, r)
-        if cont is UNDEFINED:
-            return UNDEFINED
-        if type(eta) is CommEta:
-            if eta.sender == r:
-                return net_mod.Send(eta.receiver, eta.expr, cont)
-            if eta.receiver == r:
-                return net_mod.Recv(eta.sender, eta.var, cont)
-            return cont
-        if eta.sender == r:
-            return net_mod.SelectSend(eta.receiver, eta.label, cont)
-        if eta.receiver == r:
-            return _branch_offer(eta.sender, eta.label, cont)
-        return cont
-    if t is Cond:
-        then_b = bproj(procs, c.then_c, r)
-        else_b = bproj(procs, c.else_c, r)
+        b = bproj(procs, c.cont, r, memo)
+        if b is not UNDEFINED:
+            if type(eta) is CommEta:
+                if eta.sender == r:
+                    b = net_mod.Send(eta.receiver, eta.expr, b)
+                elif eta.receiver == r:
+                    b = net_mod.Recv(eta.sender, eta.var, b)
+            elif eta.sender == r:
+                b = net_mod.SelectSend(eta.receiver, eta.label, b)
+            elif eta.receiver == r:
+                b = _branch_offer(eta.sender, eta.label, b)
+    elif t is Cond:
+        then_b = bproj(procs, c.then_c, r, memo)
+        else_b = bproj(procs, c.else_c, r, memo)
         if c.pid != r:
-            return xmerge(then_b, else_b)
-        if then_b is UNDEFINED or else_b is UNDEFINED:
-            return UNDEFINED
-        return net_mod.Cond(c.guard, then_b, else_b)
-    if t is Call:
+            b = xmerge(then_b, else_b)
+        elif then_b is UNDEFINED or else_b is UNDEFINED:
+            b = UNDEFINED
+        else:
+            b = net_mod.Cond(c.guard, then_b, else_b)
+    elif t is Call:
         d = procs.get(c.proc)
         if d is not None and r in d.params:
-            return net_mod.Call((c.proc, r))
-        return SP_END
-    if t is RunningCall:
-        return _running_call_projection(procs, c, r)
-    raise TypeError(f"not a choreography: {c!r}")
+            b = net_mod.Call((c.proc, r))
+        else:
+            b = SP_END
+    elif t is RunningCall:
+        b = _running_call_projection(procs, c, r)
+    else:
+        raise TypeError(f"not a choreography: {c!r}")
+    if memo is not None:
+        memo[id(c), r] = (c, b)
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +379,16 @@ def epp(xs, ps, p: ChorProgram) -> NetProgram:
     return compile_projectable(xs, ps, p)
 
 
-def compile_projectable(xs, ps, p: ChorProgram) -> NetProgram:
+def compile_projectable(xs, ps, p: ChorProgram, memo=None) -> NetProgram:
     """The compile step of ``epp``, for a program already found projectable.
 
     The network maps each listed pid to its projection of main; the
     procedure table has one entry per (listed procedure, declared process).
+    ``memo`` is passed to ``bproj`` for main, so a caller that keeps it
+    gets back the network's own behaviour objects when it projects main
+    again.
     """
-    net = Network((pid, bproj(p.procs, p.main, pid)) for pid in ps)
+    net = Network((pid, bproj(p.procs, p.main, pid, memo)) for pid in ps)
     procs_b = {}
     for name in xs:
         d = p.procs.get(name)

@@ -66,8 +66,15 @@ def xmore_branches(a, b) -> bool:
 
 
 def net_more_branches(n1: Network, n2: Network) -> bool:
-    """Pointwise lifting: every process of either support must be related."""
-    return all(
-        xmore_branches(n1.get(pid), n2.get(pid))
-        for pid in set(n1.support).union(n2.support)
-    )
+    """Pointwise lifting: every process of either support must be related.
+
+    A process whose two behaviours are one object is related by
+    reflexivity, so networks that share behaviours are compared only
+    where they differ.
+    """
+    for pid in set(n1.support).union(n2.support):
+        a = n1.get(pid)
+        b = n2.get(pid)
+        if a is not b and not xmore_branches(a, b):
+            return False
+    return True

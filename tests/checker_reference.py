@@ -11,19 +11,48 @@ successors a second time.  Every suite calls ``cc_enabled`` or
 included.  Slow but plain; the differential tests in ``test_checker.py``
 hold the live checker to it.
 
-The projection cache and the hypotheses are the live ones, and
-``_prunes`` is looked up on the live module at call time, so a
-monkeypatched seam reaches both checkers.
+The projection context is a frozen copy too: it projects every process
+over the whole reached term, without the ``bproj`` memo, so a fault in
+the memoised projection shows as a difference.  The hypotheses are the
+live ones, and ``_prunes`` is looked up on the live module at call time,
+so a monkeypatched seam reaches both checkers.
 """
 
 from collections import deque
 
 from chorkit import checker, projection
-from chorkit.checker import Counterexample, Verdict, _Context, check_hypotheses
+from chorkit.checker import Counterexample, Verdict, check_hypotheses
 from chorkit.chor import End as ChorEnd
 from chorkit.chor import cc_enabled
 from chorkit.core import EMPTY_STATE, RichCall, forget
-from chorkit.net import NetProgram, sp_enabled, sp_step
+from chorkit.merge import UNDEFINED
+from chorkit.net import Network, NetProgram, sp_enabled, sp_step
+
+
+class _Context:
+    def __init__(self, p, sp, ps):
+        self.cc_procs = p.procs
+        self.sp_procs = sp.procs
+        self.ps = ps
+        self.epp_cache = {}
+
+    def epp_net(self, main):
+        hit = self.epp_cache.get(main)
+        if hit is not None:
+            return hit if hit is not _NOT_PROJECTABLE else None
+        entries = []
+        for pid in self.ps:
+            b = projection.bproj(self.cc_procs, main, pid)
+            if b is UNDEFINED:
+                self.epp_cache[main] = _NOT_PROJECTABLE
+                return None
+            entries.append((pid, b))
+        net = Network(entries)
+        self.epp_cache[main] = net
+        return net
+
+
+_NOT_PROJECTABLE = object()
 
 
 def _explore(root, step, depth, verdict):

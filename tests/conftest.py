@@ -1,5 +1,6 @@
 """Shared fixtures: corpus loading and hand-built reference behaviours."""
 
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,8 @@ from chorkit import checker as checker_mod
 from chorkit import chor as chor_mod
 from chorkit import net as net_mod
 from chorkit import projection as projection_mod
-from chorkit.chor import ChorProgram
-from chorkit.core import Eq, Lit, VarRef
+from chorkit.chor import ChorProgram, cc_enabled
+from chorkit.core import EMPTY_STATE, Eq, Lit, VarRef
 from chorkit.merge import UNDEFINED
 from chorkit.net import SP_END, Branch, Cond, Recv, SelectSend, Send
 from chorkit.syntax import SourceUnit, parse
@@ -39,6 +40,28 @@ def load(name: str) -> SourceUnit:
 
 def load_program(name: str) -> ChorProgram:
     return load(name).program
+
+
+def explore(p: ChorProgram, s0=EMPTY_STATE, depth=12):
+    """Reachable (main, state) configurations with their transitions.
+
+    Depth-bounded breadth-first walk; the bound matters only for programs
+    with an infinite state space such as the growing counter.
+    """
+    seen = {(p.main, s0)}
+    queue = deque([(p.main, s0, 0)])
+    out = []
+    while queue:
+        main, s, d = queue.popleft()
+        trans = cc_enabled(p.procs, main, s)
+        out.append((main, s, trans))
+        if d >= depth:
+            continue
+        for _, m2, s2 in trans:
+            if (m2, s2) not in seen:
+                seen.add((m2, s2))
+                queue.append((m2, s2, d + 1))
+    return out
 
 
 @pytest.fixture(scope="session")

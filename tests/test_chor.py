@@ -1,12 +1,12 @@
 """Choreography language: well-formedness, transitions, runs."""
 
-from collections import deque
-
 import pytest
 from cc_reference import reference_cc_enabled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chorkit import chor as chor_mod
+from chorkit.checker import SuccessorTable
 from chorkit.chor import (
     CHOR_END,
     Call,
@@ -23,6 +23,7 @@ from chorkit.chor import (
     cc_enabled,
     cc_run,
     cc_step,
+    program_pids,
 )
 from chorkit.core import (
     EMPTY_STATE,
@@ -40,29 +41,7 @@ from chorkit.core import (
 
 from chorkit.syntax import parse
 
-from conftest import CORPUS, PROJECTABLE, load_program
-
-
-def explore(p: ChorProgram, s0=EMPTY_STATE, depth=12):
-    """Reachable (main, state) configurations with their transitions.
-
-    Depth-bounded breadth-first walk; the bound matters only for programs
-    with an infinite state space such as the growing counter.
-    """
-    seen = {(p.main, s0)}
-    queue = deque([(p.main, s0, 0)])
-    out = []
-    while queue:
-        main, s, d = queue.popleft()
-        trans = cc_enabled(p.procs, main, s)
-        out.append((main, s, trans))
-        if d >= depth:
-            continue
-        for _, m2, s2 in trans:
-            if (m2, s2) not in seen:
-                seen.add((m2, s2))
-                queue.append((m2, s2, d + 1))
-    return out
+from conftest import CORPUS, PROJECTABLE, explore, load_program
 
 
 class TestWellFormedness:
@@ -394,3 +373,85 @@ class TestAgainstReference:
         trans = cc_enabled({}, ring, EMPTY_STATE)
         assert [label for label, _c, _s in trans] == [RichComm("p0", 0, "p1", "x")]
         assert writes == [("p1", "x", 0)]
+
+
+def _ring(n: int, procs: int = 3) -> ChorProgram:
+    c = CHOR_END
+    for i in reversed(range(n)):
+        c = Interaction(CommEta(f"p{i % procs}", Lit(i), f"p{(i + 1) % procs}", "x"), c)
+    return ChorProgram({}, c)
+
+
+class TestEarlyStop:
+    """The walk stops once every process of the program is blocked, and
+    gives what the frozen reference gives."""
+
+    ENTRIES = {
+        "table": lambda p: SuccessorTable(p).cc((p.main, EMPTY_STATE)),
+        "cc_step": lambda p: cc_step(p, EMPTY_STATE, RichComm("p0", 0, "p1", "x")),
+        "cc_run": lambda p: cc_run(p, fuel=1),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_spine_walk_is_independent_of_length(self, entry, monkeypatch):
+        original = chor_mod._may_delay_past_eta
+        calls = []
+
+        def counted(pids, blocked):
+            calls.append(pids)
+            return original(pids, blocked)
+
+        monkeypatch.setattr(chor_mod, "_may_delay_past_eta", counted)
+        counts = []
+        for n in (200, 400):
+            calls.clear()
+            self.ENTRIES[entry](_ring(n))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] < 10
+
+    def test_long_run_at_the_default_recursion_limit(self):
+        # neither the walk nor the process set recurses along the spine
+        result = cc_run(_ring(3000), fuel=5000)
+        assert result.outcome == "terminated" and len(result.trace) == 3000
+
+    def test_undeclared_process_of_a_body(self):
+        # P declares a and b, but its body also lets c talk to d behind
+        # a and b: a stop set of main's and the declared processes alone
+        # would cut off c's action once a and b are blocked
+        body = Interaction(
+            CommEta("a", Lit(1), "b", "x"),
+            Interaction(
+                CommEta("b", Lit(2), "a", "y"),
+                Interaction(CommEta("c", Lit(3), "d", "z"), CHOR_END),
+            ),
+        )
+        p = ChorProgram({"P": ProcDef(("a", "b"), body)}, Call("P"))
+        assert not cc_check_wf(p).ok
+        assert program_pids(p) == {"a", "b", "c", "d"}
+        table = SuccessorTable(p)
+        reached = 0
+        for main, s, trans in explore(p, depth=20):
+            assert table.cc((main, s)) == trans == reference_cc_enabled(p.procs, main, s)
+            reached += 1
+        assert reached > 5
+
+    @pytest.mark.parametrize("name", sorted(f.stem for f in CORPUS.glob("*.chor")))
+    def test_corpus_walks(self, name):
+        p = load_program(name)
+        everyone = program_pids(p)
+        for main, s, trans in explore(p, depth=40):
+            stopped = cc_enabled(p.procs, main, s, frozenset(), everyone)
+            assert stopped == trans == reference_cc_enabled(p.procs, main, s), (name, main)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_choreographies(), _choreographies(), _choreographies(), _stores)
+    def test_generated(self, c, body_x, body_y, s):
+        p = ChorProgram(
+            {"X": ProcDef(("p", "q"), body_x), "Y": ProcDef(("q", "r", "s"), body_y)}, c
+        )
+        everyone = program_pids(p)
+        trans = cc_enabled(p.procs, c, s, frozenset(), everyone)
+        assert trans == reference_cc_enabled(p.procs, c, s)
+        for _label, c2, s2 in trans:
+            stopped = cc_enabled(p.procs, c2, s2, frozenset(), everyone)
+            assert stopped == reference_cc_enabled(p.procs, c2, s2)

@@ -5,14 +5,29 @@ from conftest import (
     AUTH_CLIENT,
     AUTH_PROVIDER,
     AUTH_SERVER,
+    CORPUS,
     PROJECTABLE,
+    explore,
     has_undefined,
     load_program,
 )
 
-from chorkit.chor import ChorProgram, ProcDef, RunningCall, cc_enabled, cc_step
+from chorkit import checker as checker_mod
+from chorkit.checker import SuccessorTable, verify_epp
+from chorkit.chor import (
+    CHOR_END,
+    ChorProgram,
+    CommEta,
+    Interaction,
+    ProcDef,
+    RunningCall,
+    SelectEta,
+    cc_enabled,
+    cc_step,
+    program_pids,
+)
 from chorkit.chor import End as ChorEnd
-from chorkit.core import EMPTY_STATE, Eq, Lit, VarRef
+from chorkit.core import EMPTY_STATE, Eq, Lit, State, VarRef
 from chorkit.merge import UNDEFINED, xmerge
 from chorkit.net import Branch, Call, Cond, Network, Recv, SP_END, SelectSend, Send
 from chorkit.projection import (
@@ -267,3 +282,59 @@ class TestEpp:
         assert np.procs[("Quiet", "c")] == SP_END
         assert np.procs[("Quiet", "z")] == SP_END
         assert "z" not in np.net.support
+
+
+class TestMemo:
+    """``bproj`` with a memo keyed by node identity against ``bproj``
+    without one."""
+
+    @pytest.mark.parametrize("name", sorted(f.stem for f in CORPUS.glob("*.chor")))
+    def test_corpus_and_reachable_terms(self, name):
+        # one memo for the whole program: main, every procedure body and
+        # every term reached within 10 steps share subtrees with each other
+        p = load_program(name)
+        stores = (EMPTY_STATE, State({("c", "credentials"): 7, ("s", "token"): 42}))
+        reached = [main for s0 in stores for main, _s, _trans in explore(p, s0, depth=10)]
+        terms = [p.main, *(d.body for d in p.procs.values()), *reached]
+        memo: dict = {}
+        for r in sorted(program_pids(p) | {"nobody"}):
+            for c in terms:
+                assert bproj(p.procs, c, r, memo) == bproj(p.procs, c, r), (r, c)
+        assert memo
+
+    def test_dropped_terms_do_not_answer_for_new_ones(self):
+        # each term is dropped once projected; without the identity check
+        # and the node it keeps, a later term could reuse a dropped term's
+        # id and read back its projection
+        memo: dict = {}
+        for i in range(2000):
+            a, b = ("p", "q") if i % 2 else ("q", "p")
+            eta = CommEta(a, Lit(i), b, "x") if i % 3 else SelectEta(a, b, "left")
+            c = Interaction(eta, Interaction(CommEta(b, Lit(i), a, "y"), CHOR_END))
+            for r in ("p", "q"):
+                assert bproj({}, c, r, memo) == bproj({}, c, r), (i, r)
+            del c, eta
+
+    def test_verify_network_is_the_memo_s(self, monkeypatch):
+        # verify_epp compiles its initial network through the memo its
+        # projection context uses, so projecting main again gives back the
+        # network's own behaviour objects
+        roots = []
+        original = checker_mod._Context.epp_net
+
+        def spy(ctx, main):
+            net = original(ctx, main)
+            roots.append((main, net))
+            return net
+
+        monkeypatch.setattr(checker_mod._Context, "epp_net", spy)
+        for name in PROJECTABLE:
+            p = load_program(name)
+            table = SuccessorTable(p)
+            roots.clear()
+            assert verify_epp(p, depth=2, table=table).ok, name
+            main, projected = roots[0]
+            compiled = table.net.net
+            assert main is p.main and projected == compiled, name
+            for pid in compiled.support:
+                assert projected.get(pid) is compiled.get(pid), (name, pid)
