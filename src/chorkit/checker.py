@@ -19,14 +19,16 @@ whose label the choreography also offers has just been checked.
 
 Projecting each reached choreography is incremental.  One ``verify_epp``
 call keeps one ``bproj`` memo, keyed by node identity and process, that
-answers only for the very node it stored and keeps that node alive; the
-initial network is compiled through it.  A step rebuilds only the part
-of the term in front of the action it takes, so the successor is
-projected only there, and every other behaviour comes back as the
-object already projected, which is often the live network's own: the
-pruning check relates a process whose two behaviours are one object by
-reflexivity, without walking them.  The memo lives for one call, so a
-projection seam patched between calls is always seen.
+answers only for the very node it stored and keeps that node alive.
+Checking the projectability hypothesis compiles the program once,
+through that memo, and the network it compiles is the initial one.  A
+step rebuilds only the part of the term in front of the action it
+takes, so the successor is projected only there, and every other
+behaviour comes back as the object already projected, which is often
+the live network's own: the pruning check relates a process whose two
+behaviours are one object by reflexivity, without walking them.  The
+memo lives for one call, so a projection seam patched between calls is
+always seen.
 
 Exploration is breadth-first with memoisation on canonical forms, so a
 reported counterexample is at minimal depth; the correspondence check and
@@ -148,15 +150,19 @@ class Verdict:
         return f"counterexample: {self.counterexample}"
 
 
-def check_hypotheses(
-    p: ChorProgram, xs, ps
-) -> Tuple[HypothesisFailure, ...]:
-    """The preconditions under which the correspondence is claimed.
+def check_hypotheses(p: ChorProgram, xs, ps) -> Tuple[HypothesisFailure, ...]:
+    """The preconditions under which the correspondence is claimed."""
+    return _hypotheses(p, xs, ps)[0]
 
-    Well-formedness of the program, projectability (whose coverage
-    conjuncts ask that ``xs`` and ``ps`` name every procedure and process
-    the program can reach), and strong projectability of main at every
-    listed process.
+
+def _hypotheses(p: ChorProgram, xs, ps, memo=None):
+    """The hypothesis failures, and the network program compiled on the
+    way (None unless the program is projectable).
+
+    Well-formedness of the program, projectability (checked by compiling
+    with ``projection.epp`` through ``memo``; its coverage conjuncts ask
+    that ``xs`` and ``ps`` name every procedure and process the program
+    can reach), and strong projectability of main at every listed process.
     """
     out: list = []
     wf = cc_check_wf(p)
@@ -164,9 +170,12 @@ def check_hypotheses(
         name = "well-annotation" if v.rule == "undeclared-process-use" else "well-formedness"
         out.append(HypothesisFailure(name, str(v)))
     if not wf.ok:
-        return tuple(out)
-    for f in projection.projectable(xs, ps, p):
-        out.append(HypothesisFailure("projectability", str(f)))
+        return tuple(out), None
+    try:
+        sp = projection.epp(xs, ps, p, memo)
+    except projection.ProjectionError as e:
+        sp = None
+        out.extend(HypothesisFailure("projectability", str(f)) for f in e.failures)
     for pid in ps:
         if not projection.str_projectable(p.procs, p.main, pid):
             out.append(
@@ -174,7 +183,7 @@ def check_hypotheses(
                     "strong-projectability", f"main not strongly projectable at {pid}"
                 )
             )
-    return tuple(out)
+    return tuple(out), sp
 
 
 class _Context:
@@ -381,7 +390,8 @@ def verify_epp(
     """Certify the correspondence for one program up to a depth bound.
 
     The hypotheses are checked against the procedure names and processes
-    ``projection.infer_params`` finds.  Nodes are (choreography, network,
+    ``projection.infer_params`` finds; checking projectability compiles
+    the network program, once.  Nodes are (choreography, network,
     state) triples.  The enabled transitions of both sides come from
     ``table`` (a fresh one for ``p`` if None), which also keeps the
     compiled network program in ``table.net``, and are paired once per
@@ -396,13 +406,13 @@ def verify_epp(
     node, and dies with the call.
     """
     xs, ps = projection.infer_params(p)
-    failures = check_hypotheses(p, xs, ps)
+    memo: dict = {}
+    failures, sp = _hypotheses(p, xs, ps, memo)
     if failures:
         return Verdict("hypotheses-violated", depth, hypothesis_failures=failures)
     if table is None:
         table = SuccessorTable(p)
-    memo: dict = {}
-    table.net = sp = projection.compile_projectable(xs, ps, p, memo)
+    table.net = sp
     ctx = _Context(p, sp, ps, memo)
     verdict = Verdict("verified", depth)
     root = (p.main, sp.net, s0)

@@ -6,7 +6,9 @@ and bounded verification.
 
 Every subcommand goes through one gate.  Its first level is
 well-formedness; its second, reached only by well-formed programs, is
-projectability.  ``check`` reports the gate's failures on stdout;
+projectability, checked by compiling the program once, and the
+compiled network is what ``project``, ``simulate`` and ``exec`` go on
+with.  ``check`` reports the gate's failures on stdout;
 ``project``, ``simulate`` and ``exec`` need both levels, ``run`` and
 ``verify`` only the first (``verify`` reports projectability as a
 hypothesis of the correspondence), and all five print the failures on
@@ -35,8 +37,8 @@ from .checker import (
 )
 from .core import State, TraceRecord, obs_label_text, rich_label_text, state_digest
 from .merge import UNDEFINED
-from .net import sp_run
-from .projection import compile_projectable, infer_params, projectable
+from .net import NetProgram, sp_run
+from .projection import ProjectionError, epp, infer_params
 from .runtime import RuntimeConfig, execute
 from .syntax import ParseError, SourceUnit, parse, print_behaviour
 
@@ -122,15 +124,20 @@ def _wf_failures(unit: SourceUnit) -> List[dict]:
     ]
 
 
-def _compile_failures(unit: SourceUnit) -> Tuple[List[dict], Optional[tuple]]:
+def _compile_failures(unit: SourceUnit) -> Tuple[List[dict], Optional[NetProgram], tuple]:
     """The whole gate: well-formedness, then projectability, which only
-    makes sense on well-formed programs.  Returns the failure entries and
-    the inferred (procedure names, pids) to compile with, None if ill-formed."""
+    makes sense on well-formed programs and is checked by compiling with
+    the inferred procedure names and pids.  Returns the failure entries,
+    the compiled program (None if there are failures) and the pids."""
     failures = _wf_failures(unit)
     if failures:
-        return failures, None
-    params = infer_params(unit.program)
-    for f in projectable(*params, unit.program):
+        return failures, None, ()
+    xs, ps = infer_params(unit.program)
+    try:
+        return failures, epp(xs, ps, unit.program), ps
+    except ProjectionError as e:
+        found = e.failures
+    for f in found:
         entry = {
             "kind": "projection",
             "process": f.process,
@@ -145,7 +152,7 @@ def _compile_failures(unit: SourceUnit) -> Tuple[List[dict], Optional[tuple]]:
             entry["conflict"] = [left, right]
             entry["text"] += f"\n  merge({left}, {right}) undefined"
         failures.append(entry)
-    return failures, params
+    return failures, None, ps
 
 
 def _refused(failures: List[dict]) -> bool:
@@ -183,7 +190,7 @@ def _loc(unit: SourceUnit, path) -> str:
 
 
 def _cmd_check(args) -> int:
-    failures, _ = _compile_failures(_load(args.file))
+    failures = _compile_failures(_load(args.file))[0]
     ok = not failures
     if args.json:
         print(
@@ -208,11 +215,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_project(args) -> int:
     unit = _load(args.file)
-    failures, params = _compile_failures(unit)
+    failures, np, ps = _compile_failures(unit)
     if _refused(failures):
         return 1
-    xs, ps = params
-    np = compile_projectable(xs, ps, unit.program)
     stem = FsPath(args.file).stem
     outdir = FsPath(args.outdir) if args.outdir else FsPath(args.file).parent
     outdir.mkdir(parents=True, exist_ok=True)
@@ -265,10 +270,9 @@ def _cmd_run(args) -> int:
 def _cmd_simulate(args) -> int:
     unit = _load(args.file)
     s0 = _parse_state(args.state)
-    failures, params = _compile_failures(unit)
+    failures, np, _ = _compile_failures(unit)
     if _refused(failures):
         return 1
-    np = compile_projectable(*params, unit.program)
     res = sp_run(np, s0, policy=args.policy, fuel=args.fuel, seed=args.seed)
     _emit_trace(res.trace, res.outcome, res.final_state, args.json)
     return 0 if res.outcome == "terminated" else 1
@@ -277,13 +281,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_exec(args) -> int:
     unit = _load(args.file)
     s0 = _parse_state(args.state)
-    failures, params = _compile_failures(unit)
+    failures, np, _ = _compile_failures(unit)
     if _refused(failures):
         return 1
     cfg = RuntimeConfig(
         seed=args.seed, step_timeout_ms=args.timeout_ms, max_steps=args.max_steps
     )
-    report = execute(compile_projectable(*params, unit.program), s0, cfg)
+    report = execute(np, s0, cfg)
     _emit_trace(report.trace, report.outcome, report.final_state, args.json)
     return 0 if report.outcome == "terminated" else 1
 

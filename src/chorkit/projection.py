@@ -8,6 +8,12 @@ of the branch projections everywhere else, which is where partiality
 enters.  ``epp`` compiles a whole program, projecting the main
 choreography and every procedure body for every declared process.
 
+A program is projectable exactly when ``epp`` compiles it, so the two are
+one pass: ``epp`` diagnoses each undefined projection where it finds it,
+adds the coverage failures, and raises them all in a
+``ProjectionError``; ``projectable`` returns that list, empty when the
+program compiles.
+
 Projectability comes in two strengths.  The plain analysis asks that no
 projection is undefined; the strong variant additionally
 constrains running-call terms, requiring each still-pending process to be
@@ -177,109 +183,40 @@ def _conflict_failures(
             _conflict_failures(procs, c.body, r, path + ("body",), out)
 
 
-def projection_failures(
-    procs: Mapping[ProcName, ProcDef], c: Choreography, r: Pid, root: Path = ()
-) -> list:
-    """All reasons bproj at ``r`` is undefined (empty when fine)."""
-    if bproj(procs, c, r) is not UNDEFINED:
-        return []
-    out: list = []
-    _conflict_failures(procs, c, r, root, out)
-    if not out:
-        out.append(ProjectionFailure(r, root, "undefined"))
-    return out
+def _coverage_failures(xs, ps, p: ChorProgram) -> list:
+    """The coverage conjuncts of projectability.
 
-
-def projectable_C(
-    procs: Mapping[ProcName, ProcDef], ps, c: Choreography, root: Path = ()
-) -> list:
-    """Failures preventing projection of ``c`` for any process in ``ps``."""
-    out: list = []
-    for p in ps:
-        out.extend(projection_failures(procs, c, p, root))
-    return out
-
-
-def projectable_D(xs, procs: Mapping[ProcName, ProcDef]) -> list:
-    out: list = []
-    for name in xs:
-        d = procs.get(name)
-        if d is None:
-            out.append(
-                ProjectionFailure(
-                    "-", ("def", name), "coverage", detail=f"procedure {name} undefined"
-                )
-            )
-            continue
-        out.extend(projectable_C(procs, d.params, d.body, ("def", name)))
-    return out
-
-
-def projectable(xs, ps, p: ChorProgram) -> list:
-    """The full projectability conjunction for a program.
-
-    Main and every listed procedure body must project for the relevant
-    processes, and the listed names and pids must cover everything the
-    program can mention: processes of main, declared parameter lists,
-    processes of procedure bodies, and every procedure name called from
-    main or from a listed body.
+    The listed names and pids must cover everything the program can
+    mention: processes of main, declared parameter lists, processes of
+    procedure bodies, and every procedure name called from main or from a
+    listed body.
     """
-    out = projectable_C(p.procs, ps, p.main, ("main",))
-    out.extend(projectable_D(xs, p.procs))
+    out: list = []
+
+    def uncovered(pid, root, detail):
+        out.append(ProjectionFailure(pid, root, "coverage", detail=detail))
+
     ps_set = set(ps)
     xs_set = set(xs)
     syntactic = lambda _name: ()
-    missing = chor_pids(p.main, syntactic) - ps_set
-    for pid in sorted(missing):
-        out.append(
-            ProjectionFailure(
-                pid, ("main",), "coverage", detail=f"process {pid} of main not in ps"
-            )
-        )
+    for pid in sorted(chor_pids(p.main, syntactic) - ps_set):
+        uncovered(pid, ("main",), f"process {pid} of main not in ps")
     for name in sorted(xs_set):
         d = p.procs.get(name)
         if d is None:
             continue
         for pid in sorted(set(d.params) - ps_set):
-            out.append(
-                ProjectionFailure(
-                    pid,
-                    ("def", name),
-                    "coverage",
-                    detail=f"declared process {pid} not in ps",
-                )
-            )
+            uncovered(pid, ("def", name), f"declared process {pid} not in ps")
         for pid in sorted(chor_pids(d.body, syntactic) - ps_set):
-            out.append(
-                ProjectionFailure(
-                    pid,
-                    ("def", name),
-                    "coverage",
-                    detail=f"process {pid} of the body not in ps",
-                )
-            )
+            uncovered(pid, ("def", name), f"process {pid} of the body not in ps")
     for name in sorted(called_procs(p.main) - xs_set):
-        out.append(
-            ProjectionFailure(
-                "-",
-                ("main",),
-                "coverage",
-                detail=f"procedure {name} called from main but not listed",
-            )
-        )
+        uncovered("-", ("main",), f"procedure {name} called from main but not listed")
     for name in sorted(xs_set):
         d = p.procs.get(name)
         if d is None:
             continue
         for callee in sorted(called_procs(d.body) - xs_set):
-            out.append(
-                ProjectionFailure(
-                    "-",
-                    ("def", name),
-                    "coverage",
-                    detail=f"procedure {callee} called from {name} but not listed",
-                )
-            )
+            uncovered("-", ("def", name), f"procedure {callee} called from {name} but not listed")
     return out
 
 
@@ -367,36 +304,61 @@ class ProjectionError(Exception):
         super().__init__(f"program is not projectable: {lines}{more}")
 
 
-def epp(xs, ps, p: ChorProgram) -> NetProgram:
-    """Compile a projectable program to a network with compiled procedures.
+def epp(xs, ps, p: ChorProgram, memo=None) -> NetProgram:
+    """Compile a program to a network with compiled procedures.
 
-    Raises ProjectionError when projectability fails; otherwise the same
-    as ``compile_projectable``.
+    The one projection pass: main is projected at every listed pid, and
+    every listed procedure body at each process it declares, once each.
+    A projection that is undefined is diagnosed where it is found (its
+    deepest merge conflicts, else one ``undefined`` entry), and the
+    coverage failures follow; any failure raises ``ProjectionError``
+    carrying them all.  Otherwise the network maps each listed pid to its
+    projection of main and the procedure table has one entry per (listed
+    procedure, declared process).  ``memo`` is passed to ``bproj`` for
+    main, so a caller that keeps it gets back the network's own behaviour
+    objects when it projects main again.
     """
-    failures = projectable(xs, ps, p)
-    if failures:
-        raise ProjectionError(failures)
-    return compile_projectable(xs, ps, p)
+    procs = p.procs
+    failures: list = []
 
+    def project(c, r, root, through=None):
+        b = bproj(procs, c, r, through)
+        if b is UNDEFINED:
+            before = len(failures)
+            _conflict_failures(procs, c, r, root, failures)
+            if len(failures) == before:
+                failures.append(ProjectionFailure(r, root, "undefined"))
+        return b
 
-def compile_projectable(xs, ps, p: ChorProgram, memo=None) -> NetProgram:
-    """The compile step of ``epp``, for a program already found projectable.
-
-    The network maps each listed pid to its projection of main; the
-    procedure table has one entry per (listed procedure, declared process).
-    ``memo`` is passed to ``bproj`` for main, so a caller that keeps it
-    gets back the network's own behaviour objects when it projects main
-    again.
-    """
-    net = Network((pid, bproj(p.procs, p.main, pid, memo)) for pid in ps)
+    entries = [(pid, project(p.main, pid, ("main",), memo)) for pid in ps]
     procs_b = {}
     for name in xs:
-        d = p.procs.get(name)
+        d = procs.get(name)
         if d is None:
+            detail = f"procedure {name} undefined"
+            failures.append(ProjectionFailure("-", ("def", name), "coverage", detail=detail))
             continue
         for pid in d.params:
-            procs_b[(name, pid)] = bproj(p.procs, d.body, pid)
-    return NetProgram(procs_b, net)
+            procs_b[(name, pid)] = project(d.body, pid, ("def", name))
+    failures.extend(_coverage_failures(xs, ps, p))
+    if failures:
+        raise ProjectionError(failures)
+    return NetProgram(procs_b, Network(entries))
+
+
+def projectable(xs, ps, p: ChorProgram) -> list:
+    """The full projectability conjunction for a program: the failures
+    that keep ``epp`` from compiling it, in ``epp``'s order, or ``[]``.
+
+    Main must project at every listed pid and every listed procedure body
+    at each process it declares, and the listed names and pids must cover
+    everything the program can mention.
+    """
+    try:
+        epp(xs, ps, p)
+    except ProjectionError as e:
+        return list(e.failures)
+    return []
 
 
 def epp_program(p: ChorProgram) -> NetProgram:

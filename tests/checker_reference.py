@@ -13,17 +13,22 @@ hold the live checker to it.
 
 The projection context is a frozen copy too: it projects every process
 over the whole reached term, without the ``bproj`` memo, so a fault in
-the memoised projection shows as a difference.  The hypotheses are the
-live ones, and ``_prunes`` is looked up on the live module at call time,
-so a monkeypatched seam reaches both checkers.
+the memoised projection shows as a difference.  The hypotheses and the
+compiled network come from the two-pass copy in
+``projection_reference.py``, so a fault in the one-pass compiler shows
+too; well-formedness and strong projectability are the live ones, and
+``bproj`` and ``_prunes`` are looked up on the live modules at call
+time, so a monkeypatched seam reaches both checkers.
 """
 
 from collections import deque
 
+from projection_reference import reference_compile, reference_projectable
+
 from chorkit import checker, projection
-from chorkit.checker import Counterexample, Verdict, check_hypotheses
+from chorkit.checker import Counterexample, HypothesisFailure, Verdict
 from chorkit.chor import End as ChorEnd
-from chorkit.chor import cc_enabled
+from chorkit.chor import cc_check_wf, cc_enabled
 from chorkit.core import EMPTY_STATE, RichCall, forget
 from chorkit.merge import UNDEFINED
 from chorkit.net import Network, NetProgram, sp_enabled, sp_step
@@ -164,12 +169,29 @@ def _sp_self_checks(ctx, net, s, sp_trans, verdict):
             verdict.stability_violations += 1
 
 
+def _hypotheses(p, xs, ps):
+    out = []
+    wf = cc_check_wf(p)
+    for v in wf.violations:
+        name = "well-annotation" if v.rule == "undeclared-process-use" else "well-formedness"
+        out.append(HypothesisFailure(name, str(v)))
+    if not wf.ok:
+        return tuple(out)
+    for f in reference_projectable(xs, ps, p):
+        out.append(HypothesisFailure("projectability", str(f)))
+    for pid in ps:
+        if not projection.str_projectable(p.procs, p.main, pid):
+            why = f"main not strongly projectable at {pid}"
+            out.append(HypothesisFailure("strong-projectability", why))
+    return tuple(out)
+
+
 def reference_verify_epp(p, depth=10, s0=EMPTY_STATE):
     xs, ps = projection.infer_params(p)
-    failures = check_hypotheses(p, xs, ps)
+    failures = _hypotheses(p, xs, ps)
     if failures:
         return Verdict("hypotheses-violated", depth, hypothesis_failures=failures)
-    sp = projection.compile_projectable(xs, ps, p)
+    sp = reference_compile(xs, ps, p)
     ctx = _Context(p, sp, ps)
     verdict = Verdict("verified", depth)
     root = (p.main, sp.net, s0)

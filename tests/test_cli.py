@@ -7,6 +7,7 @@ from conftest import CORPUS
 
 from chorkit import cli, projection
 from chorkit.cli import main
+from chorkit.projection import infer_params
 
 AUTH = str(CORPUS / "auth.chor")
 NOSELECT = str(CORPUS / "auth_noselect.chor")
@@ -171,32 +172,6 @@ class TestVerify:
         out = lines(capsys)
         assert out[0].startswith("epp-theorem: hypotheses violated")
 
-    def test_projectability_checked_once(self, capsys, monkeypatch):
-        original = projection.projectable
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(projection, "projectable", counted)
-        monkeypatch.setattr(cli, "projectable", counted)
-        assert main(["verify", AUTH]) == 0
-        assert len(calls) == 1
-
-    def test_network_compiled_once(self, capsys, monkeypatch):
-        original = projection.compile_projectable
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(projection, "compile_projectable", counted)
-        monkeypatch.setattr(cli, "compile_projectable", counted)
-        assert main(["verify", AUTH]) == 0
-        assert len(calls) == 1
-
     def test_json(self, capsys):
         assert main(["verify", AUTH, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -218,6 +193,41 @@ class TestVerify:
             "confluence-chor": (0, 6),
             "confluence-net": (0, 6),
         }
+
+
+class TestProjectedOnce:
+    """Checking projectability is compiling: every subcommand that needs
+    the network computes main's projection once per process, and any
+    later projection of main is a hit in the memo it was computed
+    through."""
+
+    @pytest.mark.parametrize("name", ["auth", "filetransfer"])
+    @pytest.mark.parametrize("command", ["project", "simulate", "exec", "verify"])
+    def test_main_projected_once_per_process(self, command, name, tmp_path, capsys, monkeypatch):
+        path = str(CORPUS / f"{name}.chor")
+        units = []
+        original_parse = cli.parse
+
+        def parse(*args):
+            units.append(original_parse(*args))
+            return units[-1]
+
+        original_bproj = projection.bproj
+        computed = []
+
+        def bproj(procs, c, r, memo=None):
+            if c is units[0].program.main:
+                hit = None if memo is None else memo.get((id(c), r))
+                if hit is None or hit[0] is not c:
+                    computed.append(r)
+            return original_bproj(procs, c, r, memo)
+
+        monkeypatch.setattr(cli, "parse", parse)
+        monkeypatch.setattr(projection, "bproj", bproj)
+        extra = ["-o", str(tmp_path)] if command == "project" else []
+        assert main([command, path, *extra]) == 0
+        _xs, ps = infer_params(units[0].program)
+        assert sorted(computed) == sorted(ps)
 
 
 class TestGate:

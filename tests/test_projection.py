@@ -11,8 +11,12 @@ from conftest import (
     has_undefined,
     load_program,
 )
+from hypothesis import given, settings
+from projection_reference import reference_compile, reference_projectable
+from test_chor import _choreographies
 
 from chorkit import checker as checker_mod
+from chorkit import projection
 from chorkit.checker import SuccessorTable, verify_epp
 from chorkit.chor import (
     CHOR_END,
@@ -38,7 +42,6 @@ from chorkit.projection import (
     epp_program,
     infer_params,
     projectable,
-    projection_failures,
     str_projectable,
 )
 
@@ -114,11 +117,15 @@ class TestEppList:
         )
 
 
+def _failures_at(p, pid):
+    """The failures ``projectable`` reports for one process of a program
+    listed with its inferred parameters."""
+    return [f for f in projectable(*infer_params(p), p) if f.process == pid]
+
+
 class TestDiagnostics:
     def test_noselect_conflicts(self, auth_noselect):
-        fs = projection_failures(
-            auth_noselect.procs, auth_noselect.main, "c", root=("main",)
-        )
+        fs = _failures_at(auth_noselect, "c")
         assert len(fs) == 1
         f = fs[0]
         assert f.kind == "merge-conflict"
@@ -130,15 +137,13 @@ class TestDiagnostics:
         )
 
     def test_noselect_server_conflict(self, auth_noselect):
-        fs = projection_failures(
-            auth_noselect.procs, auth_noselect.main, "s", root=("main",)
-        )
+        fs = _failures_at(auth_noselect, "s")
         assert fs[0].conflict == (Send("c", VarRef("token"), SP_END), SP_END)
 
     def test_clean_processes_report_nothing(self, auth_noselect, auth):
-        assert projection_failures(auth_noselect.procs, auth_noselect.main, "ip") == []
+        assert _failures_at(auth_noselect, "ip") == []
         for r in ("c", "ip", "s"):
-            assert projection_failures(auth.procs, auth.main, r) == []
+            assert _failures_at(auth, r) == []
 
 
 class TestProjectable:
@@ -282,6 +287,79 @@ class TestEpp:
         assert np.procs[("Quiet", "c")] == SP_END
         assert np.procs[("Quiet", "z")] == SP_END
         assert "z" not in np.net.support
+
+
+# Hand-picked listings: a missing process, an unlisted procedure called
+# from main or from a listed body, an unknown listed procedure, an extra
+# process, and a procedure's declared process left out.
+HAND_PICKED = [
+    ("auth", (), ("c", "ip", "s")),
+    ("auth", (), ("c", "ip")),
+    ("auth", ("Nope",), ("c", "ip", "s")),
+    ("auth", (), ("c", "ip", "s", "z")),
+    ("auth_noselect", (), ("c", "ip", "s")),
+    ("auth_noselect", ("Nope",), ("c",)),
+    ("filetransfer", (), ("c", "s")),
+    ("filetransfer", ("FileTransfer",), ("c", "s")),
+    ("filetransfer", ("FileTransfer",), ("c",)),
+    ("pingpong", ("Ping",), ("p", "q")),
+]
+
+
+def _agrees_with_reference(xs, ps, p):
+    """``projectable`` and ``epp`` against the frozen two-pass copy: the
+    same failures, every field and in order, and when there are none the
+    same network and procedure table, with and without a memo."""
+    expected = reference_projectable(xs, ps, p)
+    assert projectable(xs, ps, p) == expected
+    if expected:
+        for memo in (None, {}):
+            with pytest.raises(ProjectionError) as e:
+                epp(xs, ps, p, memo)
+            assert list(e.value.failures) == expected
+        return
+    compiled = reference_compile(xs, ps, p)
+    for memo in (None, {}):
+        np = epp(xs, ps, p, memo)
+        assert np.net == compiled.net
+        assert np.procs == compiled.procs
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("name", sorted(f.stem for f in CORPUS.glob("*.chor")))
+    def test_corpus_inferred(self, name):
+        p = load_program(name)
+        _agrees_with_reference(*infer_params(p), p)
+
+    @pytest.mark.parametrize("name,xs,ps", HAND_PICKED)
+    def test_hand_picked_listings(self, name, xs, ps):
+        _agrees_with_reference(xs, ps, load_program(name))
+
+    def test_silent_declared_process(self, auth):
+        procs = dict(auth.procs)
+        procs["Quiet"] = ProcDef(("c", "z"), ChorEnd())
+        widened = ChorProgram(procs, auth.main)
+        _agrees_with_reference(("Quiet",), ("c", "ip", "s", "z"), widened)
+
+    def test_undefined_without_a_conflict(self, monkeypatch):
+        # a running call whose projection is undefined while its body has
+        # no conflicting conditional is reported as plain ``undefined``
+        monkeypatch.setattr(projection, "_running_call_projection", lambda procs, c, r: UNDEFINED)
+        body = Interaction(CommEta("p", Lit(1), "q", "x"), CHOR_END)
+        p = ChorProgram({"X": ProcDef(("p", "q"), body)}, RunningCall("X", ("q",), body))
+        assert [f.kind for f in projectable(("X",), ("p", "q"), p)] == ["undefined", "undefined"]
+        _agrees_with_reference(("X",), ("p", "q"), p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_choreographies(), _choreographies(), _choreographies())
+    def test_generated(self, c, body_x, body_y):
+        # X and Y are defined, Z never is; the strategy's conditionals
+        # often have branches that do not merge
+        p = ChorProgram(
+            {"X": ProcDef(("p", "q"), body_x), "Y": ProcDef(("q", "r", "s"), body_y)}, c
+        )
+        for xs, ps in (infer_params(p), (("X", "Y", "Z"), ("p", "q", "r", "s")), (("X",), ("p", "q"))):
+            _agrees_with_reference(xs, ps, p)
 
 
 class TestMemo:
