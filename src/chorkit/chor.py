@@ -209,59 +209,74 @@ def _scan_chor(
     out: list,
     in_procedure: bool,
 ) -> None:
-    t = type(c)
-    if t is Interaction:
-        eta = c.eta
-        if eta.sender == eta.receiver:
-            out.append(
-                WfViolation(
-                    "self-communication",
-                    path,
-                    f"process {eta.sender} interacts with itself",
-                )
-            )
-        _scan_chor(c.cont, path + ("cont",), procs, out, in_procedure)
-    elif t is Cond:
-        _scan_chor(c.then_c, path + ("then",), procs, out, in_procedure)
-        _scan_chor(c.else_c, path + ("else",), procs, out, in_procedure)
-    elif t is Call:
-        if c.proc not in procs:
-            out.append(
-                WfViolation("unknown-procedure", path, f"call to undefined {c.proc}")
-            )
-    elif t is RunningCall:
-        if in_procedure:
-            out.append(
-                WfViolation(
-                    "non-initial-procedure-body",
-                    path,
-                    "running-call term inside a procedure body",
-                )
-            )
-        if not c.pending:
-            out.append(WfViolation("pending-empty", path, "empty pending list"))
-        if len(set(c.pending)) != len(c.pending):
-            out.append(
-                WfViolation("pending-duplicate", path, f"duplicates in {c.pending}")
-            )
-        if c.proc not in procs:
-            out.append(
-                WfViolation(
-                    "unknown-procedure", path, f"running call to undefined {c.proc}"
-                )
-            )
-        else:
-            declared = set(procs[c.proc].params)
-            for pid in c.pending:
-                if pid not in declared:
-                    out.append(
-                        WfViolation(
-                            "pending-not-declared",
-                            path,
-                            f"{pid} pending but not declared by {c.proc}",
-                        )
+    """Append the violations in ``c``, at ``path``, to ``out`` in pre-order.
+
+    Interaction spines are walked in a loop and a node's path is built
+    only to report it or to descend into a branch, so a long spine costs
+    neither stack depth nor quadratic path building."""
+    todo = [(c, path)]
+    while todo:
+        c, path = todo.pop()
+        k = 0  # "cont" steps taken from path
+        while type(c) is Interaction:
+            eta = c.eta
+            if eta.sender == eta.receiver:
+                out.append(
+                    WfViolation(
+                        "self-communication",
+                        path + ("cont",) * k,
+                        f"process {eta.sender} interacts with itself",
                     )
-        _scan_chor(c.body, path + ("body",), procs, out, in_procedure)
+                )
+            c = c.cont
+            k += 1
+        t = type(c)
+        if t is End:
+            continue
+        if k:
+            path = path + ("cont",) * k
+        if t is Cond:
+            # else is pushed first so that then is reported first
+            todo.append((c.else_c, path + ("else",)))
+            todo.append((c.then_c, path + ("then",)))
+        elif t is Call:
+            if c.proc not in procs:
+                out.append(
+                    WfViolation("unknown-procedure", path, f"call to undefined {c.proc}")
+                )
+        elif t is RunningCall:
+            if in_procedure:
+                out.append(
+                    WfViolation(
+                        "non-initial-procedure-body",
+                        path,
+                        "running-call term inside a procedure body",
+                    )
+                )
+            if not c.pending:
+                out.append(WfViolation("pending-empty", path, "empty pending list"))
+            if len(set(c.pending)) != len(c.pending):
+                out.append(
+                    WfViolation("pending-duplicate", path, f"duplicates in {c.pending}")
+                )
+            if c.proc not in procs:
+                out.append(
+                    WfViolation(
+                        "unknown-procedure", path, f"running call to undefined {c.proc}"
+                    )
+                )
+            else:
+                declared = set(procs[c.proc].params)
+                for pid in c.pending:
+                    if pid not in declared:
+                        out.append(
+                            WfViolation(
+                                "pending-not-declared",
+                                path,
+                                f"{pid} pending but not declared by {c.proc}",
+                            )
+                        )
+            todo.append((c.body, path + ("body",)))
 
 
 def cc_check_wf(p: ChorProgram) -> WfReport:

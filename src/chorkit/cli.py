@@ -289,6 +289,8 @@ def _cmd_exec(args) -> int:
     )
     report = execute(np, s0, cfg)
     _emit_trace(report.trace, report.outcome, report.final_state, args.json)
+    if report.error is not None:
+        print(f"{args.file}: worker error: {report.error!r}", file=sys.stderr)
     return 0 if report.outcome == "terminated" else 1
 
 

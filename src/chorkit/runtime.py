@@ -16,7 +16,9 @@ deterministic function of (program, state, config), and the emitted
 trace replays step by step through the sequential semantics, which
 ``validate_trace`` checks.  Deadlock is declared when all live threads
 are blocked with no matching pair; when offers stop arriving within the
-configured timeout the run ends with outcome ``timeout`` instead.
+configured timeout the run ends with outcome ``timeout`` instead.  A
+thread that raises posts the exception in place of its offer, and the
+run ends with outcome ``worker-error`` and the exception in the report.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ class ExecutionReport:
     trace: Tuple[TraceRecord, ...]
     final_state: State
     final_net: Network
-    outcome: str  # terminated | deadlocked | timeout | step-limit
+    outcome: str  # terminated | deadlocked | timeout | step-limit | worker-error
+    error: Optional[BaseException] = None  # what a worker raised (worker-error)
 
     @property
     def labels(self) -> tuple:
@@ -95,6 +98,12 @@ class _Worker(threading.Thread):
         self.grants: "queue.Queue" = queue.Queue()
 
     def run(self) -> None:
+        try:
+            self._walk()
+        except Exception as e:  # noqa: BLE001  (reported as the run's outcome)
+            self.offers.put((self.pid, ("error", e)))
+
+    def _walk(self) -> None:
         b = self.behaviour
         while True:
             t = type(b)
@@ -171,11 +180,16 @@ def execute(
     trace: list = []
     timeout = cfg.step_timeout_ms / 1000.0
     digest = state_digest(s0)
+    error = None
 
     try:
         while True:
             if not _drain_offers(offers_q, offers, awaited, timeout):
                 outcome = "timeout"
+                break
+            failed = sorted(q for q, o in offers.items() if o[0] == "error")
+            if failed:
+                outcome, error = "worker-error", offers[failed[0]][1]
                 break
             for pid in [q for q, o in offers.items() if o[0] == "done"]:
                 live.discard(pid)
@@ -204,7 +218,7 @@ def execute(
                 workers[pid].grants.put(("halt",))
         for w in workers.values():
             w.join(timeout=1.0)
-    return ExecutionReport(tuple(trace), mirror_state, mirror.net, outcome)
+    return ExecutionReport(tuple(trace), mirror_state, mirror.net, outcome, error)
 
 
 def _drain_offers(offers_q, offers, awaited, timeout: float) -> bool:

@@ -4,15 +4,41 @@ Choreography sources use the ``.chor`` grammar; behaviours have their own
 single-line notation used by ``project`` output.  Both printers are exact
 inverses of the corresponding parsers on parseable terms.
 
-Tokens carry only the offset of their first character, and spans hold
-offsets too.  A line and column are computed from the text only where
-they are read: when a ``ParseError`` is raised and in ``span_for``.
+The lexer makes one regex match per token, whitespace and comments in
+front of it included, into flat lists of kinds, texts and first offsets
+that the parser indexes.  Spans hold offsets too.  A line and column are
+computed from the text only where they are read: when a ``ParseError``
+is raised and in ``span_for``.
+
+An interaction spine, the chain of ``Interaction`` nodes linked by
+``cont`` together with the node that ends it, is parsed in a loop and
+built back to front, in time linear in its length; the parser recurses
+only into conditional branches, behaviour branches and parentheses.
+Chains of sends, receives and selections in behaviours are handled the
+same way, and so is printing them.
+
+Span keys.  Diagnostics name a node by its path: ("main",) or
+("def", X), then one "cont", "then" or "else" segment per step down.
+Along a spine that path grows by a "cont" per interaction, so spans are
+not keyed by it.  A key is a path in canonical form, in which each run
+of k "cont" segments is the integer k: ("main", 3, "then") is
+("main", "cont", "cont", "cont", "then").  Spans are stored per spine,
+under the key of its first node: the first offset of each node of the
+spine, in order, and the last offset, which every node of a spine
+shares, since each one extends to the end of the spine.  A key is as
+long as the conditional nesting at its spine, so storage and build cost
+are O(nodes x nesting).  The whole program, at (), and each procedure
+definition, at ("def", X), have spans of their own, which take
+precedence over the first node of the body at the same path.
+``span_for`` puts the path it is given in canonical form and falls back
+to the nearest enclosing node, one segment at a time.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .chor import (
@@ -98,130 +124,198 @@ def _line_col(text: str, pos: int) -> Tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-# Every character matches: whitespace and comments have no group, and a
-# lone "=" or any other stray character is a "bad" token.
+class _Error(Exception):
+    """A syntax error at an offset, ``_Error(msg, pos)``.  The parser raises
+    it cheaply; the entry points turn it into a ``ParseError``."""
+
+
+def _positioned(text: str, e: _Error) -> ParseError:
+    msg, pos = e.args
+    return ParseError(msg, *_line_col(text, pos))
+
+
+# One match per token: the whitespace and "//" comments in front of it,
+# then the token.  Every character matches: a lone "=" or any other
+# stray character is a "bad" token, and the end of the text is "eof".
 _TOKEN_RE = re.compile(
-    r"""[ \t\r\n]+
-      | //[^\n]*
-      | (?P<int>[0-9]+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>\(\+\)|->|==|<=|&&|[.;{}()\[\],!+\-*?:@<&])
-      | (?P<bad>.)
-    """,
+    r"""[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
+      (?: (?P<int>[0-9]+)
+        | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<punct>\(\+\)|->|==|<=|&&|[.;{}()\[\],!+\-*?:@<&])
+        | (?P<bad>.)
+        | (?P<eof>\Z)
+      )""",
     re.VERBOSE,
 )
 
 
-def tokenize(text: str) -> List[Token]:
-    toks: List[Token] = []
+def _lex(text: str) -> Tuple[List[str], List[str], List[int]]:
+    """The kind, text and first offset of every token, ending with eof."""
+    kinds: List[str] = []
+    texts: List[str] = []
+    offs: List[int] = []
+    add_kind, add_text, add_off = kinds.append, texts.append, offs.append
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        tok = m.group(kind)
         if kind == "bad":
-            c = m.group()
-            msg = f"unexpected character {c!r}"
-            if c == "=":
+            msg = f"unexpected character {tok!r}"
+            if tok == "=":
                 msg = "single '=' (did you mean '==')"
-            raise ParseError(msg, *_line_col(text, m.start()))
-        if kind is not None:
-            toks.append(Token(kind, m.group(), m.start()))
-    toks.append(Token("eof", "", len(text)))
-    return toks
+            raise _Error(msg, m.start(kind))
+        add_kind(kind)
+        add_text(tok)
+        add_off(m.end() - len(tok))
+        if kind == "eof":
+            break
+    return kinds, texts, offs
+
+
+def tokenize(text: str) -> List[Token]:
+    try:
+        return [Token(*t) for t in zip(*_lex(text))]
+    except _Error as e:
+        raise _positioned(text, e) from None
+
+
+def _canonical(path: Path) -> tuple:
+    """``path`` with each run of "cont" segments replaced by its length."""
+    out: list = []
+    for seg, run in groupby(path):
+        if seg == "cont":
+            out.append(len(list(run)))
+        else:
+            out.extend(run)
+    return tuple(out)
 
 
 @dataclass
 class SourceUnit:
     """A parsed choreography source with per-node source spans.
 
-    Spans are keyed by node path: ("main",) or ("def", X) for the top of
-    each body, extended with "cont"/"then"/"else" segments below, the
-    same scheme diagnostics use.  Each holds the offsets of the node's
-    first and last characters.
+    Keys are canonical paths (see the module docstring).  ``spines`` maps
+    the key of each spine's first node to the first offsets of its nodes
+    and the last offset they share; ``blocks`` holds the spans of the
+    whole program and of each procedure definition.
     """
 
     path: str
     text: str
     program: ChorProgram
-    spans: Dict[Path, Tuple[int, int]] = field(default_factory=dict)
+    spines: Dict[tuple, Tuple[List[int], int]] = field(default_factory=dict)
+    blocks: Dict[tuple, Tuple[int, int]] = field(default_factory=dict)
+
+    def _offsets(self, key: tuple) -> Optional[Tuple[int, int]]:
+        """First and last offsets of the node at canonical ``key``."""
+        hit = self.blocks.get(key)
+        if hit is not None:
+            return hit
+        k = key[-1] if key and type(key[-1]) is int else 0
+        spine = self.spines.get(key[:-1] if k else key)
+        if spine is None or k >= len(spine[0]):
+            return None
+        return spine[0][k], spine[1]
 
     def span_for(self, path: Path) -> Optional[Span]:
         """Span at ``path``, falling back to the nearest enclosing node."""
-        p = tuple(path)
-        while p and p not in self.spans:
-            p = p[:-1]
-        if p not in self.spans:
+        key = _canonical(path)
+        hit = self._offsets(key)
+        while hit is None and key:
+            # drop the last segment: one "cont" of a run, or a whole name
+            last = key[-1]
+            key = key[:-1] + (last - 1,) if type(last) is int and last > 1 else key[:-1]
+            hit = self._offsets(key)
+        if hit is None:
             return None
-        first, last = self.spans[p]
+        first, last = hit
         return Span(*_line_col(self.text, first), *_line_col(self.text, last))
 
 
+_COMPARISONS = {"==": Eq, "<=": Le, "<": Lt}
+
+
 class _Parser:
+    """Recursive descent over the flat token lists of ``_lex``.
+
+    Sequences (interaction spines, behaviour prefixes) are parsed in a
+    loop and built back to front, so recursion depth is the nesting
+    depth of conditionals, branches and parentheses."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.toks = tokenize(text)
+        self.kinds, self.texts, self.offs = _lex(text)
         self.i = 0
-        self.spans: Dict[Path, Tuple[int, int]] = {}
+        self.spines: Dict[tuple, Tuple[List[int], int]] = {}
+        self.blocks: Dict[tuple, Tuple[int, int]] = {}
 
     # -- plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def fail(self, msg: str) -> _Error:
+        return _Error(msg, self.offs[self.i])
 
-    def advance(self) -> Token:
-        t = self.toks[self.i]
+    def expected(self, what: str) -> _Error:
+        found = self.texts[self.i] or "end of input"
+        return self.fail(f"expected {what}, found {found!r}")
+
+    def expect(self, text: str) -> None:
+        if self.texts[self.i] != text:
+            raise self.expected(repr(text))
+        self.i += 1
+
+    def ident(self, what: str) -> str:
+        i = self.i
+        t = self.texts[i]
+        if self.kinds[i] != "ident" or t in RESERVED:
+            raise self.expected(what)
+        self.i = i + 1
+        return t
+
+    def label(self) -> str:
+        t = self.texts[self.i]
+        if t not in LABELS:
+            raise self.fail("expected 'left' or 'right'")
         self.i += 1
         return t
 
-    def fail(self, msg: str) -> "ParseError":
-        return ParseError(msg, *_line_col(self.text, self.peek().pos))
-
-    def expected(self, what: str) -> "ParseError":
-        found = self.peek().text or "end of input"
-        return self.fail(f"expected {what}, found {found!r}")
-
-    def at(self, text: str) -> bool:
-        return self.toks[self.i].text == text
-
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
-            raise self.expected(repr(text))
-        return self.advance()
-
-    def ident(self, what: str = "identifier") -> Token:
-        t = self.peek()
-        if t.kind != "ident" or t.text in RESERVED:
-            raise self.expected(what)
-        return self.advance()
-
-    def note(self, path: Path, start: Token, end: Token) -> None:
-        self.spans[path] = (start.pos, end.pos + len(end.text) - 1)
+    def last_offset(self) -> int:
+        """Offset of the last character of the token just consumed."""
+        i = self.i - 1
+        return self.offs[i] + len(self.texts[i]) - 1
 
     # -- expressions -------------------------------------------------
 
     def expr(self) -> Expr:
         e = self.term()
-        while self.at("+") or self.at("-"):
-            op = self.advance().text
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
+        texts = self.texts
+        while True:
+            op = texts[self.i]
+            if op == "+":
+                self.i += 1
+                e = Add(e, self.term())
+            elif op == "-":
+                self.i += 1
+                e = Sub(e, self.term())
+            else:
+                return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while self.at("*"):
-            self.advance()
+        while self.texts[self.i] == "*":
+            self.i += 1
             e = Mul(e, self.factor())
         return e
 
     def factor(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
-            self.advance()
-            return Lit(int(t.text))
-        if t.kind == "ident" and t.text not in RESERVED:
-            self.advance()
-            return VarRef(t.text)
-        if self.at("("):
-            self.advance()
+        i = self.i
+        t = self.texts[i]
+        kind = self.kinds[i]
+        if kind == "int":
+            self.i = i + 1
+            return Lit(int(t))
+        if kind == "ident" and t not in RESERVED:
+            self.i = i + 1
+            return VarRef(t)
+        if t == "(":
+            self.i = i + 1
             e = self.expr()
             self.expect(")")
             return e
@@ -229,41 +323,36 @@ class _Parser:
 
     def bexpr(self) -> BExpr:
         b = self.batom()
-        while self.at("&&"):
-            self.advance()
+        while self.texts[self.i] == "&&":
+            self.i += 1
             b = And(b, self.batom())
         return b
 
     def batom(self) -> BExpr:
-        t = self.peek()
-        if t.text == "true":
-            self.advance()
+        i = self.i
+        t = self.texts[i]
+        if t == "true":
+            self.i = i + 1
             return TRUE
-        if t.text == "false":
-            self.advance()
+        if t == "false":
+            self.i = i + 1
             return FALSE
-        if self.at("!"):
-            self.advance()
+        if t == "!":
+            self.i = i + 1
             return Not(self.batom())
         # A "(" is ambiguous: parenthesised comparison operand versus
         # parenthesised boolean.  Try the comparison reading, backtrack.
-        mark = self.i
         try:
             lhs = self.expr()
-            if self.at("=="):
-                self.advance()
-                return Eq(lhs, self.expr())
-            if self.at("<="):
-                self.advance()
-                return Le(lhs, self.expr())
-            if self.at("<"):
-                self.advance()
-                return Lt(lhs, self.expr())
-            raise self.fail("expected comparison operator")
-        except ParseError:
-            self.i = mark
-        if self.at("("):
-            self.advance()
+            cmp = _COMPARISONS.get(self.texts[self.i])
+            if cmp is not None:
+                self.i += 1
+                return cmp(lhs, self.expr())
+        except _Error:
+            pass
+        self.i = i
+        if t == "(":
+            self.i = i + 1
             b = self.bexpr()
             self.expect(")")
             return b
@@ -271,172 +360,185 @@ class _Parser:
 
     # -- choreographies ----------------------------------------------
 
-    def chor(self, path: Path) -> Choreography:
-        start = self.peek()
-        if self.at("end"):
-            self.advance()
-            self.note(path, start, start)
-            return CHOR_END
-        if self.at("if"):
-            self.advance()
-            pid = self.ident("process name").text
-            self.expect(".")
-            guard = self.bexpr()
-            self.expect("then")
-            self.expect("{")
-            then_c = self.chor(path + ("then",))
-            self.expect("}")
-            self.expect("else")
-            self.expect("{")
-            else_c = self.chor(path + ("else",))
-            end = self.expect("}")
-            self.note(path, start, end)
-            return Cond(pid, guard, then_c, else_c)
-        if self.at("call"):
-            self.advance()
-            name = self.ident("procedure name")
-            self.note(path, start, name)
-            return Call(name.text)
-        eta = self.eta()
-        self.expect(";")
-        cont = self.chor(path + ("cont",))
-        self.note(path, start, self.toks[self.i - 1])
-        return Interaction(eta, cont)
+    def chor(self, root: tuple) -> Choreography:
+        """The spine whose first node is at canonical path ``root``."""
+        texts, offs = self.texts, self.offs
+        starts: List[int] = []
+        etas: List[Eta] = []
+        while True:
+            i = self.i
+            t = texts[i]
+            starts.append(offs[i])
+            if t == "end":
+                self.i = i + 1
+                c: Choreography = CHOR_END
+                break
+            if t == "if":
+                self.i = i + 1
+                pid = self.ident("process name")
+                self.expect(".")
+                guard = self.bexpr()
+                self.expect("then")
+                self.expect("{")
+                here = root + (len(etas),) if etas else root
+                then_c = self.chor(here + ("then",))
+                self.expect("}")
+                self.expect("else")
+                self.expect("{")
+                else_c = self.chor(here + ("else",))
+                self.expect("}")
+                c = Cond(pid, guard, then_c, else_c)
+                break
+            if t == "call":
+                self.i = i + 1
+                c = Call(self.ident("procedure name"))
+                break
+            etas.append(self.eta())
+            self.expect(";")
+        self.spines[root] = (starts, self.last_offset())
+        for eta in reversed(etas):
+            c = Interaction(eta, c)
+        return c
 
     def eta(self) -> Eta:
-        sender = self.ident("process name").text
-        if self.at("."):
-            self.advance()
+        sender = self.ident("process name")
+        t = self.texts[self.i]
+        if t == ".":
+            self.i += 1
             e = self.expr()
             self.expect("->")
-            recv = self.ident("process name").text
+            recv = self.ident("process name")
             self.expect(".")
-            var = self.ident("variable name").text
-            return CommEta(sender, e, recv, var)
-        if self.at("->"):
-            self.advance()
-            recv = self.ident("process name").text
+            return CommEta(sender, e, recv, self.ident("variable name"))
+        if t == "->":
+            self.i += 1
+            recv = self.ident("process name")
             self.expect("[")
-            lab = self.peek()
-            if lab.text not in LABELS:
-                raise self.fail("expected 'left' or 'right'")
-            self.advance()
+            lab = self.label()
             self.expect("]")
-            return SelectEta(sender, recv, lab.text)
+            return SelectEta(sender, recv, lab)
         raise self.fail("expected '.' or '->' after process name")
 
     def program(self) -> ChorProgram:
-        first = self.peek()
+        texts = self.texts
         procs: Dict[str, ProcDef] = {}
-        while self.at("def"):
-            start = self.advance()
-            name = self.ident("procedure name").text
+        while texts[self.i] == "def":
+            start = self.offs[self.i]
+            self.i += 1
+            name = self.ident("procedure name")
             if name in procs:
-                raise ParseError(
-                    f"duplicate definition of {name}",
-                    *_line_col(self.text, start.pos),
-                )
+                raise _Error(f"duplicate definition of {name}", start)
             self.expect("(")
-            params = [self.ident("process name").text]
-            while self.at(","):
-                self.advance()
-                params.append(self.ident("process name").text)
+            params = [self.ident("process name")]
+            while texts[self.i] == ",":
+                self.i += 1
+                params.append(self.ident("process name"))
             self.expect(")")
             self.expect("{")
             body = self.chor(("def", name))
-            end = self.expect("}")
-            self.note(("def", name), start, end)
+            self.expect("}")
+            self.blocks[("def", name)] = (start, self.last_offset())
             procs[name] = ProcDef(tuple(params), body)
         self.expect("main")
         self.expect("{")
         main = self.chor(("main",))
-        end = self.expect("}")
-        t = self.peek()
-        if t.kind != "eof":
-            raise self.fail(f"unexpected {t.text!r} after main block")
-        self.note((), first, end)
+        self.expect("}")
+        if self.kinds[self.i] != "eof":
+            raise self.fail(f"unexpected {texts[self.i]!r} after main block")
+        self.blocks[()] = (self.offs[0], self.last_offset())
         return ChorProgram(procs, main)
 
     # -- behaviours --------------------------------------------------
 
     def behaviour(self) -> Behaviour:
-        if self.at("end"):
-            self.advance()
-            return SP_END
-        if self.at("if"):
-            self.advance()
-            guard = self.bexpr()
-            self.expect("then")
-            self.expect("{")
-            then_b = self.behaviour()
-            self.expect("}")
-            self.expect("else")
-            self.expect("{")
-            else_b = self.behaviour()
-            self.expect("}")
-            return SpCond(guard, then_b, else_b)
-        if self.at("call"):
-            self.advance()
-            name = self.ident("procedure name").text
-            self.expect("@")
-            pid = self.ident("process name").text
-            return SpCall((name, pid))
-        peer = self.ident("process name").text
-        if self.at("!"):
-            self.advance()
-            e = self.expr()
-            self.expect(";")
-            return Send(peer, e, self.behaviour())
-        if self.at("?"):
-            self.advance()
-            var = self.ident("variable name").text
-            self.expect(";")
-            return Recv(peer, var, self.behaviour())
-        if self.at("(+)"):
-            self.advance()
-            lab = self.peek()
-            if lab.text not in LABELS:
-                raise self.fail("expected 'left' or 'right'")
-            self.advance()
-            self.expect(";")
-            return SelectSend(peer, lab.text, self.behaviour())
-        if self.at("&"):
-            self.advance()
-            self.expect("{")
-            opts: Dict[str, Behaviour] = {}
-            if not self.at("}"):
-                self.branch_option(opts)
-                if self.at(","):
-                    self.advance()
+        """A chain of sends, receives and selections, parsed in a loop,
+        then the term that ends it."""
+        texts = self.texts
+        prefix: list = []  # (constructor, peer, field) for each action
+        while True:
+            t = texts[self.i]
+            if t == "end":
+                self.i += 1
+                b: Behaviour = SP_END
+                break
+            if t == "if":
+                self.i += 1
+                guard = self.bexpr()
+                self.expect("then")
+                self.expect("{")
+                then_b = self.behaviour()
+                self.expect("}")
+                self.expect("else")
+                self.expect("{")
+                else_b = self.behaviour()
+                self.expect("}")
+                b = SpCond(guard, then_b, else_b)
+                break
+            if t == "call":
+                self.i += 1
+                name = self.ident("procedure name")
+                self.expect("@")
+                b = SpCall((name, self.ident("process name")))
+                break
+            peer = self.ident("process name")
+            op = texts[self.i]
+            if op == "!":
+                self.i += 1
+                prefix.append((Send, peer, self.expr()))
+            elif op == "?":
+                self.i += 1
+                prefix.append((Recv, peer, self.ident("variable name")))
+            elif op == "(+)":
+                self.i += 1
+                prefix.append((SelectSend, peer, self.label()))
+            elif op == "&":
+                self.i += 1
+                self.expect("{")
+                opts: Dict[str, Behaviour] = {}
+                if texts[self.i] != "}":
                     self.branch_option(opts)
-            self.expect("}")
-            return Branch(peer, opts.get("left"), opts.get("right"))
-        raise self.fail("expected '!', '?', '(+)' or '&' after process name")
+                    if texts[self.i] == ",":
+                        self.i += 1
+                        self.branch_option(opts)
+                self.expect("}")
+                b = Branch(peer, opts.get("left"), opts.get("right"))
+                break
+            else:
+                raise self.fail("expected '!', '?', '(+)' or '&' after process name")
+            self.expect(";")
+        for make, peer, x in reversed(prefix):
+            b = make(peer, x, b)
+        return b
 
     def branch_option(self, opts: Dict[str, Behaviour]) -> None:
-        lab = self.peek()
-        if lab.text not in LABELS:
+        lab = self.texts[self.i]
+        if lab not in LABELS:
             raise self.fail("expected 'left' or 'right'")
-        if lab.text in opts:
-            raise self.fail(f"duplicate {lab.text} option")
-        self.advance()
+        if lab in opts:
+            raise self.fail(f"duplicate {lab} option")
+        self.i += 1
         self.expect(":")
-        opts[lab.text] = self.behaviour()
+        opts[lab] = self.behaviour()
 
 
 def parse(text: str, path: str = "<string>") -> SourceUnit:
     """Parse a choreography source file into a program with spans."""
-    p = _Parser(text)
-    program = p.program()
-    return SourceUnit(path, text, program, p.spans)
+    try:
+        p = _Parser(text)
+        program = p.program()
+    except _Error as e:
+        raise _positioned(text, e) from None
+    return SourceUnit(path, text, program, p.spines, p.blocks)
 
 
 def parse_behaviour(text: str) -> Behaviour:
-    p = _Parser(text)
-    b = p.behaviour()
-    t = p.peek()
-    if t.kind != "eof":
-        raise p.fail(f"unexpected {t.text!r} after behaviour")
+    try:
+        p = _Parser(text)
+        b = p.behaviour()
+        if p.kinds[p.i] != "eof":
+            raise p.fail(f"unexpected {p.texts[p.i]!r} after behaviour")
+    except _Error as e:
+        raise _positioned(text, e) from None
     return b
 
 
@@ -526,27 +628,41 @@ def print_choreography(p: ChorProgram) -> str:
 
 def print_behaviour(b: Behaviour) -> str:
     """Single-line behaviour notation, inverse of parse_behaviour."""
-    t = type(b)
+    out: List[str] = []
+    _print_behaviour(b, out)
+    return "".join(out)
+
+
+def _print_behaviour(b: Behaviour, out: List[str]) -> None:
+    while True:
+        t = type(b)
+        if t is Send:
+            out.append(f"{b.peer}!{print_expr(b.expr)}; ")
+        elif t is Recv:
+            out.append(f"{b.peer}?{b.var}; ")
+        elif t is SelectSend:
+            out.append(f"{b.peer}(+){b.label}; ")
+        else:
+            break
+        b = b.cont
     if t is SpEnd:
-        return "end"
-    if t is Send:
-        return f"{b.peer}!{print_expr(b.expr)}; {print_behaviour(b.cont)}"
-    if t is Recv:
-        return f"{b.peer}?{b.var}; {print_behaviour(b.cont)}"
-    if t is SelectSend:
-        return f"{b.peer}(+){b.label}; {print_behaviour(b.cont)}"
-    if t is Branch:
-        opts = []
+        out.append("end")
+    elif t is Branch:
+        out.append(f"{b.peer} & {{ ")
         if b.on_left is not None:
-            opts.append(f"left: {print_behaviour(b.on_left)}")
+            out.append("left: ")
+            _print_behaviour(b.on_left, out)
         if b.on_right is not None:
-            opts.append(f"right: {print_behaviour(b.on_right)}")
-        return f"{b.peer} & {{ {', '.join(opts)} }}" if opts else f"{b.peer} & {{ }}"
-    if t is SpCond:
-        return (
-            f"if {print_bexpr(b.guard)} then {{ {print_behaviour(b.then_b)} }}"
-            f" else {{ {print_behaviour(b.else_b)} }}"
-        )
-    assert t is SpCall
-    name, pid = b.name
-    return f"call {name}@{pid}"
+            out.append(", right: " if b.on_left is not None else "right: ")
+            _print_behaviour(b.on_right, out)
+        out.append("}" if b.on_left is None and b.on_right is None else " }")
+    elif t is SpCond:
+        out.append(f"if {print_bexpr(b.guard)} then {{ ")
+        _print_behaviour(b.then_b, out)
+        out.append(" } else { ")
+        _print_behaviour(b.else_b, out)
+        out.append(" }")
+    else:
+        assert t is SpCall
+        name, pid = b.name
+        out.append(f"call {name}@{pid}")

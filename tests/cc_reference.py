@@ -1,14 +1,20 @@
-"""A frozen copy of ``chor.cc_enabled`` as it was before the delay rule
-was folded into the recursion.
+"""Frozen copies of earlier versions of ``chorkit.chor``.
 
-It derives every transition of a continuation and then drops those that
-share a process with the action they would overtake: under an
-interaction, under a conditional's decider, and under a running call's
-pending processes.  Slow but plain; the differential tests in
-``test_chor.py`` hold the live function to it.
+``reference_cc_enabled`` is ``cc_enabled`` as it was before the delay
+rule was folded into the recursion.  It derives every transition of a
+continuation and then drops those that share a process with the action
+they would overtake: under an interaction, under a conditional's
+decider, and under a running call's pending processes.
+
+``reference_scan_chor`` is the well-formedness scan as it was before it
+walked interaction spines in a loop: one call per node, each building
+its node's path.
+
+Slow but plain; the differential tests in ``test_chor.py`` hold the
+live functions to them.
 """
 
-from chorkit.chor import Call, CommEta, Cond, End, Interaction, RunningCall
+from chorkit.chor import Call, CommEta, Cond, End, Interaction, RunningCall, WfViolation
 from chorkit.core import (
     RichCall,
     RichComm,
@@ -82,3 +88,59 @@ def reference_cc_enabled(procs, c, s) -> list:
                 out.append((label, RunningCall(c.proc, c.pending, body2), s2))
         return out
     raise TypeError(f"not a choreography: {c!r}")
+
+
+def reference_scan_chor(c, path, procs, out, in_procedure) -> None:
+    t = type(c)
+    if t is Interaction:
+        eta = c.eta
+        if eta.sender == eta.receiver:
+            out.append(
+                WfViolation(
+                    "self-communication",
+                    path,
+                    f"process {eta.sender} interacts with itself",
+                )
+            )
+        reference_scan_chor(c.cont, path + ("cont",), procs, out, in_procedure)
+    elif t is Cond:
+        reference_scan_chor(c.then_c, path + ("then",), procs, out, in_procedure)
+        reference_scan_chor(c.else_c, path + ("else",), procs, out, in_procedure)
+    elif t is Call:
+        if c.proc not in procs:
+            out.append(
+                WfViolation("unknown-procedure", path, f"call to undefined {c.proc}")
+            )
+    elif t is RunningCall:
+        if in_procedure:
+            out.append(
+                WfViolation(
+                    "non-initial-procedure-body",
+                    path,
+                    "running-call term inside a procedure body",
+                )
+            )
+        if not c.pending:
+            out.append(WfViolation("pending-empty", path, "empty pending list"))
+        if len(set(c.pending)) != len(c.pending):
+            out.append(
+                WfViolation("pending-duplicate", path, f"duplicates in {c.pending}")
+            )
+        if c.proc not in procs:
+            out.append(
+                WfViolation(
+                    "unknown-procedure", path, f"running call to undefined {c.proc}"
+                )
+            )
+        else:
+            declared = set(procs[c.proc].params)
+            for pid in c.pending:
+                if pid not in declared:
+                    out.append(
+                        WfViolation(
+                            "pending-not-declared",
+                            path,
+                            f"{pid} pending but not declared by {c.proc}",
+                        )
+                    )
+        reference_scan_chor(c.body, path + ("body",), procs, out, in_procedure)

@@ -1,5 +1,6 @@
 """Shared fixtures: corpus loading and hand-built reference behaviours."""
 
+import sys
 from collections import deque
 from pathlib import Path
 
@@ -62,6 +63,15 @@ def explore(p: ChorProgram, s0=EMPTY_STATE, depth=12):
                 seen.add((m2, s2))
                 queue.append((m2, s2, d + 1))
     return out
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run the test at Python's default recursion limit, 1000."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 """Choreography language: well-formedness, transitions, runs."""
 
 import pytest
-from cc_reference import reference_cc_enabled
+from cc_reference import reference_cc_enabled, reference_scan_chor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -373,6 +373,32 @@ class TestAgainstReference:
         trans = cc_enabled({}, ring, EMPTY_STATE)
         assert [label for label, _c, _s in trans] == [RichComm("p0", 0, "p1", "x")]
         assert writes == [("p1", "x", 0)]
+
+
+class TestWellFormednessAgainstReference:
+    """The spine-looping scan against the frozen recursive one in
+    ``cc_reference.py``: the same violations, paths and order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_choreographies(), _choreographies(), st.booleans(), st.integers(0, 60))
+    def test_generated(self, c, body_x, in_procedure, spine):
+        # a spine of self-communications and others in front of c
+        for i in range(spine):
+            c = Interaction(CommEta("p", Lit(i), "p" if i % 7 == 0 else "q", "x"), c)
+        procs = {"X": ProcDef(("p", "q"), body_x)}
+        live, ref = [], []
+        chor_mod._scan_chor(c, ("main",), procs, live, in_procedure)
+        reference_scan_chor(c, ("main",), procs, ref, in_procedure)
+        assert live == ref
+
+    def test_long_ring_at_the_default_recursion_limit(self, default_recursion_limit):
+        assert cc_check_wf(_ring(10_000)).ok
+        # a self-communication at the end of the ring, at its full path
+        c = Interaction(CommEta("p0", Lit(0), "p0", "x"), CHOR_END)
+        for i in reversed(range(9_999)):
+            c = Interaction(CommEta(f"p{i % 3}", Lit(i), f"p{(i + 1) % 3}", "x"), c)
+        (v,) = cc_check_wf(ChorProgram({}, c)).violations
+        assert v.path == ("main",) + ("cont",) * 9_999
 
 
 def _ring(n: int, procs: int = 3) -> ChorProgram:

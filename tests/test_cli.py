@@ -5,7 +5,7 @@ import json
 import pytest
 from conftest import CORPUS
 
-from chorkit import cli, projection
+from chorkit import cli, projection, runtime
 from chorkit.cli import main
 from chorkit.projection import infer_params
 
@@ -302,6 +302,18 @@ class TestArgumentErrors:
             f"{bad}: 'utf-8' codec can't decode byte 0xff in position 14: "
             "invalid start byte\n"
         )
+
+
+class TestWorkerError:
+    def test_exec_exits_1_on_a_raising_worker(self, monkeypatch, capsys):
+        def broken(*args):
+            raise ZeroDivisionError("planted")
+
+        monkeypatch.setattr(runtime, "eval_expr", broken)
+        assert main(["exec", AUTH, *AUTH_STATE, "--timeout-ms", "10000"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out.splitlines()[-1])["outcome"] == "worker-error"
+        assert captured.err == f"{AUTH}: worker error: ZeroDivisionError('planted')\n"
 
 
 class TestDeepInput:

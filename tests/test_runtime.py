@@ -1,6 +1,7 @@
 """Concurrent execution of compiled networks against the reference step."""
 
 import threading
+import time
 
 from conftest import load_program
 
@@ -90,6 +91,25 @@ class TestAbnormalOutcomes:
         report = execute(epp_program(load_program("auth")), AUTH_STATE, RuntimeConfig())
         assert report.outcome == "timeout"
         assert report.trace == ()
+
+    def test_raising_worker_is_a_worker_error(self, monkeypatch):
+        # a worker that raises posts the error instead of its offer: the
+        # run ends at once, not after the step timeout, and every thread
+        # is joined
+        def broken(*args):
+            raise ZeroDivisionError("planted")
+
+        monkeypatch.setattr(runtime, "eval_expr", broken)
+        before = threading.active_count()
+        started = time.perf_counter()
+        report = execute(
+            epp_program(load_program("auth")), AUTH_STATE, RuntimeConfig(step_timeout_ms=10_000)
+        )
+        assert time.perf_counter() - started < 2.0
+        assert report.outcome == "worker-error"
+        assert isinstance(report.error, ZeroDivisionError)
+        assert report.trace == ()
+        assert threading.active_count() == before
 
     def test_step_limit(self):
         np = epp_program(load_program("counter"))

@@ -4,16 +4,22 @@ import random
 import re
 
 import pytest
-from conftest import CORPUS, PROJECTABLE, load
+from conftest import AUTH_CLIENT, AUTH_PROVIDER, AUTH_SERVER, CORPUS, PROJECTABLE, load
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from syntax_reference import reference_tokenize
+from syntax_reference import (
+    reference_parse,
+    reference_print_behaviour,
+    reference_span_for,
+    reference_tokenize,
+)
 
 from chorkit.chor import Call as ChorCall
 from chorkit.chor import CommEta, Cond as ChorCond, Interaction, RunningCall
 from chorkit.chor import End as ChorEnd
 from chorkit.core import Add, And, Eq, Le, Lit, Lt, Mul, Not, Sub, VarRef
 from chorkit.net import Branch, Call, Cond, Recv, SP_END, SelectSend, Send
+from chorkit import syntax
 from chorkit.smallterms import behaviour_space
 from chorkit.syntax import (
     ParseError,
@@ -282,6 +288,180 @@ class TestAgainstReference:
         assert toks[-1] == ("eof", "", len(text))
 
 
+# Choreography sources for the parser's differential test: procedures,
+# conditionals nested a few deep, and spines up to a few hundred
+# interactions, laid out with every kind of gap the lexer skips.
+_GAPS = [" ", "  ", "\n", "\n  ", "\t", "\r\n", " // note\n", "\n// line\n"]
+_EXPRS = ["1", "x", "(x + 2)", "x * 3 - 1", "(y - (x * 2))", "10"]
+_GUARDS = ["x == 1", "x < y + 1", "(x) <= 2", "(x == 1)", "!(x < 2) && true", "false"]
+
+
+def _program_source(rnd: random.Random, main_spine: int, depth: int) -> str:
+    gap = lambda: rnd.choice(_GAPS)
+    pid = lambda: rnd.choice("pqr")
+
+    def eta():
+        if rnd.random() < 0.8:
+            return f"{pid()}.{rnd.choice(_EXPRS)} -> {pid()}.{rnd.choice('xy')}"
+        return f"{pid()} -> {pid()}[{rnd.choice(('left', 'right'))}]"
+
+    def body(spine, depth):
+        parts = [eta() + ";" for _ in range(spine)]
+        r = rnd.random()
+        if depth and r < 0.6:
+            branches = [body(rnd.choice((0, 1, 3, 40)), depth - 1) for _ in range(2)]
+            parts.append(
+                f"if {pid()}.{rnd.choice(_GUARDS)} then {{{gap()}{branches[0]}{gap()}}}"
+                f"{gap()}else{gap()}{{{gap()}{branches[1]}{gap()}}}"
+            )
+        else:
+            parts.append(rnd.choice(("end", "call X", "call Y")))
+        return gap().join(parts)
+
+    names = rnd.sample("XY", rnd.randint(0, 2))
+    if names and rnd.random() < 0.1:
+        names.append(names[0])  # a duplicate definition: an error
+    defs = [
+        f"def {name}({', '.join(rnd.sample('pqr', rnd.randint(1, 3)))}){gap()}{{"
+        f"{gap()}{body(rnd.randrange(30), depth)}{gap()}}}{gap()}"
+        for name in names
+    ]
+    return "".join(defs) + f"main {{{gap()}{body(main_spine, depth)}{gap()}}}{gap()}"
+
+
+def _node_paths(program):
+    """The path of every node of a program, straight from its terms."""
+    out = [()]
+    todo = [(("def", name), d.body) for name, d in program.procs.items()]
+    todo.append((("main",), program.main))
+    while todo:
+        path, c = todo.pop()
+        out.append(path)
+        if type(c) is Interaction:
+            todo.append((path + ("cont",), c.cont))
+        elif type(c) is ChorCond:
+            todo.append((path + ("then",), c.then_c))
+            todo.append((path + ("else",), c.else_c))
+    return out
+
+
+def _probe_paths(program):
+    """Every node path, and paths past the nodes that exercise the
+    fallback to the nearest enclosing node."""
+    out = [("nowhere",), ("def", "Undefined"), ("main", "body")]
+    for path in _node_paths(program):
+        out.append(path)
+        if path:
+            out.extend(
+                [path + ("cont",) * 3, path + ("then", "cont"), path + ("else",),
+                 path + ("made", "cont", "up"), path + ("body",)]
+            )
+    return out
+
+
+def _span_mismatches(text, unit, ref_program, ref_spans):
+    return [
+        (path, unit.span_for(path), reference_span_for(text, ref_spans, path))
+        for path in _probe_paths(ref_program)
+        if unit.span_for(path) != reference_span_for(text, ref_spans, path)
+    ]
+
+
+def _assert_same_as_reference_parser(text, live=parse):
+    """Same program, same span at every probed path, or the same error."""
+    try:
+        ref_program, ref_spans = reference_parse(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as err:
+            live(text)
+        assert (err.value.msg, err.value.line, err.value.col) == (e.msg, e.line, e.col)
+        return
+    unit = live(text)
+    assert unit.program == ref_program
+    assert _span_mismatches(text, unit, ref_program, ref_spans) == []
+
+
+_CORPUS_NAMES = sorted(f.stem for f in CORPUS.glob("*.chor"))
+
+
+class TestParserAgainstReference:
+    """``parse`` against the frozen recursive parser in
+    ``syntax_reference.py``: the same program, the same ``span_for`` at
+    every node path and past it, and the same errors."""
+
+    @pytest.mark.parametrize("name", _CORPUS_NAMES)
+    def test_corpus(self, name):
+        _assert_same_as_reference_parser((CORPUS / f"{name}.chor").read_text(encoding="utf-8"))
+
+    def test_mutations(self):
+        failing = 0
+        for text in _mutations(2400):
+            try:
+                reference_parse(text)
+            except ParseError:
+                failing += 1
+            _assert_same_as_reference_parser(text)
+        # the edits reach errors and successful parses alike
+        assert 0 < failing < 2400
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 300), st.integers(0, 3))
+    def test_generated(self, rnd, main_spine, depth):
+        _assert_same_as_reference_parser(_program_source(rnd, main_spine, depth))
+
+    # Planted faults: the differential check must notice each.
+
+    def test_catches_an_off_by_one_spine_end(self):
+        def shifted(text):
+            unit = parse(text)
+            starts, last = unit.spines[("main",)]
+            unit.spines[("main",)] = (starts, last - 1)
+            return unit
+
+        for name in _CORPUS_NAMES:
+            with pytest.raises(AssertionError):
+                _assert_same_as_reference_parser(
+                    (CORPUS / f"{name}.chor").read_text(encoding="utf-8"), shifted
+                )
+
+    def test_catches_a_wrong_cont_count(self, monkeypatch):
+        canonical = syntax._canonical
+
+        def miscounted(path):
+            return tuple(x + 1 if type(x) is int and x > 1 else x for x in canonical(path))
+
+        monkeypatch.setattr(syntax, "_canonical", miscounted)
+        with pytest.raises(AssertionError):
+            _assert_same_as_reference_parser(
+                (CORPUS / "auth.chor").read_text(encoding="utf-8")
+            )
+
+
+def _ring_source(n: int) -> str:
+    """main on line 1, then interaction i on line i + 2."""
+    hops = "".join(f"p{i % 3}.(x + {i}) -> p{(i + 1) % 3}.x;\n" for i in range(n))
+    return f"main {{\n{hops}end\n}}\n"
+
+
+def span_key_size(unit) -> int:
+    """Path segments in every span key, plus one per stored offset."""
+    spines = sum(len(key) + len(starts) + 1 for key, (starts, _last) in unit.spines.items())
+    return spines + sum(len(key) + 2 for key in unit.blocks)
+
+
+class TestScaling:
+    def test_long_ring_at_the_default_recursion_limit(self, default_recursion_limit):
+        unit = parse(_ring_source(10_000))
+        last = unit.span_for(("main",) + ("cont",) * 9_999)
+        assert (last.line, last.col, last.end_line) == (10_001, 1, 10_002)
+        assert unit.span_for(("main",) + ("cont",) * 10_000) == Span(10_002, 1, 10_002, 3)
+
+    def test_span_keys_grow_linearly(self):
+        small = span_key_size(parse(_ring_source(2_000)))
+        large = span_key_size(parse(_ring_source(4_000)))
+        assert large <= 2.1 * small
+
+
 class TestBehaviourSyntax:
     def test_forms(self):
         assert parse_behaviour("q!x + 1; end") == Send(
@@ -313,6 +493,12 @@ class TestRoundTrips:
         for b in space:
             assert parse_behaviour(print_behaviour(b)) == b
 
+    def test_printer_against_reference(self):
+        # the text, not only the term it parses back to: project writes it
+        space = behaviour_space(3)
+        for b in space[::7] + [AUTH_CLIENT, AUTH_SERVER, AUTH_PROVIDER]:
+            assert print_behaviour(b) == reference_print_behaviour(b)
+
     def test_sampled_depth3_behaviours(self):
         space = behaviour_space(3)
         for b in space[::97]:
@@ -323,6 +509,18 @@ class TestRoundTrips:
             su = parse(path.read_text(), str(path))
             printed = print_choreography(su.program)
             assert parse(printed).program == su.program, path.name
+
+    def test_long_chain(self, default_recursion_limit):
+        # printer and parser loop along the chain; compare node by node,
+        # since == on a 10 000-deep term would itself recurse
+        b = SP_END
+        for i in range(10_000):
+            b = (Send("q", Lit(i), b), Recv("q", "x", b), SelectSend("q", "left", b))[i % 3]
+        back = parse_behaviour(print_behaviour(b))
+        while b is not SP_END:
+            assert back[:2] == b[:2] and type(back) is type(b)
+            b, back = b.cont, back.cont
+        assert back == SP_END
 
     def test_pending_calls_have_no_syntax(self):
         from chorkit.chor import ChorProgram
