@@ -177,7 +177,7 @@ def _hypotheses(p: ChorProgram, xs, ps, memo=None):
         sp = None
         out.extend(HypothesisFailure("projectability", str(f)) for f in e.failures)
     for pid in ps:
-        if not projection.str_projectable(p.procs, p.main, pid):
+        if not projection.str_projectable(p.procs, p.main, pid, memo):
             out.append(
                 HypothesisFailure(
                     "strong-projectability", f"main not strongly projectable at {pid}"

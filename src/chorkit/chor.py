@@ -127,17 +127,26 @@ class ChorProgram(NamedTuple):
 
 
 def called_procs(c: Choreography) -> frozenset:
-    """Procedure names syntactically reachable in one choreography term."""
-    t = type(c)
-    if t is Call:
-        return frozenset((c.proc,))
-    if t is RunningCall:
-        return frozenset((c.proc,)) | called_procs(c.body)
-    if t is Interaction:
-        return called_procs(c.cont)
-    if t is Cond:
-        return called_procs(c.then_c) | called_procs(c.else_c)
-    return frozenset()
+    """Procedure names syntactically reachable in one choreography term.
+
+    The scan keeps its own stack, as ``chor_pids`` does.
+    """
+    out: set = set()
+    todo = [c]
+    while todo:
+        c = todo.pop()
+        t = type(c)
+        if t is Interaction:
+            todo.append(c.cont)
+        elif t is Cond:
+            todo.append(c.then_c)
+            todo.append(c.else_c)
+        elif t is Call:
+            out.add(c.proc)
+        elif t is RunningCall:
+            out.add(c.proc)
+            todo.append(c.body)
+    return frozenset(out)
 
 
 def chor_pids(c: Choreography, vars_of: Callable[[ProcName], Iterable[Pid]]) -> frozenset:

@@ -249,7 +249,9 @@ def infer_params(p: ChorProgram) -> Tuple[tuple, tuple]:
     return tuple(sorted(xs)), tuple(sorted(ps))
 
 
-def str_projectable(procs: Mapping[ProcName, ProcDef], c: Choreography, r: Pid) -> bool:
+def str_projectable(
+    procs: Mapping[ProcName, ProcDef], c: Choreography, r: Pid, memo=None
+) -> bool:
     """Strong projectability at one process.
 
     Structural on ordinary constructors; a conditional not decided by
@@ -258,24 +260,26 @@ def str_projectable(procs: Mapping[ProcName, ProcDef], c: Choreography, r: Pid) 
     and to relate, by the branching preorder, the procedure body's
     projection to its view of the remaining choreography.  On initial
     choreographies this coincides with plain projectability at ``r``.
+    ``memo`` is passed to every ``bproj`` call, so views that a compile
+    pass through the same memo has projected are not projected again.
     """
     t = type(c)
     if t is End or t is Call:
         return True
     if t is Interaction:
-        return str_projectable(procs, c.cont, r)
+        return str_projectable(procs, c.cont, r, memo)
     if t is Cond:
         if not (
-            str_projectable(procs, c.then_c, r)
-            and str_projectable(procs, c.else_c, r)
+            str_projectable(procs, c.then_c, r, memo)
+            and str_projectable(procs, c.else_c, r, memo)
         ):
             return False
         if c.pid == r:
             return True
-        merged = xmerge(bproj(procs, c.then_c, r), bproj(procs, c.else_c, r))
+        merged = xmerge(bproj(procs, c.then_c, r, memo), bproj(procs, c.else_c, r, memo))
         return merged is not UNDEFINED
     if t is RunningCall:
-        if not str_projectable(procs, c.body, r):
+        if not str_projectable(procs, c.body, r, memo):
             return False
         d = procs.get(c.proc)
         if d is None:
@@ -285,7 +289,7 @@ def str_projectable(procs: Mapping[ProcName, ProcDef], c: Choreography, r: Pid) 
             if p not in declared:
                 return False
             if not pruning.xmore_branches(
-                bproj(procs, d.body, p), bproj(procs, c.body, p)
+                bproj(procs, d.body, p, memo), bproj(procs, c.body, p, memo)
             ):
                 return False
         return True

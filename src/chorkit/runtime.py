@@ -2,14 +2,19 @@
 
 Each process of the network runs on its own thread, owning its variables
 and its position in its behaviour.  Communication is a two-phase
-rendezvous: a thread posts an offer describing the single action its
-head permits (a send with the evaluated value, a receive, a label send,
-the set of offered branch labels, a locally decided conditional, or a
-procedure call), then blocks until the sequencer grants it.  The
-sequencer waits until every live thread has an outstanding offer, pairs
-up matching offers, picks one enabled action with a seeded generator,
-commits it on a mirrored network/state, appends a trace record, and
-wakes exactly the involved threads.
+rendezvous spoken in the calculus' own terms.  A thread offers its
+current behaviour node together with what only its own store can give:
+the value of a ``Send`` or the outcome of a ``Cond`` guard, else None.
+It then blocks until the sequencer answers.  The sequencer waits until
+every live thread has an outstanding offer, matches the offered heads
+into rich labels (a send meets a receive from it, a label send meets a
+branching that offers the label, a conditional or a call acts alone),
+picks one with a seeded generator, commits it on a mirrored
+network/state, appends a trace record, and sends the label itself to
+each process it involves.  A thread moves on from its head and the
+label: a receive stores the label's value, a branching follows its
+label, a conditional follows its own guard.  None instead of a label
+halts the thread.
 
 Because commits are serialised and the generator is seeded, a run is a
 deterministic function of (program, state, config), and the emitted
@@ -41,6 +46,7 @@ from .core import (
     TraceRecord,
     eval_bexpr,
     eval_expr,
+    label_pids,
     state_digest,
     trace_record,
 )
@@ -101,63 +107,34 @@ class _Worker(threading.Thread):
         try:
             self._walk()
         except Exception as e:  # noqa: BLE001  (reported as the run's outcome)
-            self.offers.put((self.pid, ("error", e)))
+            self.offers.put((self.pid, e))
 
     def _walk(self) -> None:
         b = self.behaviour
         while True:
             t = type(b)
-            if t is End:
-                self.offers.put((self.pid, ("done",)))
-                return
+            local = None
             if t is Send:
-                value = eval_expr(b.expr, self.store, self.pid)
-                self.offers.put((self.pid, ("send", b.peer, value)))
-            elif t is Recv:
-                self.offers.put((self.pid, ("recv", b.peer, b.var)))
-            elif t is SelectSend:
-                self.offers.put((self.pid, ("sel", b.peer, b.label)))
-            elif t is Branch:
-                self.offers.put(
-                    (
-                        self.pid,
-                        (
-                            "branch",
-                            b.peer,
-                            b.on_left is not None,
-                            b.on_right is not None,
-                        ),
-                    )
-                )
+                local = eval_expr(b.expr, self.store, self.pid)
             elif t is Cond:
-                taken = eval_bexpr(b.guard, self.store, self.pid)
-                self.offers.put((self.pid, ("cond", taken)))
-            elif t is Call:
-                self.offers.put((self.pid, ("call", b.name)))
-            else:
+                local = eval_bexpr(b.guard, self.store, self.pid)
+            elif t not in (End, Recv, SelectSend, Branch, Call):
                 raise TypeError(f"not a behaviour: {b!r}")
-            grant = self.grants.get()
-            kind = grant[0]
-            if kind == "halt":
+            self.offers.put((self.pid, (b, local)))
+            rich = None if t is End else self.grants.get()
+            if rich is None:
                 return
-            if kind == "proceed":
-                if t is Send or t is SelectSend:
-                    b = b.cont
-                elif t is Cond:
-                    b = b.then_b if grant[1] else b.else_b
-                elif t is Call:
-                    b = self.procs.get(b.name, SP_END)
-                else:
-                    raise AssertionError(f"proceed grant for {t.__name__}")
-            elif kind == "deliver":
-                # a value for our receive
-                self.store = self.store.set(self.pid, b.var, grant[1])
+            if t is Recv:
+                self.store = self.store.set(self.pid, b.var, rich.value)
                 b = b.cont
-            elif kind == "choose":
-                # the peer picked one of our offered branch labels
-                b = b.on_left if grant[1] == "left" else b.on_right
+            elif t is Branch:
+                b = b.on_left if rich.label == "left" else b.on_right
+            elif t is Cond:
+                b = b.then_b if local else b.else_b
+            elif t is Call:
+                b = self.procs.get(b.name, SP_END)
             else:
-                raise AssertionError(f"unknown grant {grant!r}")
+                b = b.cont
 
 
 def execute(
@@ -187,11 +164,11 @@ def execute(
             if not _drain_offers(offers_q, offers, awaited, timeout):
                 outcome = "timeout"
                 break
-            failed = sorted(q for q, o in offers.items() if o[0] == "error")
+            failed = sorted(q for q, o in offers.items() if isinstance(o, Exception))
             if failed:
-                outcome, error = "worker-error", offers[failed[0]][1]
+                outcome, error = "worker-error", offers[failed[0]]
                 break
-            for pid in [q for q, o in offers.items() if o[0] == "done"]:
+            for pid in [q for q, (head, _) in offers.items() if type(head) is End]:
                 live.discard(pid)
                 del offers[pid]
             if not live:
@@ -211,11 +188,9 @@ def execute(
             digest = post
             _grant(workers, offers, awaited, rich)
     finally:
-        # stop whoever is still blocked on a grant
-        _drain_offers(offers_q, offers, awaited, 0.05)
+        # a halt for every live process, whether it has posted yet or not
         for pid in live:
-            if offers.get(pid, ("done",))[0] != "done":
-                workers[pid].grants.put(("halt",))
+            workers[pid].grants.put(None)
         for w in workers.values():
             w.join(timeout=1.0)
     return ExecutionReport(tuple(trace), mirror_state, mirror.net, outcome, error)
@@ -234,46 +209,33 @@ def _drain_offers(offers_q, offers, awaited, timeout: float) -> bool:
 
 
 def _enabled_offers(offers: Dict[Pid, tuple]) -> list:
-    """Match offers into enabled actions, sorted by acting process."""
+    """Match posted heads into enabled actions, sorted by acting process."""
     out = []
     for pid in sorted(offers):
-        offer = offers[pid]
-        kind = offer[0]
-        if kind == "send":
-            peer = offer[1]
-            other = offers.get(peer)
-            if other is not None and other[0] == "recv" and other[1] == pid:
-                out.append(RichComm(pid, offer[2], peer, other[2]))
-        elif kind == "sel":
-            peer = offer[1]
-            other = offers.get(peer)
-            if other is not None and other[0] == "branch" and other[1] == pid:
-                has_left, has_right = other[2], other[3]
-                if offer[2] == "left" and has_left or offer[2] == "right" and has_right:
-                    out.append(RichSelect(pid, peer, offer[2]))
-        elif kind == "cond":
+        b, local = offers[pid]
+        t = type(b)
+        if t is Send or t is SelectSend:
+            other = offers.get(b.peer)
+            head = None if other is None else other[0]
+            if t is Send and type(head) is Recv and head.peer == pid:
+                out.append(RichComm(pid, local, b.peer, head.var))
+            elif t is SelectSend and type(head) is Branch and head.peer == pid:
+                option = head.on_left if b.label == "left" else head.on_right
+                if option is not None:
+                    out.append(RichSelect(pid, b.peer, b.label))
+        elif t is Cond:
             out.append(RichCond(pid))
-        elif kind == "call":
-            out.append(RichCall(offer[1], pid))
+        elif t is Call:
+            out.append(RichCall(b.name, pid))
     return out
 
 
 def _grant(workers, offers, awaited, rich) -> None:
-    k = type(rich)
-    if k is RichComm or k is RichSelect:
-        pids = (rich.sender, rich.receiver)
-        reply = ("deliver", rich.value) if k is RichComm else ("choose", rich.label)
-        workers[rich.sender].grants.put(("proceed",))
-        workers[rich.receiver].grants.put(reply)
-    elif k is RichCond or k is RichCall:
-        pids = (rich.pid,)
-        taken = offers[rich.pid][1] if k is RichCond else None
-        workers[rich.pid].grants.put(("proceed", taken))
-    else:
-        raise AssertionError(f"unknown label {rich!r}")
-    for pid in pids:
+    """Send the committed label to each process it involves."""
+    for pid in label_pids(rich):
+        workers[pid].grants.put(rich)
         del offers[pid]
-    awaited.update(pids)
+        awaited.add(pid)
 
 
 class ValidationResult(NamedTuple):

@@ -1,6 +1,7 @@
 """The command line interface, driven in process through main()."""
 
 import json
+from pathlib import Path
 
 import pytest
 from conftest import CORPUS
@@ -155,6 +156,21 @@ class TestExec:
 
     def test_unprojectable_exit(self, capsys):
         assert main(["exec", NOSELECT]) == 1
+
+
+# exec transcripts recorded before the runtime's offers became behaviour
+# nodes and its grants rich labels; they pin the candidate order and the
+# generator's use as well as the output format.
+EXEC_GOLDEN = json.loads((Path(__file__).parent / "exec_golden.json").read_text())
+
+
+class TestExecGolden:
+    @pytest.mark.parametrize("key", sorted(EXEC_GOLDEN))
+    def test_transcript(self, key, capsys):
+        case = EXEC_GOLDEN[key]
+        code = main(["exec", str(CORPUS / case["file"]), *case["args"]])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
 
 
 class TestVerify:

@@ -30,6 +30,7 @@ from chorkit.chor import (
     cc_step,
     program_pids,
 )
+from chorkit.chor import Call as ChorCall
 from chorkit.chor import End as ChorEnd
 from chorkit.core import EMPTY_STATE, Eq, Lit, State, VarRef
 from chorkit.merge import UNDEFINED, xmerge
@@ -192,6 +193,18 @@ class TestInferParams:
             p = load_program(name)
             xs, ps = infer_params(p)
             assert all(f.kind != "coverage" for f in projectable(xs, ps, p))
+
+    def test_long_ring_at_the_default_recursion_limit(self, default_recursion_limit):
+        # a 10 000-interaction ring p -> q -> r -> p whose last step calls
+        # a procedure; both scans along the spine keep their own stack
+        ring = ("p", "q", "r")
+        main = ChorCall("Tail")
+        for i in reversed(range(10_000)):
+            eta = CommEta(ring[i % 3], VarRef("x"), ring[(i + 1) % 3], "x")
+            main = Interaction(eta, main)
+        tail = ProcDef(("r", "s"), Interaction(CommEta("r", Lit(1), "s", "y"), ChorEnd()))
+        p = ChorProgram({"Tail": tail}, main)
+        assert infer_params(p) == (("Tail",), ("p", "q", "r", "s"))
 
 
 class TestStrProjectable:
@@ -416,3 +429,39 @@ class TestMemo:
             assert main is p.main and projected == compiled, name
             for pid in compiled.support:
                 assert projected.get(pid) is compiled.get(pid), (name, pid)
+
+
+def _str_projectable_agrees(p, ps, terms):
+    """``str_projectable`` through the memo that compiling ``p`` filled
+    against ``str_projectable`` without one, at every listed process."""
+    memo: dict = {}
+    try:
+        epp(infer_params(p)[0], ps, p, memo)
+    except ProjectionError:
+        pass
+    for r in ps:
+        for c in terms:
+            expected = str_projectable(p.procs, c, r)
+            assert str_projectable(p.procs, c, r, memo) == expected, (r, c)
+
+
+class TestStrProjectableMemo:
+    def test_corpus_and_reached_running_calls(self):
+        # terms reached through cc_step include running calls, whose
+        # pending processes are checked against the procedure body's view
+        running = 0
+        for name in sorted(f.stem for f in CORPUS.glob("*.chor")):
+            p = load_program(name)
+            stores = (EMPTY_STATE, State({("c", "credentials"): 7, ("s", "token"): 42}))
+            reached = [main for s0 in stores for main, _s, _trans in explore(p, s0, depth=10)]
+            running += sum(type(c) is RunningCall for c in reached)
+            _str_projectable_agrees(p, infer_params(p)[1], [p.main, *reached])
+        assert running
+
+    @settings(max_examples=300, deadline=None)
+    @given(_choreographies(), _choreographies(), _choreographies())
+    def test_generated(self, c, body_x, body_y):
+        p = ChorProgram(
+            {"X": ProcDef(("p", "q"), body_x), "Y": ProcDef(("q", "r", "s"), body_y)}, c
+        )
+        _str_projectable_agrees(p, ("p", "q", "r", "s"), [c])

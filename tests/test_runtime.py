@@ -2,12 +2,27 @@
 
 import threading
 import time
+from collections import deque
 
-from conftest import load_program
+import pytest
+from conftest import PROJECTABLE, load_program
 
 from chorkit.chor import cc_run
-from chorkit.core import EMPTY_STATE, State
-from chorkit.net import Branch, EMPTY_NET, NetProgram, Network, SP_END, SelectSend
+from chorkit.core import EMPTY_STATE, Lit, RichCall, RichSelect, State, eval_bexpr, eval_expr
+from chorkit.net import (
+    Branch,
+    Call,
+    Cond,
+    EMPTY_NET,
+    NetProgram,
+    Network,
+    Recv,
+    SP_END,
+    SelectSend,
+    Send,
+    sp_enabled,
+    sp_run,
+)
 from chorkit.projection import epp_program
 from chorkit import runtime
 from chorkit.runtime import ExecutionReport, RuntimeConfig, execute, validate_trace
@@ -58,6 +73,74 @@ class TestScheduling:
             report = execute(np, EMPTY_STATE, RuntimeConfig(seed=seed))
             assert report.outcome == "terminated"
             assert validate_trace(np, EMPTY_STATE, report).ok
+
+
+def _offers(n, s):
+    """Each process's offer as its worker posts it: the head, and the value
+    of a send or the outcome of a conditional's guard from its store."""
+    offers = {}
+    for pid, b in n.items():
+        local = None
+        if type(b) is Send:
+            local = eval_expr(b.expr, s, pid)
+        elif type(b) is Cond:
+            local = eval_bexpr(b.guard, s, pid)
+        offers[pid] = (b, local)
+    return offers
+
+
+class TestOfferMatching:
+    """``_enabled_offers`` against the sequential semantics' ``sp_enabled``."""
+
+    @pytest.mark.parametrize("name", PROJECTABLE)
+    def test_reachable_networks(self, name):
+        np = epp_program(load_program(name))
+        for s0 in (EMPTY_STATE, AUTH_STATE):
+            seen = {(np.net, s0)}
+            todo = deque([(np.net, s0, 0)])
+            while todo:
+                n, s, d = todo.popleft()
+                trans = sp_enabled(np.procs, n, s)
+                assert runtime._enabled_offers(_offers(n, s)) == [t for t, _, _ in trans]
+                if d == 12:
+                    continue
+                for _, n2, s2 in trans:
+                    if (n2, s2) not in seen:
+                        seen.add((n2, s2))
+                        todo.append((n2, s2, d + 1))
+
+
+class TestHeads:
+    """Steps the corpus runs never take, against ``sp_run``."""
+
+    def _agrees_with_sp_run(self, np):
+        report = execute(np, EMPTY_STATE, RuntimeConfig(step_timeout_ms=1000))
+        ref = sp_run(np)
+        assert report.outcome == ref.outcome == "terminated"
+        assert [r.rich for r in report.trace] == [r.rich for r in ref.trace]
+        assert report.final_state == ref.final_state
+        assert report.final_net == ref.final == EMPTY_NET
+        assert validate_trace(np, EMPTY_STATE, report).ok
+        return report
+
+    def test_call_missing_from_the_procedure_table_ends(self):
+        np = NetProgram({}, Network({"p": Call(("X", "p"))}))
+        report = self._agrees_with_sp_run(np)
+        assert [r.rich for r in report.trace] == [RichCall(("X", "p"), "p")]
+
+    def test_branch_offering_both_options_follows_right(self):
+        np = NetProgram(
+            {},
+            Network(
+                {
+                    "p": SelectSend("q", "right", Send("q", Lit(5), SP_END)),
+                    "q": Branch("p", Recv("p", "x", SP_END), Recv("p", "y", SP_END)),
+                }
+            ),
+        )
+        report = self._agrees_with_sp_run(np)
+        assert report.trace[0].rich == RichSelect("p", "q", "right")
+        assert report.final_state == State({("q", "y"): 5})
 
 
 class TestAbnormalOutcomes:
