@@ -152,17 +152,18 @@ class Verdict:
 
 def check_hypotheses(p: ChorProgram, xs, ps) -> Tuple[HypothesisFailure, ...]:
     """The preconditions under which the correspondence is claimed."""
-    return _hypotheses(p, xs, ps)[0]
+    return _hypotheses(p, xs, ps, {})[0]
 
 
-def _hypotheses(p: ChorProgram, xs, ps, memo=None):
+def _hypotheses(p: ChorProgram, xs, ps, memo: dict):
     """The hypothesis failures, and the network program compiled on the
     way (None unless the program is projectable).
 
     Well-formedness of the program, projectability (checked by compiling
     with ``projection.epp`` through ``memo``; its coverage conjuncts ask
     that ``xs`` and ``ps`` name every procedure and process the program
-    can reach), and strong projectability of main at every listed process.
+    can reach), and strong projectability of main at every listed
+    process, which reads main's projections back from the same memo.
     """
     out: list = []
     wf = cc_check_wf(p)

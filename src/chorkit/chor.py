@@ -21,7 +21,7 @@ order) so that runs and golden tests are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .core import (
     BExpr,
@@ -126,12 +126,14 @@ class ChorProgram(NamedTuple):
     __repr__ = node_repr
 
 
-def called_procs(c: Choreography) -> frozenset:
-    """Procedure names syntactically reachable in one choreography term.
+def subterms(c: Choreography) -> Iterator[Choreography]:
+    """Every node of ``c`` in pre-order, a conditional's then-branch
+    before its else-branch and a running call before its body.
 
-    The scan keeps its own stack, as ``chor_pids`` does.
+    The walk keeps its own stack, so a long term does not reach the
+    recursion limit; a node that is not a choreography raises
+    ``TypeError``.
     """
-    out: set = set()
     todo = [c]
     while todo:
         c = todo.pop()
@@ -139,14 +141,18 @@ def called_procs(c: Choreography) -> frozenset:
         if t is Interaction:
             todo.append(c.cont)
         elif t is Cond:
-            todo.append(c.then_c)
             todo.append(c.else_c)
-        elif t is Call:
-            out.add(c.proc)
+            todo.append(c.then_c)
         elif t is RunningCall:
-            out.add(c.proc)
             todo.append(c.body)
-    return frozenset(out)
+        elif t is not End and t is not Call:
+            raise TypeError(f"not a choreography: {c!r}")
+        yield c
+
+
+def called_procs(c: Choreography) -> frozenset:
+    """Procedure names syntactically reachable in one choreography term."""
+    return frozenset(n.proc for n in subterms(c) if type(n) is Call or type(n) is RunningCall)
 
 
 def chor_pids(c: Choreography, vars_of: Callable[[ProcName], Iterable[Pid]]) -> frozenset:
@@ -155,29 +161,20 @@ def chor_pids(c: Choreography, vars_of: Callable[[ProcName], Iterable[Pid]]) -> 
     ``vars_of`` supplies the processes attributed to each procedure call;
     pass ``lambda _: ()`` for a purely syntactic scan or the declared
     parameter lists to count call sites as using their procedure's
-    processes.  The scan keeps its own stack, so a long term does not
-    reach the recursion limit.
+    processes.
     """
     out: set = set()
-    todo = [c]
-    while todo:
-        c = todo.pop()
-        t = type(c)
+    for n in subterms(c):
+        t = type(n)
         if t is Interaction:
-            out.add(c.eta.sender)
-            out.add(c.eta.receiver)
-            todo.append(c.cont)
+            out.add(n.eta.sender)
+            out.add(n.eta.receiver)
         elif t is Cond:
-            out.add(c.pid)
-            todo.append(c.then_c)
-            todo.append(c.else_c)
+            out.add(n.pid)
         elif t is Call:
-            out.update(vars_of(c.proc))
+            out.update(vars_of(n.proc))
         elif t is RunningCall:
-            out.update(c.pending)
-            todo.append(c.body)
-        elif t is not End:
-            raise TypeError(f"not a choreography: {c!r}")
+            out.update(n.pending)
     return frozenset(out)
 
 

@@ -14,11 +14,13 @@ adds the coverage failures, and raises them all in a
 ``ProjectionError``; ``projectable`` returns that list, empty when the
 program compiles.
 
-Projectability comes in two strengths.  The plain analysis asks that no
-projection is undefined; the strong variant additionally
-constrains running-call terms, requiring each still-pending process to be
-able to continue with the procedure's projected body, up to extra
-branching options.  The two coincide on initial choreographies.
+Projectability comes in two strengths, both decided by ``bproj`` alone.
+The plain analysis asks that no projection is undefined; the strong
+variant adds a clause on each running-call term, read off the nodes that
+``chor.subterms`` yields: each still-pending process must be able to
+continue with the procedure's projected body, up to extra branching
+options.  The two coincide on initial choreographies, where the strong
+check after ``epp`` is one memo hit per process.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .chor import (
     RunningCall,
     called_procs,
     chor_pids,
+    subterms,
 )
 from .core import Pid, ProcName
 from .merge import UNDEFINED, deepest_conflict, xmerge
@@ -152,35 +155,42 @@ def _conflict_failures(
     r: Pid,
     path: Path,
     out: list,
+    memo: dict,
 ) -> None:
-    """Collect merge conflicts bottom-up so the deepest ones are reported."""
-    t = type(c)
-    if t is Interaction:
-        _conflict_failures(procs, c.cont, r, path + ("cont",), out)
-        return
-    if t is Cond:
-        before = len(out)
-        _conflict_failures(procs, c.then_c, r, path + ("then",), out)
-        _conflict_failures(procs, c.else_c, r, path + ("else",), out)
-        if len(out) > before or c.pid == r:
-            return
-        left = bproj(procs, c.then_c, r)
-        right = bproj(procs, c.else_c, r)
-        if xmerge(left, right) is UNDEFINED:
-            pair = deepest_conflict(left, right)
-            out.append(
-                ProjectionFailure(
-                    r,
-                    path,
-                    "merge-conflict",
-                    conflict=pair,
-                    detail="branch views of this conditional do not merge",
-                )
-            )
-        return
-    if t is RunningCall:
-        if r not in c.pending:
-            _conflict_failures(procs, c.body, r, path + ("body",), out)
+    """Append the deepest merge conflicts behind the undefined projection
+    of ``c`` at ``r`` to ``out``, then-branches first.
+
+    Only undefined projections are followed: along an interaction spine
+    in a loop, into the undefined branch views of a conditional, and into
+    the body of a running call ``r`` has entered.  A conditional whose two
+    branch views are both defined is where merging fails.  Views are read
+    through ``memo``, so each node is projected at most once.
+    """
+    todo = [(c, path)]
+    while todo:
+        c, path = todo.pop()
+        k = 0  # "cont" steps taken from path
+        while type(c) is Interaction:
+            c = c.cont
+            k += 1
+        if k:
+            path = path + ("cont",) * k
+        t = type(c)
+        if t is Cond:
+            left = bproj(procs, c.then_c, r, memo)
+            right = bproj(procs, c.else_c, r, memo)
+            if left is not UNDEFINED and right is not UNDEFINED:
+                pair = deepest_conflict(left, right)
+                detail = "branch views of this conditional do not merge"
+                out.append(ProjectionFailure(r, path, "merge-conflict", pair, detail))
+                continue
+            if right is UNDEFINED:
+                todo.append((c.else_c, path + ("else",)))
+            if left is UNDEFINED:
+                todo.append((c.then_c, path + ("then",)))
+        elif t is RunningCall and r not in c.pending:
+            if bproj(procs, c.body, r, memo) is UNDEFINED:
+                todo.append((c.body, path + ("body",)))
 
 
 def _coverage_failures(xs, ps, p: ChorProgram) -> list:
@@ -254,46 +264,33 @@ def str_projectable(
 ) -> bool:
     """Strong projectability at one process.
 
-    Structural on ordinary constructors; a conditional not decided by
-    ``r`` must additionally have mergeable branch views, and a running
-    call requires every pending process to be declared by the procedure
-    and to relate, by the branching preorder, the procedure body's
-    projection to its view of the remaining choreography.  On initial
-    choreographies this coincides with plain projectability at ``r``.
+    The projection of ``c`` at ``r`` must be defined, and every running
+    call in ``c`` must name a procedure that declares each pending
+    process and relates, by the branching preorder, that process's
+    projection of the procedure body to its view of the remaining body;
+    where ``r`` itself is pending, its view must be defined too.  This
+    is the structural definition unfolded: a projection is undefined
+    exactly where some conditional's branch views do not merge.  On
+    initial choreographies it is plain projectability at ``r``.
     ``memo`` is passed to every ``bproj`` call, so views that a compile
     pass through the same memo has projected are not projected again.
     """
-    t = type(c)
-    if t is End or t is Call:
-        return True
-    if t is Interaction:
-        return str_projectable(procs, c.cont, r, memo)
-    if t is Cond:
-        if not (
-            str_projectable(procs, c.then_c, r, memo)
-            and str_projectable(procs, c.else_c, r, memo)
-        ):
-            return False
-        if c.pid == r:
-            return True
-        merged = xmerge(bproj(procs, c.then_c, r, memo), bproj(procs, c.else_c, r, memo))
-        return merged is not UNDEFINED
-    if t is RunningCall:
-        if not str_projectable(procs, c.body, r, memo):
-            return False
-        d = procs.get(c.proc)
+    if bproj(procs, c, r, memo) is UNDEFINED:
+        return False
+    for n in subterms(c):
+        if type(n) is not RunningCall:
+            continue
+        d = procs.get(n.proc)
         if d is None:
             return False
-        declared = set(d.params)
-        for p in c.pending:
-            if p not in declared:
-                return False
-            if not pruning.xmore_branches(
-                bproj(procs, d.body, p, memo), bproj(procs, c.body, p, memo)
+        for p in n.pending:
+            if p not in d.params or not pruning.xmore_branches(
+                bproj(procs, d.body, p, memo), bproj(procs, n.body, p, memo)
             ):
                 return False
-        return True
-    raise TypeError(f"not a choreography: {c!r}")
+        if r in n.pending and bproj(procs, n.body, r, memo) is UNDEFINED:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +317,8 @@ def epp(xs, ps, p: ChorProgram, memo=None) -> NetProgram:
     projection of main and the procedure table has one entry per (listed
     procedure, declared process).  ``memo`` is passed to ``bproj`` for
     main, so a caller that keeps it gets back the network's own behaviour
-    objects when it projects main again.
+    objects when it projects main again.  The diagnosis of main reads its
+    branch views from ``memo`` too; any other diagnosis uses a fresh one.
     """
     procs = p.procs
     failures: list = []
@@ -329,7 +327,7 @@ def epp(xs, ps, p: ChorProgram, memo=None) -> NetProgram:
         b = bproj(procs, c, r, through)
         if b is UNDEFINED:
             before = len(failures)
-            _conflict_failures(procs, c, r, root, failures)
+            _conflict_failures(procs, c, r, root, failures, {} if through is None else through)
             if len(failures) == before:
                 failures.append(ProjectionFailure(r, root, "undefined"))
         return b

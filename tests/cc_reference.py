@@ -10,6 +10,9 @@ decider, and under a running call's pending processes.
 walked interaction spines in a loop: one call per node, each building
 its node's path.
 
+``reference_subterms`` lists a term's nodes in pre-order by plain
+recursion, as ``subterms`` yields them from its own stack.
+
 Slow but plain; the differential tests in ``test_chor.py`` hold the
 live functions to them.
 """
@@ -144,3 +147,16 @@ def reference_scan_chor(c, path, procs, out, in_procedure) -> None:
                         )
                     )
         reference_scan_chor(c.body, path + ("body",), procs, out, in_procedure)
+
+
+def reference_subterms(c) -> list:
+    t = type(c)
+    if t is Interaction:
+        return [c, *reference_subterms(c.cont)]
+    if t is Cond:
+        return [c, *reference_subterms(c.then_c), *reference_subterms(c.else_c)]
+    if t is RunningCall:
+        return [c, *reference_subterms(c.body)]
+    if t is End or t is Call:
+        return [c]
+    raise TypeError(f"not a choreography: {c!r}")

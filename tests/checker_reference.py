@@ -15,15 +15,20 @@ The projection context is a frozen copy too: it projects every process
 over the whole reached term, without the ``bproj`` memo, so a fault in
 the memoised projection shows as a difference.  The hypotheses and the
 compiled network come from the two-pass copy in
-``projection_reference.py``, so a fault in the one-pass compiler shows
-too; well-formedness and strong projectability are the live ones, and
+``projection_reference.py``, and strong projectability from its
+recursive copy there, so a fault in the one-pass compiler shows too;
+well-formedness is the live one, and
 ``bproj`` and ``_prunes`` are looked up on the live modules at call
 time, so a monkeypatched seam reaches both checkers.
 """
 
 from collections import deque
 
-from projection_reference import reference_compile, reference_projectable
+from projection_reference import (
+    reference_compile,
+    reference_projectable,
+    reference_str_projectable,
+)
 
 from chorkit import checker, projection
 from chorkit.checker import Counterexample, HypothesisFailure, Verdict
@@ -180,7 +185,7 @@ def _hypotheses(p, xs, ps):
     for f in reference_projectable(xs, ps, p):
         out.append(HypothesisFailure("projectability", str(f)))
     for pid in ps:
-        if not projection.str_projectable(p.procs, p.main, pid):
+        if not reference_str_projectable(p.procs, p.main, pid):
             why = f"main not strongly projectable at {pid}"
             out.append(HypothesisFailure("strong-projectability", why))
     return tuple(out)

@@ -6,14 +6,16 @@ reasons for each undefined one, then the coverage conjuncts;
 program, assuming the check passed.  Plain but twice the work; the
 differential tests in ``test_projection.py`` hold the one-pass
 ``projection.epp`` and ``projection.projectable`` to it.
+``reference_str_projectable`` is strong projectability as its structural
+recursion, against which ``projection.str_projectable`` is tested.
 
 Only ``bproj``, the merge and the syntax helpers are shared with the
 live code, looked up on the live module at call time, so a
 monkeypatched projection seam reaches both sides.
 """
 
-from chorkit import projection
-from chorkit.chor import Cond, Interaction, RunningCall, called_procs, chor_pids
+from chorkit import projection, pruning
+from chorkit.chor import Call, Cond, End, Interaction, RunningCall, called_procs, chor_pids
 from chorkit.merge import UNDEFINED, deepest_conflict, xmerge
 from chorkit.net import Network, NetProgram
 from chorkit.projection import ProjectionFailure
@@ -113,3 +115,38 @@ def reference_compile(xs, ps, p):
         for pid in d.params:
             procs_b[(name, pid)] = projection.bproj(p.procs, d.body, pid)
     return NetProgram(procs_b, net)
+
+
+def reference_str_projectable(procs, c, r):
+    t = type(c)
+    if t is End or t is Call:
+        return True
+    if t is Interaction:
+        return reference_str_projectable(procs, c.cont, r)
+    if t is Cond:
+        if not (
+            reference_str_projectable(procs, c.then_c, r)
+            and reference_str_projectable(procs, c.else_c, r)
+        ):
+            return False
+        if c.pid == r:
+            return True
+        then_b = projection.bproj(procs, c.then_c, r)
+        else_b = projection.bproj(procs, c.else_c, r)
+        return xmerge(then_b, else_b) is not UNDEFINED
+    if t is RunningCall:
+        if not reference_str_projectable(procs, c.body, r):
+            return False
+        d = procs.get(c.proc)
+        if d is None:
+            return False
+        declared = set(d.params)
+        for p in c.pending:
+            if p not in declared:
+                return False
+            if not pruning.xmore_branches(
+                projection.bproj(procs, d.body, p), projection.bproj(procs, c.body, p)
+            ):
+                return False
+        return True
+    raise TypeError(f"not a choreography: {c!r}")

@@ -11,6 +11,8 @@ import random
 import time
 from contextlib import contextmanager
 
+import pytest
+
 import conftest
 from conftest import (
     AUTH_CLIENT,
@@ -221,6 +223,7 @@ def test_criterion_5_mutation_sensitivity(monkeypatch):
         assert len(caught) == 5
 
 
+@pytest.mark.slow
 def test_criterion_6_merge_algebra():
     space = behaviour_space(3)
     with criterion(6, "merge-algebra", budget=120.0):
@@ -269,6 +272,7 @@ def _prune_randomly(b, rng):
     return b
 
 
+@pytest.mark.slow
 def test_criterion_7_pruning_characterisation():
     space = behaviour_space(3)
     with criterion(7, "pruning-characterisation", budget=120.0):

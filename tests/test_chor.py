@@ -1,7 +1,7 @@
 """Choreography language: well-formedness, transitions, runs."""
 
 import pytest
-from cc_reference import reference_cc_enabled, reference_scan_chor
+from cc_reference import reference_cc_enabled, reference_scan_chor, reference_subterms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +24,7 @@ from chorkit.chor import (
     cc_run,
     cc_step,
     program_pids,
+    subterms,
 )
 from chorkit.core import (
     EMPTY_STATE,
@@ -399,6 +400,41 @@ class TestWellFormednessAgainstReference:
             c = Interaction(CommEta(f"p{i % 3}", Lit(i), f"p{(i + 1) % 3}", "x"), c)
         (v,) = cc_check_wf(ChorProgram({}, c)).violations
         assert v.path == ("main",) + ("cont",) * 9_999
+
+
+class TestSubterms:
+    """The node walk against the frozen recursive pre-order in
+    ``cc_reference.py``: the same nodes, as the same objects, in order."""
+
+    @staticmethod
+    def _agrees(c):
+        live, ref = list(subterms(c)), reference_subterms(c)
+        assert len(live) == len(ref)
+        assert all(a is b for a, b in zip(live, ref)), c
+
+    @pytest.mark.parametrize("name", sorted(f.stem for f in CORPUS.glob("*.chor")))
+    def test_corpus(self, name):
+        # main, every body, and every term reached within 10 steps, which
+        # include running calls
+        p = load_program(name)
+        reached = [main for main, _s, _trans in explore(p, depth=10)]
+        for c in [p.main, *(d.body for d in p.procs.values()), *reached]:
+            self._agrees(c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_choreographies())
+    def test_generated(self, c):
+        self._agrees(c)
+
+    def test_long_ring_at_the_default_recursion_limit(self, default_recursion_limit):
+        c = _ring(10_000).main
+        nodes = list(subterms(c))
+        assert len(nodes) == 10_001 and nodes[0] is c and type(nodes[-1]) is End
+
+    def test_rejects_a_node_that_is_not_a_choreography(self):
+        c = Interaction(CommEta("p", Lit(1), "q", "x"), ("not", "a", "node"))
+        with pytest.raises(TypeError, match="not a choreography"):
+            list(subterms(c))
 
 
 def _ring(n: int, procs: int = 3) -> ChorProgram:

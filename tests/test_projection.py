@@ -12,12 +12,16 @@ from conftest import (
     load_program,
 )
 from hypothesis import given, settings
-from projection_reference import reference_compile, reference_projectable
+from projection_reference import (
+    reference_compile,
+    reference_projectable,
+    reference_str_projectable,
+)
 from test_chor import _choreographies
 
 from chorkit import checker as checker_mod
 from chorkit import projection
-from chorkit.checker import SuccessorTable, verify_epp
+from chorkit.checker import SuccessorTable, check_hypotheses, verify_epp
 from chorkit.chor import (
     CHOR_END,
     ChorProgram,
@@ -29,8 +33,10 @@ from chorkit.chor import (
     cc_enabled,
     cc_step,
     program_pids,
+    subterms,
 )
 from chorkit.chor import Call as ChorCall
+from chorkit.chor import Cond as ChorCond
 from chorkit.chor import End as ChorEnd
 from chorkit.core import EMPTY_STATE, Eq, Lit, State, VarRef
 from chorkit.merge import UNDEFINED, xmerge
@@ -249,6 +255,16 @@ class TestStrProjectable:
         bad = RunningCall("Nope", (), ChorEnd())
         assert not str_projectable({}, bad, "c")
 
+    def test_pending_process_needs_a_defined_view(self):
+        # r cannot follow the body, in the procedure as in the running
+        # call: the preorder relates the two undefined views, so only
+        # the clause on r's own view of the body rejects the term
+        told = Interaction(CommEta("p", Lit(1), "r", "y"), CHOR_END)
+        body = ChorCond("p", Eq(VarRef("x"), Lit(0)), told, CHOR_END)
+        procs = {"X": ProcDef(("p", "r"), body)}
+        assert not str_projectable(procs, RunningCall("X", ("r",), body), "r")
+        assert str_projectable(procs, RunningCall("X", ("r",), body), "p")
+
 
 class TestEpp:
     def test_auth_network(self, auth):
@@ -431,9 +447,10 @@ class TestMemo:
                 assert projected.get(pid) is compiled.get(pid), (name, pid)
 
 
-def _str_projectable_agrees(p, ps, terms):
-    """``str_projectable`` through the memo that compiling ``p`` filled
-    against ``str_projectable`` without one, at every listed process."""
+def _str_projectable_agrees(p, ps, terms) -> int:
+    """``str_projectable``, without a memo and through the memo that
+    compiling ``p`` filled, against the frozen structural recursion, at
+    every pid of ``ps``; the number of terms and pids checked."""
     memo: dict = {}
     try:
         epp(infer_params(p)[0], ps, p, memo)
@@ -441,22 +458,44 @@ def _str_projectable_agrees(p, ps, terms):
         pass
     for r in ps:
         for c in terms:
-            expected = str_projectable(p.procs, c, r)
+            expected = reference_str_projectable(p.procs, c, r)
+            assert str_projectable(p.procs, c, r) == expected, (r, c)
             assert str_projectable(p.procs, c, r, memo) == expected, (r, c)
+    return len(ps) * len(terms)
+
+
+def _with_broken_calls(terms) -> list:
+    """``terms``, then three variants of each running call in them: an
+    extra undeclared pending process, the body replaced by ``end``, and
+    an unknown procedure."""
+    out = list(terms)
+    for c in terms:
+        for n in subterms(c):
+            if type(n) is RunningCall:
+                out.append(RunningCall(n.proc, n.pending + ("extra",), n.body))
+                out.append(RunningCall(n.proc, n.pending, CHOR_END))
+                out.append(RunningCall("Nope", n.pending, n.body))
+    return out
 
 
 class TestStrProjectableMemo:
+    """``str_projectable`` with and without the compile memo against the
+    recursive definition it unfolds (``projection_reference.py``)."""
+
     def test_corpus_and_reached_running_calls(self):
-        # terms reached through cc_step include running calls, whose
-        # pending processes are checked against the procedure body's view
-        running = 0
+        # every configuration within 25 steps under two stores; reached
+        # terms include running calls, whose pending processes are
+        # checked against the procedure body's view
+        running = checks = 0
         for name in sorted(f.stem for f in CORPUS.glob("*.chor")):
             p = load_program(name)
             stores = (EMPTY_STATE, State({("c", "credentials"): 7, ("s", "token"): 42}))
-            reached = [main for s0 in stores for main, _s, _trans in explore(p, s0, depth=10)]
-            running += sum(type(c) is RunningCall for c in reached)
-            _str_projectable_agrees(p, infer_params(p)[1], [p.main, *reached])
-        assert running
+            reached = [main for s0 in stores for main, _s, _trans in explore(p, s0, depth=25)]
+            terms = list(dict.fromkeys([p.main, *reached]))
+            running += sum(type(n) is RunningCall for c in terms for n in subterms(c))
+            terms = _with_broken_calls(terms)
+            checks += _str_projectable_agrees(p, sorted(program_pids(p) | {"nobody"}), terms)
+        assert running == 13 and checks == 459
 
     @settings(max_examples=300, deadline=None)
     @given(_choreographies(), _choreographies(), _choreographies())
@@ -464,4 +503,67 @@ class TestStrProjectableMemo:
         p = ChorProgram(
             {"X": ProcDef(("p", "q"), body_x), "Y": ProcDef(("q", "r", "s"), body_y)}, c
         )
-        _str_projectable_agrees(p, ("p", "q", "r", "s"), [c])
+        _str_projectable_agrees(p, ("p", "q", "r", "s", "nobody"), _with_broken_calls([c]))
+
+
+def _spine(n: int, tail):
+    """``n`` interactions between p and q in front of ``tail``."""
+    for i in reversed(range(n)):
+        a, b = ("p", "q") if i % 2 else ("q", "p")
+        tail = Interaction(CommEta(a, Lit(i), b, "x"), tail)
+    return tail
+
+
+def _planted(n: int, placement: str) -> ChorProgram:
+    """A program that r cannot follow: p decides whether r is told
+    anything.  The conditional ends a spine of ``n`` interactions, or
+    ends one in the then-branch of an outer conditional that p decides,
+    whose else-branch is such a spine too."""
+    guard = Eq(VarRef("x"), Lit(0))
+    told = Interaction(CommEta("p", Lit(1), "r", "y"), CHOR_END)
+    planted = ChorCond("p", guard, told, CHOR_END)
+    if placement == "prefix":
+        return ChorProgram({}, _spine(n, planted))
+    return ChorProgram({}, ChorCond("p", guard, _spine(n, planted), _spine(n, CHOR_END)))
+
+
+class TestCounterGrowth:
+    """``bproj`` calls counted, so a diagnosis or a strong check that
+    projects a term once per node fails whatever the machine's speed."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        calls: list = []
+        original = projection.bproj
+
+        def bproj(procs, c, r, memo=None):
+            calls.append(r)
+            return original(procs, c, r, memo)
+
+        monkeypatch.setattr(projection, "bproj", bproj)
+        return calls
+
+    @pytest.mark.parametrize("placement", ["prefix", "branch"])
+    def test_diagnosis_is_linear_in_the_spine(self, placement, monkeypatch):
+        calls = self._counted(monkeypatch)
+        counts = []
+        for n in (200, 400):
+            p = _planted(n, placement)
+            calls.clear()
+            (f,) = projectable(*infer_params(p), p)
+            assert f.kind == "merge-conflict" and f.process == "r"
+            counts.append(len(calls))
+        assert counts[1] <= 2 * counts[0] + 10, counts
+
+    @pytest.mark.parametrize("name", PROJECTABLE)
+    def test_strong_check_reads_the_compile_memo(self, name, monkeypatch):
+        # main has no running call, so after compiling, strong
+        # projectability is one memo hit per process
+        p = load_program(name)
+        xs, ps = infer_params(p)
+        calls = self._counted(monkeypatch)
+        epp(xs, ps, p)
+        compiled = len(calls)
+        calls.clear()
+        assert check_hypotheses(p, xs, ps) == ()
+        assert len(calls) == compiled + len(ps)
