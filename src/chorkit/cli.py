@@ -14,9 +14,11 @@ with.  ``check`` reports the gate's failures on stdout;
 hypothesis of the correspondence), and all five print the failures on
 stderr and exit 1 without going further.
 
-Exit codes: 0 success, 1 gate or verify failures or abnormal run
-outcomes, 2 usage or parse errors, 3 input nested too deeply for the
-recursive parser and analyses.
+``exec`` replays every run it reports through ``validate_trace``.
+
+Exit codes: 0 success, 1 gate or verify failures, abnormal run outcomes
+or runs that do not replay, 2 usage or parse errors, 3 input nested too
+deeply for the recursive parser and analyses.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .core import State, TraceRecord, obs_label_text, rich_label_text, state_dig
 from .merge import UNDEFINED
 from .net import NetProgram, sp_run
 from .projection import ProjectionError, epp, infer_params
-from .runtime import RuntimeConfig, execute
+from .runtime import RuntimeConfig, execute, validate_trace
 from .syntax import ParseError, SourceUnit, parse, print_behaviour
 
 FORMAT_VERSION = 1
@@ -291,7 +293,10 @@ def _cmd_exec(args) -> int:
     _emit_trace(report.trace, report.outcome, report.final_state, args.json)
     if report.error is not None:
         print(f"{args.file}: worker error: {report.error!r}", file=sys.stderr)
-    return 0 if report.outcome == "terminated" else 1
+    replay = validate_trace(np, s0, report)
+    if not replay.ok:
+        print(f"{args.file}: run does not replay at step {replay.index}: {replay.reason}", file=sys.stderr)
+    return 0 if report.outcome == "terminated" and replay.ok else 1
 
 
 def _cmd_verify(args) -> int:

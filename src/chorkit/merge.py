@@ -142,35 +142,32 @@ def xmerge(a, b):
 def deepest_conflict(b1, b2) -> Optional[tuple]:
     """The smallest operand pair whose merge is undefined, or None.
 
-    Recurses into the first failing sub-merge, so the returned pair is the
-    deepest point at which merging actually goes wrong; useful for
-    reporting why a projection failed.
+    Follows the first failing sub-merge, then-side first, so the pair is
+    the deepest point at which merging goes wrong; useful for reporting
+    why a projection failed.  A structural walk deciding definedness as
+    ``xmerge`` does, without calling it: it loops along chains and
+    recurses only into branching options and conditional branches.
     """
-    if xmerge(b1, b2) is not UNDEFINED:
-        return None
-    ta = type(b1)
-    if ta is not type(b2):
-        return (b1, b2)
-    if ta is Branch:
-        if b1[0] != b2[0]:
+    while True:
+        ta = type(b1)
+        if ta is not type(b2):
             return (b1, b2)
-        for idx in (1, 2):
-            x, y = b1[idx], b2[idx]
-            if x is not None and y is not None:
-                sub = deepest_conflict(x, y)
-                if sub is not None:
-                    return sub
-        return (b1, b2)
-    if ta is Cond:
-        if b1[0] != b2[0]:
-            return (b1, b2)
-        for idx in (1, 2):
-            sub = deepest_conflict(b1[idx], b2[idx])
-            if sub is not None:
-                return sub
-        return (b1, b2)
-    if ta in (Send, Recv, SelectSend):
-        if b1[0] != b2[0] or b1[1] != b2[1]:
-            return (b1, b2)
-        return deepest_conflict(b1[2], b2[2])
-    return (b1, b2)  # mismatching Call names or the like
+        if ta is Send or ta is Recv or ta is SelectSend:
+            if b1[0] != b2[0] or b1[1] != b2[1]:
+                return (b1, b2)
+            b1, b2 = b1[2], b2[2]
+            continue
+        if ta is Branch or ta is Cond:
+            if b1[0] != b2[0]:
+                return (b1, b2)
+            for x, y in ((b1[1], b2[1]), (b1[2], b2[2])):
+                if ta is Cond or (x is not None and y is not None):
+                    sub = deepest_conflict(x, y)
+                    if sub is not None:
+                        return sub
+            if ta is Branch and UNDEFINED in (b1[1], b1[2], b2[1], b2[2]):
+                return (b1, b2)  # an absent option yields to an UNDEFINED one
+            return None
+        if ta is End or (ta is Call and b1[0] == b2[0]):
+            return None
+        return (b1, b2)  # mismatching Call names, or both UNDEFINED

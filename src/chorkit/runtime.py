@@ -6,21 +6,26 @@ rendezvous spoken in the calculus' own terms.  A thread offers its
 current behaviour node together with what only its own store can give:
 the value of a ``Send`` or the outcome of a ``Cond`` guard, else None.
 It then blocks until the sequencer answers.  The sequencer waits until
-every live thread has an outstanding offer, matches the offered heads
+every running thread has an outstanding offer, matches the offered heads
 into rich labels (a send meets a receive from it, a label send meets a
 branching that offers the label, a conditional or a call acts alone),
-picks one with a seeded generator, commits it on a mirrored
-network/state, appends a trace record, and sends the label itself to
-each process it involves.  A thread moves on from its head and the
-label: a receive stores the label's value, a branching follows its
-label, a conditional follows its own guard.  None instead of a label
-halts the thread.
+picks one with a seeded generator, appends a trace record, and sends
+the label itself to each process it involves.  A thread moves on from
+its head and the label: a receive stores the label's value, a branching
+follows its label, a conditional follows its own guard.  None instead
+of a label halts the thread.
 
-Because commits are serialised and the generator is seeded, a run is a
-deterministic function of (program, state, config), and the emitted
-trace replays step by step through the sequential semantics, which
-``validate_trace`` checks.  Deadlock is declared when all live threads
-are blocked with no matching pair; when offers stop arriving within the
+The sequencer never runs the sequential semantics.  The only store it
+keeps is the one the trace digests need, updated from each committed
+label: a communication writes its value to its receiver's variable, and
+every other label writes nothing.  A report's final network and store
+are read from the threads once they are joined: each one's current
+behaviour and its own variables, plus the initial entries of pids that
+run no thread.  Because commits are serialised and the generator is
+seeded, a run is a deterministic function of (program, state, config),
+and ``validate_trace`` replays its report through ``sp_step``, an
+independent derivation.  Deadlock is declared when every running thread
+is blocked with no matching pair; when offers stop arriving within the
 configured timeout the run ends with outcome ``timeout`` instead.  A
 thread that raises posts the exception in place of its offer, and the
 run ends with outcome ``worker-error`` and the exception in the report.
@@ -32,6 +37,7 @@ import queue
 import random
 import threading
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .core import (
@@ -81,14 +87,10 @@ class RuntimeConfig:
 @dataclass(frozen=True)
 class ExecutionReport:
     trace: Tuple[TraceRecord, ...]
-    final_state: State
-    final_net: Network
+    final_state: State  # the threads' stores, plus the pids that run none
+    final_net: Network  # the threads' current behaviours
     outcome: str  # terminated | deadlocked | timeout | step-limit | worker-error
     error: Optional[BaseException] = None  # what a worker raised (worker-error)
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(r.label for r in self.trace)
 
 
 class _Worker(threading.Thread):
@@ -110,8 +112,8 @@ class _Worker(threading.Thread):
             self.offers.put((self.pid, e))
 
     def _walk(self) -> None:
-        b = self.behaviour
         while True:
+            b = self.behaviour
             t = type(b)
             local = None
             if t is Send:
@@ -126,15 +128,15 @@ class _Worker(threading.Thread):
                 return
             if t is Recv:
                 self.store = self.store.set(self.pid, b.var, rich.value)
-                b = b.cont
+                self.behaviour = b.cont
             elif t is Branch:
-                b = b.on_left if rich.label == "left" else b.on_right
+                self.behaviour = b.on_left if rich.label == "left" else b.on_right
             elif t is Cond:
-                b = b.then_b if local else b.else_b
+                self.behaviour = b.then_b if local else b.else_b
             elif t is Call:
-                b = self.procs.get(b.name, SP_END)
+                self.behaviour = self.procs.get(b.name, SP_END)
             else:
-                b = b.cont
+                self.behaviour = b.cont
 
 
 def execute(
@@ -147,16 +149,14 @@ def execute(
     for pid, b in p.net.items():
         own = State(((q, var), v) for (q, var), v in s0.items() if q == pid)
         workers[pid] = _Worker(pid, b, p.procs, own, offers_q)
-    mirror, mirror_state = p, s0
     for w in workers.values():
         w.start()
 
-    live = set(workers)
     offers: Dict[Pid, tuple] = {}
-    awaited = set(live)
+    awaited = set(workers)
     trace: list = []
     timeout = cfg.step_timeout_ms / 1000.0
-    digest = state_digest(s0)
+    state, digest = s0, state_digest(s0)
     error = None
 
     try:
@@ -169,9 +169,8 @@ def execute(
                 outcome, error = "worker-error", offers[failed[0]]
                 break
             for pid in [q for q, (head, _) in offers.items() if type(head) is End]:
-                live.discard(pid)
                 del offers[pid]
-            if not live:
+            if not offers:
                 outcome = "terminated"
                 break
             candidates = _enabled_offers(offers)
@@ -182,18 +181,25 @@ def execute(
                 outcome = "step-limit"
                 break
             rich = candidates[rng.randrange(len(candidates))]
-            mirror, mirror_state = sp_step(mirror, mirror_state, rich)
-            post = state_digest(mirror_state)
+            if type(rich) is RichComm:
+                state = state.set(rich.receiver, rich.var, rich.value)
+            post = state_digest(state)
             trace.append(trace_record(len(trace), rich, digest, post))
             digest = post
-            _grant(workers, offers, awaited, rich)
+            for pid in label_pids(rich):
+                workers[pid].grants.put(rich)
+                del offers[pid]
+                awaited.add(pid)
     finally:
-        # a halt for every live process, whether it has posted yet or not
-        for pid in live:
-            workers[pid].grants.put(None)
+        # a halt for every process: one that has ended never reads it
+        for w in workers.values():
+            w.grants.put(None)
         for w in workers.values():
             w.join(timeout=1.0)
-    return ExecutionReport(tuple(trace), mirror_state, mirror.net, outcome, error)
+    unowned = ((key, v) for key, v in s0.items() if key[0] not in workers)
+    final_state = State(chain(unowned, *(w.store.items() for w in workers.values())))
+    final_net = Network((pid, w.behaviour) for pid, w in workers.items())
+    return ExecutionReport(tuple(trace), final_state, final_net, outcome, error)
 
 
 def _drain_offers(offers_q, offers, awaited, timeout: float) -> bool:
@@ -228,14 +234,6 @@ def _enabled_offers(offers: Dict[Pid, tuple]) -> list:
         elif t is Call:
             out.append(RichCall(b.name, pid))
     return out
-
-
-def _grant(workers, offers, awaited, rich) -> None:
-    """Send the committed label to each process it involves."""
-    for pid in label_pids(rich):
-        workers[pid].grants.put(rich)
-        del offers[pid]
-        awaited.add(pid)
 
 
 class ValidationResult(NamedTuple):

@@ -1,6 +1,7 @@
 """Shared fixtures: corpus loading and hand-built reference behaviours."""
 
 import sys
+import threading
 from collections import deque
 from pathlib import Path
 
@@ -63,6 +64,19 @@ def explore(p: ChorProgram, s0=EMPTY_STATE, depth=12):
                 seen.add((m2, s2))
                 queue.append((m2, s2, d + 1))
     return out
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves a runtime worker thread (``proc-*``) alive."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [
+        t.name
+        for t in threading.enumerate()
+        if t not in before and t.name.startswith("proc-") and t.is_alive()
+    ]
+    assert not leaked, f"worker threads left running: {leaked}"
 
 
 @pytest.fixture

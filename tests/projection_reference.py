@@ -8,6 +8,9 @@ differential tests in ``test_projection.py`` hold the one-pass
 ``projection.epp`` and ``projection.projectable`` to it.
 ``reference_str_projectable`` is strong projectability as its structural
 recursion, against which ``projection.str_projectable`` is tested.
+``reference_deepest_conflict`` is the conflict report that asks
+``xmerge`` at every level of its descent, against which the structural
+``merge.deepest_conflict`` is tested; the reference diagnosis uses it.
 
 Only ``bproj``, the merge and the syntax helpers are shared with the
 live code, looked up on the live module at call time, so a
@@ -16,9 +19,40 @@ monkeypatched projection seam reaches both sides.
 
 from chorkit import projection, pruning
 from chorkit.chor import Call, Cond, End, Interaction, RunningCall, called_procs, chor_pids
-from chorkit.merge import UNDEFINED, deepest_conflict, xmerge
-from chorkit.net import Network, NetProgram
+from chorkit.merge import UNDEFINED, xmerge
+from chorkit.net import Branch, Cond as NetCond, Network, NetProgram, Recv, SelectSend, Send
 from chorkit.projection import ProjectionFailure
+
+
+def reference_deepest_conflict(b1, b2):
+    if xmerge(b1, b2) is not UNDEFINED:
+        return None
+    ta = type(b1)
+    if ta is not type(b2):
+        return (b1, b2)
+    if ta is Branch:
+        if b1[0] != b2[0]:
+            return (b1, b2)
+        for idx in (1, 2):
+            x, y = b1[idx], b2[idx]
+            if x is not None and y is not None:
+                sub = reference_deepest_conflict(x, y)
+                if sub is not None:
+                    return sub
+        return (b1, b2)
+    if ta is NetCond:
+        if b1[0] != b2[0]:
+            return (b1, b2)
+        for idx in (1, 2):
+            sub = reference_deepest_conflict(b1[idx], b2[idx])
+            if sub is not None:
+                return sub
+        return (b1, b2)
+    if ta in (Send, Recv, SelectSend):
+        if b1[0] != b2[0] or b1[1] != b2[1]:
+            return (b1, b2)
+        return reference_deepest_conflict(b1[2], b2[2])
+    return (b1, b2)  # mismatching Call names or the like
 
 
 def _conflict_failures(procs, c, r, path, out):
@@ -35,7 +69,7 @@ def _conflict_failures(procs, c, r, path, out):
         left = projection.bproj(procs, c.then_c, r)
         right = projection.bproj(procs, c.else_c, r)
         if xmerge(left, right) is UNDEFINED:
-            pair = deepest_conflict(left, right)
+            pair = reference_deepest_conflict(left, right)
             detail = "branch views of this conditional do not merge"
             out.append(ProjectionFailure(r, path, "merge-conflict", conflict=pair, detail=detail))
         return

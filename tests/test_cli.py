@@ -332,6 +332,18 @@ class TestWorkerError:
         assert captured.err == f"{AUTH}: worker error: ZeroDivisionError('planted')\n"
 
 
+class TestReplay:
+    def test_exec_exits_1_on_a_run_that_does_not_replay(self, monkeypatch, capsys):
+        # workers that send each value plus 1: the run terminates, but its
+        # first communication is not the one the sequential semantics takes
+        original = runtime.eval_expr
+        monkeypatch.setattr(runtime, "eval_expr", lambda e, s, p: original(e, s, p) + 1)
+        assert main(["exec", AUTH, *AUTH_STATE]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out.splitlines()[-1])["outcome"] == "terminated"
+        assert captured.err == f"{AUTH}: run does not replay at step 0: label not enabled here\n"
+
+
 class TestDeepInput:
     def test_deep_ring_exits_3_without_traceback(self, tmp_path, capsys):
         hops = "".join(f"{a}.x -> {b}.x;\n" for a, b in [("p", "q"), ("q", "p")] * 2500)

@@ -6,10 +6,12 @@ import itertools
 import random
 
 from conftest import has_undefined
+from projection_reference import reference_deepest_conflict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chorkit.core import Eq, Lit, VarRef
+from chorkit import merge as merge_mod
 from chorkit.merge import UNDEFINED, collapse, deepest_conflict, xmerge
 from chorkit.net import Branch, Call, Cond, Recv, SP_END, SelectSend, Send
 from chorkit.smallterms import behaviour_space
@@ -260,3 +262,76 @@ class TestDeepestConflict:
         a = Send("p", Lit(1), SP_END)
         b = Recv("p", "x", SP_END)
         assert deepest_conflict(a, b) == (a, b)
+
+
+def _same_pair(x, y):
+    """Pairs equal by identity of their members, so deep terms are never
+    compared with ``==``."""
+    return x is y or (x is not None and y is not None and x[0] is y[0] and x[1] is y[1])
+
+
+def _chain(n, tail):
+    """``n`` sends in front of ``tail``, alternating peers and kinds."""
+    b = tail
+    for i in range(n):
+        peer = "pq"[i % 2]
+        b = Send(peer, Lit(i), b) if i % 3 else SelectSend(peer, "left", b)
+    return b
+
+
+class TestDeepestConflictAgainstReference:
+    """The structural walk against the frozen one that asks ``xmerge``
+    at every level (``projection_reference.py``)."""
+
+    def test_depth3_rows_against_the_space(self):
+        space = behaviour_space(3)
+        rows = random.Random(2024).sample(space, 64)
+        for a in rows:
+            for b in space:
+                got, want = deepest_conflict(a, b), reference_deepest_conflict(a, b)
+                assert _same_pair(got, want), (a, b)
+
+    def test_small_space_and_partial_trees(self):
+        terms = SPACE2 + PARTIAL
+        for a, b in itertools.product(terms, terms):
+            assert _same_pair(deepest_conflict(a, b), reference_deepest_conflict(a, b)), (a, b)
+
+    def test_long_chains(self):
+        inner = B("q", Recv("p", "x", SP_END), None)
+        guard = Eq(VarRef("x"), Lit(0))
+        for n in (100, 200, 400):
+            pairs = [
+                # differ only in the last receive
+                (_chain(n, Recv("q", "x", SP_END)), _chain(n, Recv("q", "y", SP_END))),
+                # agree to the end
+                (_chain(n, SP_END), _chain(n, SP_END)),
+                # differ in the middle, under a branching option
+                (
+                    _chain(n // 2, B("p", _chain(n // 2, inner), None)),
+                    _chain(n // 2, B("p", _chain(n // 2, SP_END), SP_END)),
+                ),
+                # a conditional whose then-branches merge and else-branches do not
+                (
+                    Cond(guard, _chain(n // 2, SP_END), _chain(n // 2, Call(("X", "p")))),
+                    Cond(guard, _chain(n // 2, SP_END), _chain(n // 2, Call(("Y", "p")))),
+                ),
+            ]
+            for a, b in pairs:
+                assert _same_pair(deepest_conflict(a, b), reference_deepest_conflict(a, b)), n
+
+    def test_chain_cost_is_linear(self, monkeypatch):
+        # the walk takes no merge at each level of a chain: calls to
+        # ``xmerge`` and to itself at most double with the chain's length
+        calls = []
+        for name in ("xmerge", "deepest_conflict"):
+            original = getattr(merge_mod, name)
+            monkeypatch.setattr(
+                merge_mod, name, lambda *args, _f=original: calls.append(1) or _f(*args)
+            )
+        counts = {}
+        for n in (200, 400):
+            a, b = _chain(n, Recv("q", "x", SP_END)), _chain(n, Recv("q", "y", SP_END))
+            del calls[:]
+            assert merge_mod.deepest_conflict(a, b) is not None
+            counts[n] = len(calls)
+        assert counts[400] <= 2 * counts[200] + 2, counts

@@ -1,5 +1,6 @@
 """Concurrent execution of compiled networks against the reference step."""
 
+import queue
 import threading
 import time
 from collections import deque
@@ -8,7 +9,17 @@ import pytest
 from conftest import PROJECTABLE, load_program
 
 from chorkit.chor import cc_run
-from chorkit.core import EMPTY_STATE, Lit, RichCall, RichSelect, State, eval_bexpr, eval_expr
+from chorkit.core import (
+    EMPTY_STATE,
+    Lit,
+    RichCall,
+    RichComm,
+    RichCond,
+    RichSelect,
+    State,
+    eval_bexpr,
+    eval_expr,
+)
 from chorkit.net import (
     Branch,
     Call,
@@ -24,6 +35,7 @@ from chorkit.net import (
     sp_run,
 )
 from chorkit.projection import epp_program
+from chorkit import net as net_mod
 from chorkit import runtime
 from chorkit.runtime import ExecutionReport, RuntimeConfig, execute, validate_trace
 
@@ -250,3 +262,91 @@ class TestValidation:
         res = validate_trace(np, AUTH_STATE, tampered)
         assert not res.ok
         assert res.index == len(report.trace)
+
+
+# Faults planted in the workers.  The sequencer runs no semantics of its
+# own, so a report reflects what the threads did, and ``validate_trace``,
+# replaying it through ``sp_step``, must reject every faulty run.
+
+
+class _SkewedGrants(queue.Queue):
+    """A grant queue that hands its worker each communicated value plus 1."""
+
+    def get(self, *args, **kwargs):
+        rich = super().get(*args, **kwargs)
+        return rich._replace(value=rich.value + 1) if type(rich) is RichComm else rich
+
+
+class _MisstoringWorker(runtime._Worker):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.grants = _SkewedGrants()
+
+
+def _faulty_runs():
+    """Each projectable corpus program under two stores: the network, the
+    store, and the report of a run that must not raise."""
+    for name in PROJECTABLE:
+        np = epp_program(load_program(name))
+        for s0 in (EMPTY_STATE, AUTH_STATE):
+            yield name, np, s0, execute(np, s0, RuntimeConfig(max_steps=200))
+
+
+class TestPlantedFaults:
+    def test_sent_values_off_by_one(self, monkeypatch):
+        monkeypatch.setattr(runtime, "eval_expr", lambda e, s, p: eval_expr(e, s, p) + 1)
+        for name, np, s0, report in _faulty_runs():
+            res = validate_trace(np, s0, report)
+            assert not res.ok, (name, s0)
+
+    def test_negated_guards(self, monkeypatch):
+        monkeypatch.setattr(runtime, "eval_bexpr", lambda g, s, p: not eval_bexpr(g, s, p))
+        affected = set()
+        for name, np, s0, report in _faulty_runs():
+            res = validate_trace(np, s0, report)
+            if any(type(r.rich) is RichCond for r in report.trace):
+                affected.add(name)
+                assert not res.ok, (name, s0)
+            else:
+                assert res.ok, (name, s0, res)
+        assert len(affected) == 8
+
+    def test_received_values_stored_off_by_one(self, monkeypatch):
+        monkeypatch.setattr(runtime, "_Worker", _MisstoringWorker)
+        for name, np, s0, report in _faulty_runs():
+            res = validate_trace(np, s0, report)
+            assert not res.ok, (name, s0)
+
+    def test_final_store_is_the_workers(self, monkeypatch):
+        # the trace follows the committed labels, the final store the
+        # threads: ip is sent 0 and stores 1
+        monkeypatch.setattr(runtime, "_Worker", _MisstoringWorker)
+        np = epp_program(load_program("auth"))
+        report = execute(np, AUTH_STATE, RuntimeConfig())
+        assert report.trace[0].rich == RichComm("c", 0, "ip", "x")
+        assert report.final_state.get("ip", "x") == 1
+        assert not validate_trace(np, AUTH_STATE, report).ok
+
+    def test_unowned_entries_are_kept(self):
+        np = epp_program(load_program("auth"))
+        s0 = AUTH_STATE.set("z", "q", 3)
+        report = execute(np, s0, RuntimeConfig())
+        assert report.final_state.get("z", "q") == 3
+        assert validate_trace(np, s0, report).ok
+
+
+class TestNoMirror:
+    @pytest.mark.parametrize("name", PROJECTABLE)
+    def test_execute_derives_no_network_transition(self, name, monkeypatch):
+        calls = []
+        original = net_mod.sp_enabled
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(net_mod, "sp_enabled", counted)
+        np = epp_program(load_program(name))
+        report = execute(np, AUTH_STATE, RuntimeConfig(max_steps=200))
+        assert report.trace
+        assert calls == []
