@@ -59,7 +59,7 @@ from .chor import (
     End as ChorEnd,
     cc_check_wf,
     cc_enabled,
-    program_pids,
+    infer_params,
 )
 from .core import (
     EMPTY_STATE,
@@ -247,7 +247,7 @@ class SuccessorTable:
         self.reused = 0
         self._cc: dict = {}
         self._sp: dict = {}
-        self._pids = None if chor is None else program_pids(chor)
+        self._pids = None if chor is None else frozenset(infer_params(chor)[1])
 
     def cc(self, key: tuple) -> list:
         trans = self._cc.get(key)
@@ -391,7 +391,7 @@ def verify_epp(
     """Certify the correspondence for one program up to a depth bound.
 
     The hypotheses are checked against the procedure names and processes
-    ``projection.infer_params`` finds; checking projectability compiles
+    ``infer_params`` finds; checking projectability compiles
     the network program, once.  Nodes are (choreography, network,
     state) triples.  The enabled transitions of both sides come from
     ``table`` (a fresh one for ``p`` if None), which also keeps the
@@ -406,7 +406,7 @@ def verify_epp(
     choreography; it answers only when its stored node is the queried
     node, and dies with the call.
     """
-    xs, ps = projection.infer_params(p)
+    xs, ps = infer_params(p)
     memo: dict = {}
     failures, sp = _hypotheses(p, xs, ps, memo)
     if failures:

@@ -321,19 +321,37 @@ def cc_check_wf(p: ChorProgram) -> WfReport:
     return WfReport(tuple(out))
 
 
+def infer_params(p: ChorProgram) -> Tuple[tuple, tuple]:
+    """Smallest (procedure names, pids) covering the program.
+
+    Names are the procedures reachable from main through calls; pids are
+    every process of main, of the reachable bodies, and of their declared
+    parameter lists.  The result satisfies the coverage conjuncts of
+    ``projectable`` by construction.
+    """
+    xs: set = set()
+    frontier = called_procs(p.main)
+    while frontier:
+        name = next(iter(frontier))
+        frontier = frontier - {name}
+        if name in xs or name not in p.procs:
+            xs.add(name)
+            continue
+        xs.add(name)
+        frontier |= called_procs(p.procs[name].body) - xs
+    syntactic = lambda _name: ()
+    ps = set(chor_pids(p.main, syntactic))
+    for name in xs:
+        d = p.procs.get(name)
+        if d is None:
+            continue
+        ps |= set(d.params)
+        ps |= chor_pids(d.body, syntactic)
+    return tuple(sorted(xs)), tuple(sorted(ps))
+
+
 # ---------------------------------------------------------------------------
 # Semantics
-
-
-def program_pids(p: ChorProgram) -> frozenset:
-    """Every process a term reached from ``p`` can mention: main's, and
-    each procedure's declared and used ones, even where the program is
-    not well-formed."""
-    syntactic = lambda _name: ()
-    out = chor_pids(p.main, syntactic)
-    for d in p.procs.values():
-        out = out.union(d.params, chor_pids(d.body, syntactic))
-    return out
 
 
 def cc_enabled(
@@ -353,10 +371,11 @@ def cc_enabled(
     ``blocked`` and ``everyone`` are internal to the recursion:
     ``blocked`` holds the processes of the enclosing actions that the
     actions of ``c`` would overtake, and ``everyone``, when given, is
-    ``program_pids`` of the program.  Every action uses some process of
-    the program, so once ``blocked`` holds all of ``everyone`` nothing
-    below can fire and the walk stops there instead of running to the end
-    of the term.
+    the process set of ``infer_params``.  A term reached from the program
+    holds only main and the bodies reachable from it, so every action
+    uses some process of that set; once ``blocked`` holds all of
+    ``everyone`` nothing below can fire and the walk stops there instead
+    of running to the end of the term.
     """
     t = type(c)
     if t is End or (everyone is not None and blocked >= everyone):
@@ -415,7 +434,8 @@ def _may_delay_past_eta(pids: tuple, blocked: frozenset) -> bool:
 
 
 def cc_step(p: ChorProgram, s: State, label: RichLabel) -> Tuple[ChorProgram, State]:
-    for (t, c2, s2) in cc_enabled(p.procs, p.main, s, frozenset(), program_pids(p)):
+    everyone = frozenset(infer_params(p)[1])
+    for (t, c2, s2) in cc_enabled(p.procs, p.main, s, frozenset(), everyone):
         if t == label:
             return ChorProgram(p.procs, c2), s2
     raise NotEnabledError(label)
@@ -429,6 +449,6 @@ def cc_run(
     seed: int = 0,
 ) -> RunResult:
     """Run the choreography under ``core.drive``'s scheduling policies."""
-    everyone = program_pids(p)
+    everyone = frozenset(infer_params(p)[1])
     enabled = lambda c, s2: cc_enabled(p.procs, c, s2, frozenset(), everyone)
     return drive(enabled, p.main, CHOR_END, s, policy, fuel, seed)

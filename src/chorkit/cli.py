@@ -16,18 +16,21 @@ stderr and exit 1 without going further.
 
 ``exec`` replays every run it reports through ``validate_trace``.
 
-Exit codes: 0 success, 1 gate or verify failures, abnormal run outcomes
-or runs that do not replay, 2 usage or parse errors, 3 input nested too
-deeply for the recursive parser and analyses.
+Exit codes: 0 success, 1 gate or verify failures, abnormal run outcomes,
+runs that do not replay, or ``project`` refusing a program with a
+process named ``procs`` (its behaviour file would be the procedure
+table), 2 usage or parse errors, 3 input nested too deeply for the
+recursive parser and analyses.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path as FsPath
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .chor import cc_check_wf, cc_run
 from .checker import (
@@ -39,10 +42,10 @@ from .checker import (
 )
 from .core import State, TraceRecord, obs_label_text, rich_label_text, state_digest
 from .merge import UNDEFINED
-from .net import NetProgram, sp_run
+from .net import sp_run
 from .projection import ProjectionError, epp, infer_params
 from .runtime import RuntimeConfig, execute, validate_trace
-from .syntax import ParseError, SourceUnit, parse, print_behaviour
+from .syntax import ParseError, SourceUnit, is_name, parse, print_behaviour
 
 FORMAT_VERSION = 1
 
@@ -56,27 +59,27 @@ def _load(path: str) -> SourceUnit:
     return parse(text, path)
 
 
+_INTEGER = re.compile(r"-?[0-9]+")  # the grammar's literals, negated or not
+
+
 def _parse_state(pairs: Optional[List[str]]) -> State:
-    """--state entries look like pid.var=value."""
+    """--state entries look like pid.var=value: two names the parser
+    accepts and an integer literal, optionally negated."""
     entries = {}
     for raw in pairs or []:
         key, sep, value = raw.partition("=")
         pid, dot, var = key.partition(".")
-        if not sep or not dot or not pid or not var:
+        if not (sep and dot and is_name(pid) and is_name(var) and _INTEGER.fullmatch(value)):
             raise argparse.ArgumentTypeError(
                 f"bad --state entry {raw!r}, expected pid.var=value"
             )
-        try:
-            entries[(pid, var)] = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"bad --state value {value!r}, expected an integer"
-            )
+        entries[(pid, var)] = int(value)
     return State(entries)
 
 
-def _state_json(s: State) -> Dict[str, int]:
-    return {f"{pid}.{var}": value for (pid, var), value in s.items()}
+def _print_doc(args, **fields) -> None:
+    """Print a subcommand's --json document: format, file, then ``fields``."""
+    print(json.dumps({"format": FORMAT_VERSION, "file": args.file, **fields}, indent=2))
 
 
 def _record_json(r: TraceRecord) -> dict:
@@ -89,72 +92,71 @@ def _record_json(r: TraceRecord) -> dict:
     }
 
 
-def _emit_trace(trace, outcome: str, final_state: State, as_json: bool, extra=None):
+def _emit_trace(trace, outcome: str, final_state: State, as_json: bool):
     """Print a run as JSONL (header, records, outcome line) or one document."""
-    doc = {
-        "format": FORMAT_VERSION,
-        "trace": [_record_json(r) for r in trace],
+    records = [_record_json(r) for r in trace]
+    tail = {
         "outcome": outcome,
-        "finalState": _state_json(final_state),
+        "finalState": {f"{pid}.{var}": value for (pid, var), value in final_state.items()},
         "finalDigest": state_digest(final_state),
     }
-    if extra:
-        doc.update(extra)
     if as_json:
-        print(json.dumps(doc, indent=2))
-        return
-    print(json.dumps({"format": FORMAT_VERSION}))
-    for r in trace:
-        print(json.dumps(_record_json(r)))
-    tail = {k: v for k, v in doc.items() if k not in ("format", "trace")}
-    print(json.dumps(tail))
+        print(json.dumps({"format": FORMAT_VERSION, "trace": records, **tail}, indent=2))
+    else:
+        lines = [{"format": FORMAT_VERSION}, *records, tail]
+        print("\n".join(map(json.dumps, lines)))
 
 
-def _wf_failures(unit: SourceUnit) -> List[dict]:
-    """The first level of the gate: one failure entry per well-formedness
-    violation."""
-    return [
-        {
-            "kind": "well-formedness",
-            "rule": v.rule,
-            "path": list(v.path),
-            "span": _span_json(unit, v.path),
-            "detail": v.detail,
-            "text": f"{_loc(unit, v.path)}: [{v.rule}] {v.detail}",
-        }
+def _failure(unit: SourceUnit, head: dict, path, tail: dict, message: str) -> dict:
+    """One gate failure entry: ``head``, the program path and its span,
+    ``tail``, then the text, ``message`` after the span's location."""
+    sp = unit.span_for(tuple(path))
+    if sp is None:
+        span, loc = None, unit.path
+    else:
+        span = {"line": sp.line, "col": sp.col, "endLine": sp.end_line, "endCol": sp.end_col}
+        loc = f"{unit.path}:{sp.line}:{sp.col}"
+    return {**head, "path": list(path), "span": span, **tail, "text": f"{loc}: {message}"}
+
+
+def _gate(unit: SourceUnit, compile: bool) -> Tuple[List[dict], object, tuple]:
+    """The gate's failure entries, what a subcommand goes on with, and the
+    pids it was compiled for.
+
+    The first level is well-formedness, and past it the program goes on.
+    With ``compile``, the second level is projectability, which only
+    makes sense on well-formed programs and is checked by compiling with
+    the inferred procedure names and pids; past it the compiled network
+    program goes on.  Nothing goes on (None) from a refused program, and
+    the pids are empty unless the program was compiled.
+    """
+    failures = [
+        _failure(
+            unit, {"kind": "well-formedness", "rule": v.rule}, v.path,
+            {"detail": v.detail}, f"[{v.rule}] {v.detail}",
+        )
         for v in cc_check_wf(unit.program).violations
     ]
-
-
-def _compile_failures(unit: SourceUnit) -> Tuple[List[dict], Optional[NetProgram], tuple]:
-    """The whole gate: well-formedness, then projectability, which only
-    makes sense on well-formed programs and is checked by compiling with
-    the inferred procedure names and pids.  Returns the failure entries,
-    the compiled program (None if there are failures) and the pids."""
-    failures = _wf_failures(unit)
     if failures:
         return failures, None, ()
+    if not compile:
+        return failures, unit.program, ()
     xs, ps = infer_params(unit.program)
     try:
         return failures, epp(xs, ps, unit.program), ps
     except ProjectionError as e:
         found = e.failures
     for f in found:
-        entry = {
-            "kind": "projection",
-            "process": f.process,
-            "path": list(f.path),
-            "span": _span_json(unit, f.path),
-            "failure": f.kind,
-            "detail": f.detail,
-            "text": f"{_loc(unit, f.path)}: {f}",
-        }
+        entry = _failure(
+            unit, {"kind": "projection", "process": f.process}, f.path,
+            {"failure": f.kind, "detail": f.detail}, str(f),
+        )
         if f.conflict is not None:
             left, right = (_beh_text(x) for x in f.conflict)
             entry["conflict"] = [left, right]
             entry["text"] += f"\n  merge({left}, {right}) undefined"
         failures.append(entry)
-    return failures, None, ps
+    return failures, None, ()
 
 
 def _refused(failures: List[dict]) -> bool:
@@ -173,41 +175,16 @@ def _beh_text(b) -> str:
         return repr(b)
 
 
-def _span_json(unit: SourceUnit, path) -> Optional[dict]:
-    sp = unit.span_for(tuple(path))
-    if sp is None:
-        return None
-    return {"line": sp.line, "col": sp.col, "endLine": sp.end_line, "endCol": sp.end_col}
-
-
-def _loc(unit: SourceUnit, path) -> str:
-    sp = unit.span_for(tuple(path))
-    if sp is None:
-        return unit.path
-    return f"{unit.path}:{sp.line}:{sp.col}"
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_check(args) -> int:
-    failures = _compile_failures(_load(args.file))[0]
+    failures = _gate(_load(args.file), True)[0]
     ok = not failures
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "format": FORMAT_VERSION,
-                    "file": args.file,
-                    "ok": ok,
-                    "failures": [
-                        {k: v for k, v in f.items() if k != "text"} for f in failures
-                    ],
-                },
-                indent=2,
-            )
-        )
+        entries = [{k: v for k, v in f.items() if k != "text"} for f in failures]
+        _print_doc(args, ok=ok, failures=entries)
     else:
         for f in failures:
             print(f["text"])
@@ -217,11 +194,18 @@ def _cmd_check(args) -> int:
 
 def _cmd_project(args) -> int:
     unit = _load(args.file)
-    failures, np, ps = _compile_failures(unit)
+    failures, np, ps = _gate(unit, True)
     if _refused(failures):
         return 1
     stem = FsPath(args.file).stem
     outdir = FsPath(args.outdir) if args.outdir else FsPath(args.file).parent
+    procs_path = outdir / f"{stem}.procs.sp"
+    if "procs" in ps:
+        print(
+            f"{args.file}: process procs would overwrite the procedure table {procs_path}",
+            file=sys.stderr,
+        )
+        return 1
     outdir.mkdir(parents=True, exist_ok=True)
     behaviours = {pid: print_behaviour(np.net.get(pid)) for pid in ps}
     procedures = {
@@ -235,73 +219,64 @@ def _cmd_project(args) -> int:
             f"// format: {FORMAT_VERSION}\n{behaviours[pid]}\n", encoding="utf-8"
         )
         written.append(str(path))
-    procs_path = outdir / f"{stem}.procs.sp"
     lines = [f"// format: {FORMAT_VERSION}"]
     lines.extend(f"def {key} {{ {body} }}" for key, body in procedures.items())
     procs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(str(procs_path))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "format": FORMAT_VERSION,
-                    "file": args.file,
-                    "behaviours": behaviours,
-                    "procedures": procedures,
-                    "written": written,
-                },
-                indent=2,
-            )
-        )
+        _print_doc(args, behaviours=behaviours, procedures=procedures, written=written)
     else:
         for path in written:
             print(path)
     return 0
 
 
-def _cmd_run(args) -> int:
+def _traced(args, compile: bool, run) -> int:
+    """The body of ``run``, ``simulate`` and ``exec``: load the file, read
+    ``--state``, pass the gate, then ``run(target, s0)``, which returns
+    the run and the complaints about it.  Print the trace, then each
+    complaint on stderr; only a terminated run without complaints
+    succeeds."""
     unit = _load(args.file)
     s0 = _parse_state(args.state)
-    if _refused(_wf_failures(unit)):
+    failures, target, _ = _gate(unit, compile)
+    if _refused(failures):
         return 1
-    res = cc_run(unit.program, s0, policy=args.policy, fuel=args.fuel, seed=args.seed)
+    res, complaints = run(target, s0)
     _emit_trace(res.trace, res.outcome, res.final_state, args.json)
-    return 0 if res.outcome == "terminated" else 1
+    for line in complaints:
+        print(f"{args.file}: {line}", file=sys.stderr)
+    return 0 if res.outcome == "terminated" and not complaints else 1
+
+
+def _cmd_run(args) -> int:
+    run = lambda p, s0: (cc_run(p, s0, policy=args.policy, fuel=args.fuel, seed=args.seed), ())
+    return _traced(args, False, run)
 
 
 def _cmd_simulate(args) -> int:
-    unit = _load(args.file)
-    s0 = _parse_state(args.state)
-    failures, np, _ = _compile_failures(unit)
-    if _refused(failures):
-        return 1
-    res = sp_run(np, s0, policy=args.policy, fuel=args.fuel, seed=args.seed)
-    _emit_trace(res.trace, res.outcome, res.final_state, args.json)
-    return 0 if res.outcome == "terminated" else 1
+    run = lambda np, s0: (sp_run(np, s0, policy=args.policy, fuel=args.fuel, seed=args.seed), ())
+    return _traced(args, True, run)
 
 
 def _cmd_exec(args) -> int:
-    unit = _load(args.file)
-    s0 = _parse_state(args.state)
-    failures, np, _ = _compile_failures(unit)
-    if _refused(failures):
-        return 1
-    cfg = RuntimeConfig(
-        seed=args.seed, step_timeout_ms=args.timeout_ms, max_steps=args.max_steps
-    )
-    report = execute(np, s0, cfg)
-    _emit_trace(report.trace, report.outcome, report.final_state, args.json)
-    if report.error is not None:
-        print(f"{args.file}: worker error: {report.error!r}", file=sys.stderr)
-    replay = validate_trace(np, s0, report)
-    if not replay.ok:
-        print(f"{args.file}: run does not replay at step {replay.index}: {replay.reason}", file=sys.stderr)
-    return 0 if report.outcome == "terminated" and replay.ok else 1
+    def run(np, s0):
+        cfg = RuntimeConfig(
+            seed=args.seed, step_timeout_ms=args.timeout_ms, max_steps=args.max_steps
+        )
+        report = execute(np, s0, cfg)
+        complaints = [] if report.error is None else [f"worker error: {report.error!r}"]
+        replay = validate_trace(np, s0, report)
+        if not replay.ok:
+            complaints.append(f"run does not replay at step {replay.index}: {replay.reason}")
+        return report, complaints
+
+    return _traced(args, True, run)
 
 
 def _cmd_verify(args) -> int:
     unit = _load(args.file)
-    if _refused(_wf_failures(unit)):
+    if _refused(_gate(unit, False)[0]):
         return 1
     program, depth = unit.program, args.depth
     # One table for the file: the suites after epp-theorem reuse the
@@ -316,27 +291,17 @@ def _cmd_verify(args) -> int:
         suites.append(("confluence-net", check_sp_confluence(table.net, depth=depth, table=table)))
     ok = all(v.ok for _, v in suites)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "format": FORMAT_VERSION,
-                    "file": args.file,
-                    "ok": ok,
-                    "suites": {
-                        name: {
-                            "status": v.status,
-                            "configs": v.configs_explored,
-                            "transitions": v.transitions_matched,
-                            "detail": str(v),
-                            "successorsDerived": v.successors_derived,
-                            "successorsReused": v.successors_reused,
-                        }
-                        for name, v in suites
-                    },
-                },
-                indent=2,
-            )
-        )
+        _print_doc(args, ok=ok, suites={
+            name: {
+                "status": v.status,
+                "configs": v.configs_explored,
+                "transitions": v.transitions_matched,
+                "detail": str(v),
+                "successorsDerived": v.successors_derived,
+                "successorsReused": v.successors_reused,
+            }
+            for name, v in suites
+        })
     else:
         for name, v in suites:
             print(f"{name}: {v}")
@@ -361,13 +326,6 @@ def _int_at_least(least: int):
     return parse
 
 
-def _add_run_flags(sp) -> None:
-    sp.add_argument("--state", action="append", metavar="PID.VAR=VALUE")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--fuel", type=_int_at_least(0), default=1000)
-    sp.add_argument("--policy", choices=("first", "random"), default="first")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chorkit", description="choreography compiler toolkit"
@@ -381,20 +339,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--outdir", default=None)
     sp.set_defaults(fn=_cmd_project)
 
-    sp = sub.add_parser("run", help="interpret the choreography")
-    _add_run_flags(sp)
-    sp.set_defaults(fn=_cmd_run)
-
-    sp = sub.add_parser("simulate", help="project, then interpret the network")
-    _add_run_flags(sp)
-    sp.set_defaults(fn=_cmd_simulate)
-
-    sp = sub.add_parser("exec", help="project, then execute concurrently")
-    sp.add_argument("--state", action="append", metavar="PID.VAR=VALUE")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--timeout-ms", type=_int_at_least(1), default=2000)
-    sp.add_argument("--max-steps", type=_int_at_least(1), default=10000)
-    sp.set_defaults(fn=_cmd_exec)
+    runs = [
+        ("run", "interpret the choreography", _cmd_run),
+        ("simulate", "project, then interpret the network", _cmd_simulate),
+        ("exec", "project, then execute concurrently", _cmd_exec),
+    ]
+    for name, about, fn in runs:
+        sp = sub.add_parser(name, help=about)
+        sp.add_argument("--state", action="append", metavar="PID.VAR=VALUE")
+        sp.add_argument("--seed", type=int, default=0)
+        if name == "exec":
+            sp.add_argument("--timeout-ms", type=_int_at_least(1), default=2000)
+            sp.add_argument("--max-steps", type=_int_at_least(1), default=10000)
+        else:
+            sp.add_argument("--fuel", type=_int_at_least(0), default=1000)
+            sp.add_argument("--policy", choices=("first", "random"), default="first")
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("verify", help="bounded correspondence checking")
     sp.add_argument("--depth", type=_int_at_least(0), default=10)

@@ -41,6 +41,7 @@ from .chor import (
     RunningCall,
     called_procs,
     chor_pids,
+    infer_params,
     subterms,
 )
 from .core import Pid, ProcName
@@ -228,35 +229,6 @@ def _coverage_failures(xs, ps, p: ChorProgram) -> list:
         for callee in sorted(called_procs(d.body) - xs_set):
             uncovered("-", ("def", name), f"procedure {callee} called from {name} but not listed")
     return out
-
-
-def infer_params(p: ChorProgram) -> Tuple[tuple, tuple]:
-    """Smallest (procedure names, pids) covering the program.
-
-    Names are the procedures reachable from main through calls; pids are
-    every process of main, of the reachable bodies, and of their declared
-    parameter lists.  The result satisfies the coverage conjuncts of
-    ``projectable`` by construction.
-    """
-    xs: set = set()
-    frontier = called_procs(p.main)
-    while frontier:
-        name = next(iter(frontier))
-        frontier = frontier - {name}
-        if name in xs or name not in p.procs:
-            xs.add(name)
-            continue
-        xs.add(name)
-        frontier |= called_procs(p.procs[name].body) - xs
-    syntactic = lambda _name: ()
-    ps = set(chor_pids(p.main, syntactic))
-    for name in xs:
-        d = p.procs.get(name)
-        if d is None:
-            continue
-        ps |= set(d.params)
-        ps |= chor_pids(d.body, syntactic)
-    return tuple(sorted(xs)), tuple(sorted(ps))
 
 
 def str_projectable(

@@ -149,6 +149,13 @@ _TOKEN_RE = re.compile(
 )
 
 
+def is_name(text: str) -> bool:
+    """Whether ``text`` is a name the parser accepts for a process,
+    variable or procedure: one identifier token, not a keyword."""
+    m = _TOKEN_RE.match(text)
+    return m.lastgroup == "ident" and m.group("ident") == text and text not in RESERVED
+
+
 def _lex(text: str) -> Tuple[List[str], List[str], List[int]]:
     """The kind, text and first offset of every token, ending with eof."""
     kinds: List[str] = []

@@ -23,7 +23,7 @@ from chorkit.chor import (
     cc_enabled,
     cc_run,
     cc_step,
-    program_pids,
+    infer_params,
     subterms,
 )
 from chorkit.core import (
@@ -489,7 +489,7 @@ class TestEarlyStop:
         )
         p = ChorProgram({"P": ProcDef(("a", "b"), body)}, Call("P"))
         assert not cc_check_wf(p).ok
-        assert program_pids(p) == {"a", "b", "c", "d"}
+        assert infer_params(p)[1] == ("a", "b", "c", "d")
         table = SuccessorTable(p)
         reached = 0
         for main, s, trans in explore(p, depth=20):
@@ -500,7 +500,7 @@ class TestEarlyStop:
     @pytest.mark.parametrize("name", sorted(f.stem for f in CORPUS.glob("*.chor")))
     def test_corpus_walks(self, name):
         p = load_program(name)
-        everyone = program_pids(p)
+        everyone = frozenset(infer_params(p)[1])
         for main, s, trans in explore(p, depth=40):
             stopped = cc_enabled(p.procs, main, s, frozenset(), everyone)
             assert stopped == trans == reference_cc_enabled(p.procs, main, s), (name, main)
@@ -511,7 +511,7 @@ class TestEarlyStop:
         p = ChorProgram(
             {"X": ProcDef(("p", "q"), body_x), "Y": ProcDef(("q", "r", "s"), body_y)}, c
         )
-        everyone = program_pids(p)
+        everyone = frozenset(infer_params(p)[1])
         trans = cc_enabled(p.procs, c, s, frozenset(), everyone)
         assert trans == reference_cc_enabled(p.procs, c, s)
         for _label, c2, s2 in trans:

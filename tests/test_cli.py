@@ -4,9 +4,10 @@ import json
 from pathlib import Path
 
 import pytest
-from conftest import CORPUS
+from conftest import CORPUS, load_program
 
 from chorkit import cli, projection, runtime
+from chorkit.chor import cc_run
 from chorkit.cli import main
 from chorkit.projection import infer_params
 
@@ -103,6 +104,18 @@ class TestProject:
         assert main(["project", NOSELECT, "-o", str(tmp_path)]) == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_process_named_procs_is_refused(self, tmp_path, capsys):
+        # its behaviour file would be the procedure table
+        src = tmp_path / "t.chor"
+        src.write_text("main { procs.1 -> q.x; end }\n")
+        assert main(["project", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{src}: process procs would overwrite the procedure table {tmp_path / 't.procs.sp'}\n"
+        )
+        assert list(tmp_path.iterdir()) == [src]
+
 
 class TestRunAndSimulate:
     def test_run_trace_shape(self, capsys):
@@ -171,6 +184,69 @@ class TestExecGolden:
         code = main(["exec", str(CORPUS / case["file"]), *case["args"]])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+# check, project, run, simulate and verify transcripts recorded before the
+# CLI came to make its gate entries, trace records and JSON documents in
+# one function each.  A case runs in a fresh directory holding a copy of
+# its source file, so every path the CLI prints is relative.
+CLI_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+def golden_argvs() -> dict:
+    """The recorded command lines by case key: ten command forms on each
+    corpus file and each ``ILL_FORMED`` fixture."""
+    files = sorted(p.name for p in CORPUS.glob("*.chor"))
+    files += [f"{rule}.chor" for rule in sorted(ILL_FORMED)]
+    out = {}
+    for name in files:
+        stem = name[: -len(".chor")]
+        run_flags = AUTH_STATE if stem == "auth" else ["--fuel", "12"] if stem == "counter" else []
+        forms = {
+            "check": ["check"],
+            "project": ["project", "-o", "out"],
+            "run": ["run", *run_flags],
+            "simulate": ["simulate", *run_flags],
+            "verify": ["verify"],
+        }
+        for form, argv in forms.items():
+            out[f"{stem} {form} text"] = [*argv, name]
+            out[f"{stem} {form} json"] = [*argv, "--json", name]
+    return out
+
+
+def golden_transcript(argv: list, workdir: Path, capsys) -> dict:
+    """Exit code, stdout and stderr of ``argv`` run in ``workdir``."""
+    name = argv[-1]
+    stem = name[: -len(".chor")]
+    source = ILL_FORMED[stem] if stem in ILL_FORMED else (CORPUS / name).read_text(encoding="utf-8")
+    (workdir / name).write_text(source, encoding="utf-8")
+    code = main(argv)
+    captured = capsys.readouterr()
+    return {"argv": argv, "code": code, "stdout": captured.out, "stderr": captured.err}
+
+
+class TestCliGolden:
+    def test_cases_are_the_recorded_ones(self):
+        assert {k: case["argv"] for k, case in CLI_GOLDEN.items()} == golden_argvs()
+
+    @pytest.mark.parametrize("key", sorted(CLI_GOLDEN))
+    def test_transcript(self, key, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        case = CLI_GOLDEN[key]
+        assert golden_transcript(case["argv"], tmp_path, capsys) == case
+
+
+class TestEmitTrace:
+    @pytest.mark.parametrize("as_json", [False, True], ids=["jsonl", "json"])
+    def test_each_record_is_rendered_once(self, as_json, monkeypatch, capsys):
+        res = cc_run(load_program("counter"), fuel=12)
+        rendered = []
+        original = cli._record_json
+        monkeypatch.setattr(cli, "_record_json", lambda r: rendered.append(r) or original(r))
+        cli._emit_trace(res.trace, res.outcome, res.final_state, as_json)
+        capsys.readouterr()
+        assert rendered == list(res.trace)
 
 
 class TestVerify:
@@ -277,6 +353,21 @@ class TestArgumentErrors:
     def test_bad_state_syntax(self, capsys):
         assert main(["run", AUTH, "--state", "nonsense"]) == 2
         assert "pid.var=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["c.credentials =7", "c.cred.entials=7", "c.credentials=1_000", "c.credentials=\u0663", "c.then=1"],
+        ids=["space-in-name", "dot-in-name", "underscore-in-value", "arabic-indic-digit", "keyword"],
+    )
+    def test_malformed_state_entry(self, entry, capsys):
+        assert main(["run", AUTH, "--state", entry]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bad --state entry {entry!r}, expected pid.var=value\n"
+
+    def test_negative_state_value(self, capsys):
+        assert main(["run", AUTH, "--state=c.credentials=-5"]) == 0
+        assert json.loads(lines(capsys)[-1])["finalState"] == {"c.credentials": -5, "ip.x": -5}
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate", AUTH]) == 2

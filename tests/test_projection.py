@@ -32,7 +32,6 @@ from chorkit.chor import (
     SelectEta,
     cc_enabled,
     cc_step,
-    program_pids,
     subterms,
 )
 from chorkit.chor import Call as ChorCall
@@ -404,7 +403,7 @@ class TestMemo:
         reached = [main for s0 in stores for main, _s, _trans in explore(p, s0, depth=10)]
         terms = [p.main, *(d.body for d in p.procs.values()), *reached]
         memo: dict = {}
-        for r in sorted(program_pids(p) | {"nobody"}):
+        for r in sorted({*infer_params(p)[1], "nobody"}):
             for c in terms:
                 assert bproj(p.procs, c, r, memo) == bproj(p.procs, c, r), (r, c)
         assert memo
@@ -494,7 +493,7 @@ class TestStrProjectableMemo:
             terms = list(dict.fromkeys([p.main, *reached]))
             running += sum(type(n) is RunningCall for c in terms for n in subterms(c))
             terms = _with_broken_calls(terms)
-            checks += _str_projectable_agrees(p, sorted(program_pids(p) | {"nobody"}), terms)
+            checks += _str_projectable_agrees(p, sorted({*infer_params(p)[1], "nobody"}), terms)
         assert running == 13 and checks == 459
 
     @settings(max_examples=300, deadline=None)
