@@ -4,11 +4,15 @@ Choreography sources use the ``.chor`` grammar; behaviours have their own
 single-line notation used by ``project`` output.  Both printers are exact
 inverses of the corresponding parsers on parseable terms.
 
-The lexer makes one regex match per token, whitespace and comments in
-front of it included, into flat lists of kinds, texts and first offsets
-that the parser indexes.  Spans hold offsets too.  A line and column are
-computed from the text only where they are read: when a ``ParseError``
-is raised and in ``span_for``.
+The lexer blanks out "//" comments with spaces, then one ``findall``
+returns the text of every token; whitespace ([ \t\r\n]) is what the
+search skips.  The distinct texts are checked once each, so the success
+path runs no Python per token.  The parser indexes that list and reads a
+token's kind from its text.  Nothing on that path knows where a token
+is: spans and errors hold token indices.  The offsets of the tokens are
+found by running the same regex again, with ``finditer``, only when a
+``ParseError`` is raised or ``span_for`` is first called on a unit, and
+a line and column are computed from an offset only where they are read.
 
 An interaction spine, the chain of ``Interaction`` nodes linked by
 ``cont`` together with the node that ends it, is parsed in a loop and
@@ -23,13 +27,14 @@ Along a spine that path grows by a "cont" per interaction, so spans are
 not keyed by it.  A key is a path in canonical form, in which each run
 of k "cont" segments is the integer k: ("main", 3, "then") is
 ("main", "cont", "cont", "cont", "then").  Spans are stored per spine,
-under the key of its first node: the first offset of each node of the
-spine, in order, and the last offset, which every node of a spine
-shares, since each one extends to the end of the spine.  A key is as
-long as the conditional nesting at its spine, so storage and build cost
-are O(nodes x nesting).  The whole program, at (), and each procedure
-definition, at ("def", X), have spans of their own, which take
-precedence over the first node of the body at the same path.
+under the key of its first node: the index of the first token of each
+node of the spine, in order, and the index of the last token, which
+every node of a spine shares, since each one extends to the end of the
+spine.  A key is as long as the conditional nesting at its spine, so
+storage and build cost are O(nodes x nesting).  The whole program, at
+(), and each procedure definition, at ("def", X), have spans of their
+own, which take precedence over the first node of the body at the same
+path.
 ``span_for`` puts the path it is given in canonical form and falls back
 to the nearest enclosing node, one segment at a time.
 """
@@ -125,64 +130,78 @@ def _line_col(text: str, pos: int) -> Tuple[int, int]:
 
 
 class _Error(Exception):
-    """A syntax error at an offset, ``_Error(msg, pos)``.  The parser raises
+    """A syntax error at a token, ``_Error(msg, index)``, the index being
+    the token's place in the list of ``_token_texts``.  The parser raises
     it cheaply; the entry points turn it into a ``ParseError``."""
 
 
-def _positioned(text: str, e: _Error) -> ParseError:
-    msg, pos = e.args
-    return ParseError(msg, *_line_col(text, pos))
-
-
-# One match per token: the whitespace and "//" comments in front of it,
-# then the token.  Every character matches: a lone "=" or any other
-# stray character is a "bad" token, and the end of the text is "eof".
-_TOKEN_RE = re.compile(
-    r"""[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
-      (?: (?P<int>[0-9]+)
-        | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-        | (?P<punct>\(\+\)|->|==|<=|&&|[.;{}()\[\],!+\-*?:@<&])
-        | (?P<bad>.)
-        | (?P<eof>\Z)
-      )""",
-    re.VERBOSE,
+# A token, or any single character that is not whitespace: searching with
+# it skips exactly [ \t\r\n].  Comments are blanked out beforehand.
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\(\+\)|->|==|<=|&&|[^ \t\r\n]")
+_COMMENT_RE = re.compile(r"//[^\n]*")
+_PUNCTUATORS = frozenset(
+    ["(+)", "->", "==", "<=", "&&", ".", ";", "{", "}", "(", ")", "[", "]",
+     ",", "!", "+", "-", "*", "?", ":", "@", "<", "&"]
 )
+
+
+def _blank_comments(text: str) -> str:
+    """``text`` with each "//" comment replaced by as many spaces."""
+    if "//" not in text:
+        return text
+    return _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
+
+
+def _token_texts(text: str) -> List[str]:
+    """The text of every token, then "" for the end of the input."""
+    texts = _TOKEN_RE.findall(_blank_comments(text))
+    # Besides punctuators, only ASCII identifiers and digit strings are
+    # valid; the str tests alone would also pass letters such as "é".
+    bad = [
+        t for t in set(texts) - _PUNCTUATORS
+        if not (t.isascii() and (t.isidentifier() or t.isdigit()))
+    ]
+    if bad:
+        i = min(map(texts.index, bad))
+        msg = f"unexpected character {texts[i]!r}"
+        if texts[i] == "=":
+            msg = "single '=' (did you mean '==')"
+        raise _Error(msg, i)
+    texts.append("")
+    return texts
+
+
+def _token_spans(text: str) -> List[Tuple[int, int]]:
+    """Start and end offsets of the tokens of ``_token_texts(text)``, the
+    end of the input included: the positions the lexer does not keep."""
+    n = len(text)
+    return [m.span() for m in _TOKEN_RE.finditer(_blank_comments(text))] + [(n, n)]
+
+
+def _positioned(text: str, e: _Error) -> ParseError:
+    msg, i = e.args
+    return ParseError(msg, *_line_col(text, _token_spans(text)[i][0]))
 
 
 def is_name(text: str) -> bool:
     """Whether ``text`` is a name the parser accepts for a process,
     variable or procedure: one identifier token, not a keyword."""
-    m = _TOKEN_RE.match(text)
-    return m.lastgroup == "ident" and m.group("ident") == text and text not in RESERVED
-
-
-def _lex(text: str) -> Tuple[List[str], List[str], List[int]]:
-    """The kind, text and first offset of every token, ending with eof."""
-    kinds: List[str] = []
-    texts: List[str] = []
-    offs: List[int] = []
-    add_kind, add_text, add_off = kinds.append, texts.append, offs.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tok = m.group(kind)
-        if kind == "bad":
-            msg = f"unexpected character {tok!r}"
-            if tok == "=":
-                msg = "single '=' (did you mean '==')"
-            raise _Error(msg, m.start(kind))
-        add_kind(kind)
-        add_text(tok)
-        add_off(m.end() - len(tok))
-        if kind == "eof":
-            break
-    return kinds, texts, offs
+    return text.isascii() and text.isidentifier() and text not in RESERVED
 
 
 def tokenize(text: str) -> List[Token]:
     try:
-        return [Token(*t) for t in zip(*_lex(text))]
+        texts = _token_texts(text)
     except _Error as e:
         raise _positioned(text, e) from None
+    return [
+        Token(
+            "eof" if not t else "ident" if t.isidentifier() else "int" if t.isdigit() else "punct",
+            t,
+            start,
+        )
+        for t, (start, _end) in zip(texts, _token_spans(text))
+    ]
 
 
 def _canonical(path: Path) -> tuple:
@@ -201,9 +220,12 @@ class SourceUnit:
     """A parsed choreography source with per-node source spans.
 
     Keys are canonical paths (see the module docstring).  ``spines`` maps
-    the key of each spine's first node to the first offsets of its nodes
-    and the last offset they share; ``blocks`` holds the spans of the
-    whole program and of each procedure definition.
+    the key of each spine's first node to the index of the first token
+    of each of its nodes and the index of the last token they share;
+    ``blocks`` holds the first and last token indices of the whole
+    program and of each procedure definition.  ``span_for`` turns them
+    into lines and columns, locating the tokens in ``text`` on its first
+    call.
     """
 
     path: str
@@ -211,9 +233,12 @@ class SourceUnit:
     program: ChorProgram
     spines: Dict[tuple, Tuple[List[int], int]] = field(default_factory=dict)
     blocks: Dict[tuple, Tuple[int, int]] = field(default_factory=dict)
+    _spans: Optional[List[Tuple[int, int]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def _offsets(self, key: tuple) -> Optional[Tuple[int, int]]:
-        """First and last offsets of the node at canonical ``key``."""
+    def _tokens(self, key: tuple) -> Optional[Tuple[int, int]]:
+        """First and last token indices of the node at canonical ``key``."""
         hit = self.blocks.get(key)
         if hit is not None:
             return hit
@@ -226,30 +251,37 @@ class SourceUnit:
     def span_for(self, path: Path) -> Optional[Span]:
         """Span at ``path``, falling back to the nearest enclosing node."""
         key = _canonical(path)
-        hit = self._offsets(key)
+        hit = self._tokens(key)
         while hit is None and key:
             # drop the last segment: one "cont" of a run, or a whole name
             last = key[-1]
             key = key[:-1] + (last - 1,) if type(last) is int and last > 1 else key[:-1]
-            hit = self._offsets(key)
+            hit = self._tokens(key)
         if hit is None:
             return None
+        if self._spans is None:
+            self._spans = _token_spans(self.text)
         first, last = hit
-        return Span(*_line_col(self.text, first), *_line_col(self.text, last))
+        return Span(
+            *_line_col(self.text, self._spans[first][0]),
+            *_line_col(self.text, self._spans[last][1] - 1),
+        )
 
 
 _COMPARISONS = {"==": Eq, "<=": Le, "<": Lt}
 
 
 class _Parser:
-    """Recursive descent over the flat token lists of ``_lex``.
+    """Recursive descent over the token texts of ``_token_texts``.  A
+    token's kind is read from its text: an identifier, an integer literal
+    (``str.isdigit``), a punctuator, or "" at the end of the input.
 
     Sequences (interaction spines, behaviour prefixes) are parsed in a
     loop and built back to front, so recursion depth is the nesting
     depth of conditionals, branches and parentheses."""
 
     def __init__(self, text: str):
-        self.kinds, self.texts, self.offs = _lex(text)
+        self.texts = _token_texts(text)
         self.i = 0
         self.spines: Dict[tuple, Tuple[List[int], int]] = {}
         self.blocks: Dict[tuple, Tuple[int, int]] = {}
@@ -257,7 +289,7 @@ class _Parser:
     # -- plumbing ----------------------------------------------------
 
     def fail(self, msg: str) -> _Error:
-        return _Error(msg, self.offs[self.i])
+        return _Error(msg, self.i)
 
     def expected(self, what: str) -> _Error:
         found = self.texts[self.i] or "end of input"
@@ -271,7 +303,7 @@ class _Parser:
     def ident(self, what: str) -> str:
         i = self.i
         t = self.texts[i]
-        if self.kinds[i] != "ident" or t in RESERVED:
+        if not t.isidentifier() or t in RESERVED:
             raise self.expected(what)
         self.i = i + 1
         return t
@@ -282,11 +314,6 @@ class _Parser:
             raise self.fail("expected 'left' or 'right'")
         self.i += 1
         return t
-
-    def last_offset(self) -> int:
-        """Offset of the last character of the token just consumed."""
-        i = self.i - 1
-        return self.offs[i] + len(self.texts[i]) - 1
 
     # -- expressions -------------------------------------------------
 
@@ -314,11 +341,10 @@ class _Parser:
     def factor(self) -> Expr:
         i = self.i
         t = self.texts[i]
-        kind = self.kinds[i]
-        if kind == "int":
+        if t.isdigit():
             self.i = i + 1
             return Lit(int(t))
-        if kind == "ident" and t not in RESERVED:
+        if t.isidentifier() and t not in RESERVED:
             self.i = i + 1
             return VarRef(t)
         if t == "(":
@@ -369,13 +395,13 @@ class _Parser:
 
     def chor(self, root: tuple) -> Choreography:
         """The spine whose first node is at canonical path ``root``."""
-        texts, offs = self.texts, self.offs
+        texts = self.texts
         starts: List[int] = []
         etas: List[Eta] = []
         while True:
             i = self.i
             t = texts[i]
-            starts.append(offs[i])
+            starts.append(i)
             if t == "end":
                 self.i = i + 1
                 c: Choreography = CHOR_END
@@ -402,7 +428,7 @@ class _Parser:
                 break
             etas.append(self.eta())
             self.expect(";")
-        self.spines[root] = (starts, self.last_offset())
+        self.spines[root] = (starts, self.i - 1)
         for eta in reversed(etas):
             c = Interaction(eta, c)
         return c
@@ -430,7 +456,7 @@ class _Parser:
         texts = self.texts
         procs: Dict[str, ProcDef] = {}
         while texts[self.i] == "def":
-            start = self.offs[self.i]
+            start = self.i
             self.i += 1
             name = self.ident("procedure name")
             if name in procs:
@@ -444,15 +470,15 @@ class _Parser:
             self.expect("{")
             body = self.chor(("def", name))
             self.expect("}")
-            self.blocks[("def", name)] = (start, self.last_offset())
+            self.blocks[("def", name)] = (start, self.i - 1)
             procs[name] = ProcDef(tuple(params), body)
         self.expect("main")
         self.expect("{")
         main = self.chor(("main",))
         self.expect("}")
-        if self.kinds[self.i] != "eof":
+        if texts[self.i]:
             raise self.fail(f"unexpected {texts[self.i]!r} after main block")
-        self.blocks[()] = (self.offs[0], self.last_offset())
+        self.blocks[()] = (0, self.i - 1)
         return ChorProgram(procs, main)
 
     # -- behaviours --------------------------------------------------
@@ -542,7 +568,7 @@ def parse_behaviour(text: str) -> Behaviour:
     try:
         p = _Parser(text)
         b = p.behaviour()
-        if p.kinds[p.i] != "eof":
+        if p.texts[p.i]:
             raise p.fail(f"unexpected {p.texts[p.i]!r} after behaviour")
     except _Error as e:
         raise _positioned(text, e) from None

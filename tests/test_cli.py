@@ -1,6 +1,10 @@
-"""The command line interface, driven in process through main()."""
+"""The command line interface, driven in process through main(), and once
+as ``python -m chorkit`` in a child process."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -444,3 +448,14 @@ class TestDeepInput:
         captured = capsys.readouterr()
         assert captured.err == f"{path}: input too deeply nested\n"
         assert "Traceback" not in captured.out + captured.err
+
+
+class TestModuleEntryPoint:
+    def test_python_m_chorkit_runs_from_a_checkout(self):
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "chorkit", "check", "corpus/auth.chor"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "corpus/auth.chor: ok\n", "")

@@ -462,6 +462,97 @@ class TestScaling:
         assert large <= 2.1 * small
 
 
+class TestLazyPositions:
+    """Where tokens are in the text is worked out only when a span or an
+    error is read, and then once per parse."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        original = syntax._token_spans
+
+        def counted(text):
+            count[0] += 1
+            return original(text)
+
+        monkeypatch.setattr(syntax, "_token_spans", counted)
+        return count
+
+    def test_successful_parse_locates_no_token(self, calls):
+        parse(_ring_source(10_000))
+        assert calls[0] == 0
+
+    def test_spans_locate_the_tokens_once(self, calls):
+        unit = parse(_ring_source(10_000))
+        assert unit.span_for(("main",) + ("cont",) * 5_000) == Span(5_002, 1, 10_002, 3)
+        assert calls[0] == 1
+        unit.span_for(())
+        unit.span_for(("main",) + ("cont",) * 10_000)
+        assert calls[0] == 1
+
+    def test_parse_error_locates_the_tokens_once(self, calls):
+        with pytest.raises(ParseError) as e:
+            parse(_ring_source(10_000).replace("end", "p0.1 -> p1.x end"))
+        assert str(e.value) == "line 10002, col 14: expected ';', found 'end'"
+        assert calls[0] == 1
+
+
+# Characters that str.isidentifier or str.isdigit accept but the grammar
+# does not ("²", "٣", the Kelvin sign, "é", a combining accent), and
+# characters str.isspace accepts but the lexer does not skip (NBSP, \v,
+# \f; the BOM is neither).  Each is put where a name, a digit, a gap and
+# a whole input would be.
+_TRICKY_CHARS = ["\u00b2", "\u0663", "\u212a", "\u00e9", "e\u0301", "\u00a0", "\v", "\f", "\ufeff"]
+_EDGE_CASES = [
+    form.format(c)
+    for c in _TRICKY_CHARS
+    for form in ("{}", "x{}", "{}x", "main {{ {}.1 -> q.x; end }}",
+                 "main {{ p{}.1 -> q.x; end }}", "main {{ p.1{} -> q.x; end }}",
+                 "main {{{}end }}", "// {}\nmain {{ end }}")
+] + [
+    "/", "a//b", "//", "main { end }//", "main { end }\n//", "main { p.1 / 2 -> q.x; end }",
+    "main { p.a//b\n -> q.x; end }", "main { end } // \u00e9 \u0663 $ = #\n",
+    "=", "main { end }=", "main { end }\n=",
+]
+
+
+@pytest.mark.parametrize("text", _EDGE_CASES)
+class TestEdgeCasesAgainstReference:
+    """The lexer's validation of token texts, held to the frozen
+    tokenizer and parser on the inputs where a test by ``str`` method
+    alone would go wrong."""
+
+    def test_tokenize(self, text):
+        try:
+            ref = reference_tokenize(text)
+        except ParseError:
+            ref = []
+        # The frozen tokenizer reads any Unicode digit as part of an
+        # integer (\d); the grammar, like the frozen parser, does not.
+        digits = [t for t in ref if t.kind == "int" and not t.text.isascii()]
+        if not digits:
+            _assert_same_as_reference(text)
+            return
+        d = digits[0]
+        k = next(i for i, ch in enumerate(d.text) if not ch.isascii())
+        with pytest.raises(ParseError) as e:
+            tokenize(text)
+        assert (e.value.msg, e.value.line, e.value.col) == (
+            f"unexpected character {d.text[k]!r}", d.line, d.col + k
+        )
+
+    def test_parse(self, text):
+        _assert_same_as_reference_parser(text)
+
+    def test_is_name(self, text):
+        try:
+            ref = [(t.kind, t.text) for t in reference_tokenize(text)]
+        except ParseError:
+            ref = None
+        expected = ref == [("ident", text), ("eof", "")] and text not in syntax.RESERVED
+        assert syntax.is_name(text) == expected
+
+
 class TestBehaviourSyntax:
     def test_forms(self):
         assert parse_behaviour("q!x + 1; end") == Send(
