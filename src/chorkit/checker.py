@@ -494,26 +494,18 @@ def _check_confluence(
 
 
 def _joins(enabled_fn, a, b, join_depth: int) -> bool:
-    reach_a = {a}
-    reach_b = {b}
-    frontier_a = {a}
-    frontier_b = {b}
-    if reach_a & reach_b:
+    if a == b:
         return True
+    reach = ({a}, {b})
+    frontier = [{a}, {b}]
     for _ in range(join_depth):
-        frontier_a = {
-            s for k in frontier_a for s in enabled_fn(k) if s not in reach_a
-        }
-        reach_a |= frontier_a
-        if reach_a & reach_b:
-            return True
-        frontier_b = {
-            s for k in frontier_b for s in enabled_fn(k) if s not in reach_b
-        }
-        reach_b |= frontier_b
-        if reach_a & reach_b:
-            return True
-        if not frontier_a and not frontier_b:
+        for side in (0, 1):
+            seen = reach[side]
+            frontier[side] = {s for k in frontier[side] for s in enabled_fn(k) if s not in seen}
+            seen |= frontier[side]
+            if reach[0] & reach[1]:
+                return True
+        if not frontier[0] and not frontier[1]:
             return False
     return False
 

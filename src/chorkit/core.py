@@ -7,6 +7,10 @@ process evaluates against its own variables.  Transition labels come in two
 flavours, rich labels that carry the full action detail and observable
 labels obtained by forgetting the parts an outside observer cannot see.
 
+Stores and networks are total functions compared extensionally, so key
+order is not part of either value: a ``CanonicalMap`` keeps its entries
+in one dict and sorts them only where it is read, in ``items``.
+
 AST nodes are NamedTuples with a defaulted ``tag`` discriminator as the
 last field; they share one constructor-style repr, ``node_repr``.  Tags
 are globally unique, so two nodes of different kinds can never compare
@@ -152,9 +156,11 @@ FALSE = BoolLit(False)
 class CanonicalMap:
     """Finite map in canonical form: entries equal to the default are dropped.
 
-    Values pass through ``normalise`` on the way in and the sorted item
-    tuple is kept alongside the dict, so structural equality and hashing
-    coincide with extensional equality of the underlying total function.
+    Values pass through ``normalise`` on the way in and the entries live
+    in one dict, so ``==`` is dict equality and the hash is taken over the
+    entries as a set: both coincide with extensional equality of the
+    underlying total function, whatever order the keys were written in.
+    Key order is produced where a map is read: ``items`` sorts.
     Subclasses set ``default`` and ``normalise``; updates copy the dict and
     patch only the written entries, since the others are canonical already.
     A map never changes once built, so its hash is computed on first use
@@ -162,7 +168,7 @@ class CanonicalMap:
     a map per step and never hash it.
     """
 
-    __slots__ = ("_map", "_key", "_hash")
+    __slots__ = ("_map", "_hash")
     default: object = None
     normalise = staticmethod(lambda value: value)
 
@@ -178,7 +184,6 @@ class CanonicalMap:
             else:
                 m.pop(key, None)
         self._map = m
-        self._key = tuple(sorted(m.items()))
         self._hash = None
 
     def _patch(self, entries: Iterable):
@@ -188,18 +193,18 @@ class CanonicalMap:
         return new
 
     def items(self) -> tuple:
-        """Sorted (key, value) pairs; default entries never appear."""
-        return self._key
+        """(key, value) pairs sorted by key; default entries never appear."""
+        return tuple(sorted(self._map.items()))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._key == other._key
+        return self._map == other._map
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            self._hash = h = hash(self._key)
+            self._hash = h = hash(frozenset(self._map.items()))
         return h
 
 
@@ -220,15 +225,13 @@ class State(CanonicalMap):
         return self._patch((((pid, var), value),))
 
     def __iter__(self) -> Iterator:
-        return iter(self._key)
+        return iter(self.items())
 
     def __len__(self) -> int:
-        return len(self._key)
+        return len(self._map)
 
     def __repr__(self) -> str:
-        if not self._key:
-            return "State()"
-        body = ", ".join(f"{p}.{x}={v}" for (p, x), v in self._key)
+        body = ", ".join(f"{p}.{x}={v}" for (p, x), v in self.items())
         return f"State({body})"
 
 

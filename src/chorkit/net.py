@@ -106,7 +106,7 @@ class Network(CanonicalMap):
     @property
     def support(self) -> tuple:
         """Pids with a non-end behaviour, sorted."""
-        return tuple(pid for pid, _ in self._key)
+        return tuple(pid for pid, _ in self.items())
 
     def get(self, pid: Pid) -> Behaviour:
         return self._map.get(pid, SP_END)
@@ -118,9 +118,7 @@ class Network(CanonicalMap):
         return self._patch(entries)
 
     def __repr__(self) -> str:
-        if not self._key:
-            return "Network()"
-        body = " | ".join(f"{pid}[{b!r}]" for pid, b in self._key)
+        body = " | ".join(f"{pid}[{b!r}]" for pid, b in self.items())
         return f"Network({body})"
 
 

@@ -1,5 +1,7 @@
 """The bounded correspondence checker and its companion suites."""
 
+from collections import Counter
+
 import pytest
 from checker_reference import (
     reference_check_cc_confluence,
@@ -12,6 +14,7 @@ from conftest import CORPUS, PROJECTABLE, SEAM_MUTATIONS, load_program
 from chorkit import checker as checker_mod
 from chorkit import chor as chor_mod
 from chorkit import net as net_mod
+from chorkit import projection as projection_mod
 from chorkit.checker import (
     SuccessorTable,
     check_cc_confluence,
@@ -29,7 +32,7 @@ from chorkit.chor import (
     cc_enabled,
 )
 from chorkit.chor import End as ChorEnd
-from chorkit.core import EMPTY_STATE, Lit, State, forget
+from chorkit.core import EMPTY_STATE, CanonicalMap, Lit, State, VarRef, forget
 from chorkit.net import sp_enabled
 from chorkit.projection import epp_program
 from chorkit.syntax import parse
@@ -346,3 +349,84 @@ class TestCounterexampleConfigs:
         main, net, s = cex.config
         assert main == auth.main and s == EMPTY_STATE
         assert net == epp_program(auth).net
+
+
+def _ring_program(procs: int, rounds: int) -> ChorProgram:
+    """ring(P,R): a token passed R times round P processes, one path."""
+    c = ChorEnd()
+    for i in reversed(range(procs * rounds)):
+        c = Interaction(CommEta(f"p{i % procs}", Lit(i), f"p{(i + 1) % procs}", "x"), c)
+    return ChorProgram({}, c)
+
+
+def _par_program(pairs: int, length: int) -> ChorProgram:
+    """par(K,L): K independent pairs of L interactions, written one pair
+    after the other; every interleaving is reachable."""
+    c = ChorEnd()
+    for k in reversed(range(pairs)):
+        a, b = f"a{k}", f"b{k}"
+        for i in reversed(range(length)):
+            eta = CommEta(a, VarRef("x"), b, "y") if i % 2 == 0 else CommEta(b, Lit(i), a, "x")
+            c = Interaction(eta, c)
+    return ChorProgram({}, c)
+
+
+class TestCounterGrowth:
+    """Counters of one ``verify_epp`` per explored configuration, at two
+    sizes of a scaling family: a cost that grows with the program where
+    it should not fails here whatever the machine's speed.  A count that
+    is constant per configuration may grow by a quarter from the smaller
+    size to the double one (fewer transitions leave the configurations
+    on the border of the space); one that is linear may grow by 2.25x."""
+
+    COUNTERS = ("bproj", "cc_enabled", "sp_enabled", "_patch", "successors_derived")
+
+    def _per_config(self, monkeypatch, programs, configs) -> list:
+        counts: Counter = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        # checker calls cc_enabled and sp_enabled by its own names, and
+        # chor and net by theirs (recursion, sp_step)
+        for owner in (checker_mod, chor_mod):
+            count(owner, "cc_enabled")
+        for owner in (checker_mod, net_mod):
+            count(owner, "sp_enabled")
+        count(projection_mod, "bproj")
+        count(CanonicalMap, "_patch")
+        out = []
+        for p, expected in zip(programs, configs):
+            counts.clear()
+            v = verify_epp(p, depth=10_000)
+            assert v.status == "verified"
+            assert v.configs_explored == expected
+            counts["successors_derived"] = v.successors_derived
+            out.append({name: counts[name] / expected for name in self.COUNTERS})
+        return out
+
+    def test_ring(self, monkeypatch):
+        # one path: every count is constant per configuration
+        sizes = (25, 50)
+        programs = [_ring_program(3, r) for r in sizes]
+        small, large = self._per_config(monkeypatch, programs, [3 * r + 1 for r in sizes])
+        for name in self.COUNTERS:
+            assert 0 < large[name] <= 1.25 * small[name], (name, small, large)
+
+    def test_par(self, monkeypatch):
+        # a configuration's term holds what the pairs in front of the
+        # acting one have not done yet: cc_enabled walks across it and a
+        # step rebuilds it, which bproj then projects, so those two are
+        # linear in L per configuration; nothing may grow faster
+        sizes = (8, 16)
+        programs = [_par_program(2, n) for n in sizes]
+        small, large = self._per_config(monkeypatch, programs, [(n + 1) ** 2 for n in sizes])
+        for name in self.COUNTERS:
+            factor = 2.25 if name in ("bproj", "cc_enabled") else 1.25
+            assert 0 < large[name] <= factor * small[name], (name, small, large)

@@ -110,6 +110,35 @@ class TestState:
         assert s.items() == rebuilt.items() and repr(s) == repr(rebuilt)
 
 
+class TestOrderOnRead:
+    """A store keeps its entries in the order they were written; key order
+    is produced where it is read, so stores written in different orders
+    read the same."""
+
+    ENTRIES = {("p", "x"): 1, ("q", "y"): -2, ("r", "z"): 3}
+
+    def orders(self) -> list:
+        forward = State(self.ENTRIES)
+        return [
+            forward,
+            State(dict(reversed(self.ENTRIES.items()))),
+            # a write that adds a key sorting before the others
+            State({("q", "y"): -2, ("r", "z"): 3}).set("p", "x", 1),
+            # an entry erased to its default and written again
+            forward.set("q", "y", 0).set("q", "y", -2),
+        ]
+
+    def test_written_in_several_orders(self):
+        stores = self.orders()
+        assert len({tuple(s._map) for s in stores}) > 1  # the orders differ
+        for s in stores:
+            assert s == stores[0] and hash(s) == hash(stores[0])
+            assert s.items() == tuple(sorted(self.ENTRIES.items()))
+            assert list(s) == list(s.items()) and len(s) == 3
+            assert repr(s) == "State(p.x=1, q.y=-2, r.z=3)"
+            assert state_digest(s) == state_digest(stores[0])
+
+
 class TestEval:
     S = State({("p", "x"): 3, ("p", "y"): -2})
 

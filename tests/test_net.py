@@ -111,6 +111,49 @@ class TestNetworkCanonicalForm:
         assert n.items() == rebuilt.items() and repr(n) == repr(rebuilt)
 
 
+class TestOrderOnRead:
+    """A network keeps its entries in the order they were written; key
+    order is produced where it is read, so networks written in different
+    orders read the same, and step in the same order."""
+
+    ENTRIES = {
+        "a": Cond(Eq(VarRef("x"), Lit(0)), SP_END, Send("m", Lit(1), SP_END)),
+        "m": Send("z", VarRef("x"), SP_END),
+        "q": Call(("X", "q")),
+        "z": Recv("m", "y", SP_END),
+    }
+
+    def orders(self) -> list:
+        forward = Network(self.ENTRIES)
+        rest = {pid: b for pid, b in self.ENTRIES.items() if pid != "a"}
+        return [
+            forward,
+            Network(dict(reversed(self.ENTRIES.items()))),
+            # writes that add a key sorting before the others
+            Network(rest).set("a", self.ENTRIES["a"]),
+            Network({"q": self.ENTRIES["q"]}).set_many(
+                (pid, self.ENTRIES[pid]) for pid in ("z", "a", "m")
+            ),
+            # an entry erased to its default and written again
+            forward.set("m", SP_END).set("m", self.ENTRIES["m"]),
+        ]
+
+    def test_written_in_several_orders(self):
+        nets = self.orders()
+        assert len({tuple(n._map) for n in nets}) > 1  # the orders differ
+        s = State({("a", "x"): 1, ("m", "x"): 5})
+        first = nets[0]
+        trans = sp_enabled({}, first, s)
+        assert [type(t) for t, _n2, _s2 in trans] == [RichCond, RichComm, RichCall]
+        for n in nets:
+            assert n == first and hash(n) == hash(first)
+            assert n.items() == tuple(sorted(self.ENTRIES.items()))
+            assert n.support == ("a", "m", "q", "z")
+            assert repr(n) == repr(first)
+            assert repr(n).startswith("Network(a[Cond(") and " | z[Recv(" in repr(n)
+            assert sp_enabled({}, n, s) == trans
+
+
 class TestCommunication:
     def test_value_from_sender_store(self):
         net = Network(
