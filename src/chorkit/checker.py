@@ -40,10 +40,11 @@ four suites, so the later suites and the confluence joins mostly reuse
 what ``verify_epp`` derived; a suite called without one builds its own.
 When the reachable space is exhausted below the depth bound the
 certificate is total for the program; otherwise it holds up to the bound.
-Along the way the checker asserts per-label determinism and
-procedure-table stability of the network semantics, and that every
-network call label names the acting process; these counts are reported
-in the verdict.
+Along the way the checker asserts per-label determinism and stability of
+the network semantics (``sp_step`` derives each transition again, on its
+own, to the same network and store, and leaves the procedure table
+alone), and that every network call label names the acting process;
+these counts are reported in the verdict.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .chor import (
 )
 from .core import (
     EMPTY_STATE,
+    NotEnabledError,
     ObsLabel,
     RichCall,
     State,
@@ -358,11 +360,16 @@ def _soundness(node, d: int, cc_trans, sp_trans, verdict: Verdict):
 
 
 def _sp_self_checks(ctx: _Context, net: Network, s: State, sp_trans, verdict: Verdict) -> dict:
-    """Determinism per observable label and procedure-table stability.
+    """Determinism per observable label and stability.
 
     Returns the index of the network transitions by observable label.  A
     label that repeats is a determinism violation and keeps its first
-    transition; each distinct label is re-derived once through sp_step.
+    transition.  Each distinct label is re-derived once through
+    ``sp_step``, which derives only the transition its label names and
+    shares no code with ``sp_enabled``: a stability violation is a
+    transition the two derive differently, a label ``sp_step`` finds not
+    enabled, or a step after which the procedure table is not the
+    compiled one.
     """
     program = NetProgram(ctx.sp_procs, net)
     index: dict = {}
@@ -375,8 +382,12 @@ def _sp_self_checks(ctx: _Context, net: Network, s: State, sp_trans, verdict: Ve
         index[obs] = tr
         verdict.determinism_checks += 1
         verdict.stability_checks += 1
-        stepped, s2 = sp_step(program, s, rich)
-        if stepped.procs is not ctx.sp_procs or (stepped.net, s2) != tr[1:]:
+        try:
+            stepped, s2 = sp_step(program, s, rich)
+            stable = stepped.procs is ctx.sp_procs and (stepped.net, s2) == tr[1:]
+        except NotEnabledError:
+            stable = False
+        if not stable:
             verdict.stability_violations += 1
     return index
 
@@ -399,7 +410,9 @@ def verify_epp(
     node, by observable label: completeness looks up each choreography
     transition's one network partner, so soundness only checks that every
     network label is a choreography label (and that call labels are
-    local).
+    local).  The table derives each node's network transitions once,
+    with ``sp_enabled``; the stability check derives each of them a
+    second time, independently, with ``sp_step``.
 
     The call creates one ``bproj`` memo, keyed by ``(id(node), pid)``,
     that compiles the initial network and projects every reached

@@ -26,6 +26,7 @@ recursive parser and analyses.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -326,7 +327,11 @@ def _int_at_least(least: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call in a process and shared after
+    that, so callers must not change it.  Parsing leaves nothing behind
+    in it: every ``parse_args`` starts from the declared defaults."""
     parser = argparse.ArgumentParser(
         prog="chorkit", description="choreography compiler toolkit"
     )
@@ -367,9 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

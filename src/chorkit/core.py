@@ -160,7 +160,8 @@ class CanonicalMap:
     in one dict, so ``==`` is dict equality and the hash is taken over the
     entries as a set: both coincide with extensional equality of the
     underlying total function, whatever order the keys were written in.
-    Key order is produced where a map is read: ``items`` sorts.
+    Key order is produced where a map is read: ``items`` sorts, and
+    ``key_view`` gives the keys unordered to callers that need no order.
     Subclasses set ``default`` and ``normalise``; updates copy the dict and
     patch only the written entries, since the others are canonical already.
     A map never changes once built, so its hash is computed on first use
@@ -195,6 +196,12 @@ class CanonicalMap:
     def items(self) -> tuple:
         """(key, value) pairs sorted by key; default entries never appear."""
         return tuple(sorted(self._map.items()))
+
+    def key_view(self):
+        """The keys of the non-default entries, unordered: a set-like view
+        for callers that only test or combine membership.  It is not
+        called ``keys``, so that ``dict(m)`` still reads ``m``'s pairs."""
+        return self._map.keys()
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

@@ -184,9 +184,55 @@ def sp_enabled(
 
 
 def sp_step(p: NetProgram, s: State, label: RichLabel) -> Tuple[NetProgram, State]:
-    for (t, n2, s2) in sp_enabled(p.procs, p.net, s):
-        if t == label:
-            return NetProgram(p.procs, n2), s2
+    """The one transition ``label`` names, derived from the processes it
+    names alone, or ``NotEnabledError``.
+
+    The rules are ``sp_enabled``'s, read from the label's side: a
+    communication needs its sender to head a send to the receiver, the
+    receiver a matching receive into the label's variable, and the
+    evaluated value to be the label's; a selection needs the offer it
+    picks (``_chosen_option``); a conditional or a call needs its pid to
+    head one, the call naming the label's procedure.  It shares only the
+    evaluators, the map updates and ``_chosen_option`` with
+    ``sp_enabled``, so the checker's stability check derives each
+    transition a second, independent time.
+    """
+    n = p.net
+    k = type(label)
+    if k is RichComm:
+        pid, q = label.sender, label.receiver
+        b, qb = n.get(pid), n.get(q)
+        if (
+            type(b) is Send and b.peer == q
+            and type(qb) is Recv and qb.peer == pid and qb.var == label.var
+        ):
+            value = eval_expr(b.expr, s, pid)
+            if value == label.value:
+                return (
+                    NetProgram(p.procs, n.set_many(((pid, b.cont), (q, qb.cont)))),
+                    s.set(q, qb.var, value),
+                )
+    elif k is RichSelect:
+        pid, q = label.sender, label.receiver
+        b, qb = n.get(pid), n.get(q)
+        if (
+            type(b) is SelectSend and b.peer == q and b.label == label.label
+            and type(qb) is Branch and qb.peer == pid
+        ):
+            chosen = _chosen_option(qb, label.label)
+            if chosen is not None:
+                return NetProgram(p.procs, n.set_many(((pid, b.cont), (q, chosen)))), s
+    elif k is RichCond:
+        pid = label.pid
+        b = n.get(pid)
+        if type(b) is Cond:
+            taken = b.then_b if eval_bexpr(b.guard, s, pid) else b.else_b
+            return NetProgram(p.procs, n.set(pid, taken)), s
+    elif k is RichCall:
+        pid = label.pid
+        b = n.get(pid)
+        if type(b) is Call and b.name == label.proc:
+            return NetProgram(p.procs, n.set(pid, p.procs.get(b.name, SP_END))), s
     raise NotEnabledError(label)
 
 

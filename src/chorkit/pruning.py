@@ -70,9 +70,10 @@ def net_more_branches(n1: Network, n2: Network) -> bool:
 
     A process whose two behaviours are one object is related by
     reflexivity, so networks that share behaviours are compared only
-    where they differ.
+    where they differ.  The answer does not depend on the order the
+    processes are visited in, so the supports are read unsorted.
     """
-    for pid in set(n1.support).union(n2.support):
+    for pid in n1.key_view() | n2.key_view():
         a = n1.get(pid)
         b = n2.get(pid)
         if a is not b and not xmore_branches(a, b):

@@ -32,7 +32,16 @@ from chorkit.chor import (
     cc_enabled,
 )
 from chorkit.chor import End as ChorEnd
-from chorkit.core import EMPTY_STATE, CanonicalMap, Lit, State, VarRef, forget
+from chorkit.core import (
+    EMPTY_STATE,
+    CanonicalMap,
+    Lit,
+    RichComm,
+    RichSelect,
+    State,
+    VarRef,
+    forget,
+)
 from chorkit.net import sp_enabled
 from chorkit.projection import epp_program
 from chorkit.syntax import parse
@@ -168,6 +177,32 @@ class TestNegativeControls:
             "completeness failure at depth 0 on c.0 -> ip: "
             "candidate changes the state differently"
         )
+
+    @pytest.mark.parametrize("fault", ["wrong-branch", "value-plus-one"])
+    def test_faulty_enumerator_is_a_stability_violation(self, auth, fault, monkeypatch):
+        # only sp_enabled is broken: sp_step derives each transition on
+        # its own, so the stability check sees where the two differ
+        original = net_mod.sp_enabled
+
+        def faulty(procs, n, s):
+            out = []
+            for rich, n2, s2 in original(procs, n, s):
+                if fault == "wrong-branch" and type(rich) is RichSelect:
+                    offer = n.get(rich.receiver)
+                    other = offer.on_right if rich.label == "left" else offer.on_left
+                    if other is not None:
+                        n2 = n2.set(rich.receiver, other)
+                elif fault == "value-plus-one" and type(rich) is RichComm:
+                    rich = rich._replace(value=rich.value + 1)
+                    s2 = s.set(rich.receiver, rich.var, rich.value)
+                out.append((rich, n2, s2))
+            return out
+
+        for owner in (net_mod, checker_mod):
+            monkeypatch.setattr(owner, "sp_enabled", faulty)
+        v = verify_epp(auth)
+        assert v.stability_violations > 0
+        assert not v.ok
 
     def test_repeated_label_is_a_determinism_violation(self, auth, monkeypatch):
         original = checker_mod.sp_enabled
@@ -394,7 +429,8 @@ class TestCounterGrowth:
             monkeypatch.setattr(owner, name, counted)
 
         # checker calls cc_enabled and sp_enabled by its own names, and
-        # chor and net by theirs (recursion, sp_step)
+        # chor and net by theirs (cc_enabled recurses; an sp_step that
+        # enumerated would call net's sp_enabled)
         for owner in (checker_mod, chor_mod):
             count(owner, "cc_enabled")
         for owner in (checker_mod, net_mod):
@@ -418,6 +454,9 @@ class TestCounterGrowth:
         small, large = self._per_config(monkeypatch, programs, [3 * r + 1 for r in sizes])
         for name in self.COUNTERS:
             assert 0 < large[name] <= 1.25 * small[name], (name, small, large)
+        # the table derives a configuration's network transitions, and
+        # sp_step re-derives each one without enumerating the others
+        assert small["sp_enabled"] == large["sp_enabled"] == 1, (small, large)
 
     def test_par(self, monkeypatch):
         # a configuration's term holds what the pairs in front of the

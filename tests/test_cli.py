@@ -415,6 +415,56 @@ class TestArgumentErrors:
         )
 
 
+class TestParserReuse:
+    """``main`` builds its parser on its first call and keeps it: no
+    option may leak from one call into the next, and usage errors still
+    exit 2."""
+
+    # pairs of calls; the second must behave as if it came first
+    PAIRS = [
+        (["simulate", AUTH, *AUTH_STATE], ["simulate", AUTH]),
+        (["simulate", AUTH, "--state", "nonsense"], ["simulate", AUTH]),
+        (["exec", AUTH, "--timeout-ms", "5", "--seed", "3", *AUTH_STATE], ["exec", AUTH]),
+        (["exec", AUTH, "--max-steps", "0"], ["exec", AUTH]),
+        (["run", AUTH, "--policy", "random", "--fuel", "2", "--json"], ["run", AUTH]),
+        (["verify", AUTH, "--depth", "1", "--json"], ["verify", AUTH]),
+        (["project", AUTH, "-o", "out"], ["check", AUTH]),
+        (["frobnicate", AUTH], ["check", AUTH, "--json"]),
+    ]
+
+    @staticmethod
+    def _call(argv, capsys) -> tuple:
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("first, second", PAIRS, ids=[" ".join(p[0][:1] + p[0][2:]) for p in PAIRS])
+    def test_no_option_leaks(self, first, second, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cli.build_parser.cache_clear()
+        alone = self._call(second, capsys)
+        self._call(first, capsys)
+        assert self._call(second, capsys) == alone
+
+    def test_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert main(["check", AUTH]) == 0
+            assert main(["exec", AUTH, "--timeout-ms", "0"]) == 2
+            assert main([]) == 2
+        assert cli.build_parser.cache_info().misses == 1
+        assert "usage: chorkit exec " in capsys.readouterr().err
+
+    def test_not_built_at_import(self):
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        code = "import chorkit.cli as c; print(c.build_parser.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, "0\n")
+
+
 class TestWorkerError:
     def test_exec_exits_1_on_a_raising_worker(self, monkeypatch, capsys):
         def broken(*args):

@@ -137,6 +137,8 @@ class TestOrderOnRead:
             assert list(s) == list(s.items()) and len(s) == 3
             assert repr(s) == "State(p.x=1, q.y=-2, r.z=3)"
             assert state_digest(s) == state_digest(stores[0])
+            assert s.key_view() == self.ENTRIES.keys()
+            assert dict(s) == self.ENTRIES  # key_view is not ``keys``
 
 
 class TestEval:

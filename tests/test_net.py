@@ -3,13 +3,15 @@
 from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chorkit.core import (
     EMPTY_STATE,
+    Add,
     Eq,
     Lit,
+    Lt,
     ObsComm,
     ObsSelect,
     ObsTau,
@@ -19,6 +21,7 @@ from chorkit.core import (
     RichSelect,
     State,
     VarRef,
+    eval_expr,
     rich_label_text,
 )
 from chorkit.net import (
@@ -40,6 +43,7 @@ from chorkit.net import (
 from chorkit.projection import epp_program
 
 from conftest import PROJECTABLE, load_program
+from net_reference import reference_sp_step
 
 
 def net_explore(p: NetProgram, s0=EMPTY_STATE, depth=12):
@@ -149,6 +153,7 @@ class TestOrderOnRead:
             assert n == first and hash(n) == hash(first)
             assert n.items() == tuple(sorted(self.ENTRIES.items()))
             assert n.support == ("a", "m", "q", "z")
+            assert n.key_view() == set(n.support)
             assert repr(n) == repr(first)
             assert repr(n).startswith("Network(a[Cond(") and " | z[Recv(" in repr(n)
             assert sp_enabled({}, n, s) == trans
@@ -334,3 +339,166 @@ class TestDeterminismAndStability:
                 p2, s = sp_step(p, s, trans[0][0])
                 assert p2.procs is p.procs or p2.procs == p.procs
                 p = p2
+
+
+def _perturbed(label) -> list:
+    """Labels that each differ from an enabled ``label`` in one respect,
+    so that none of them is enabled where ``label`` is: each process
+    heads one action, which fixes its peer, variable, selection label and
+    procedure."""
+    outside = "zz"  # no network here has this pid
+    k = type(label)
+    if k is RichComm:
+        snd, v, rcv, var = label[:4]
+        return [
+            RichComm(snd, v + 1, rcv, var),
+            RichComm(snd, v - 1, rcv, var),
+            RichComm(snd, v, rcv, var + "_"),
+            RichComm(rcv, v, snd, var),
+            RichComm(outside, v, rcv, var),
+            RichComm(snd, v, outside, var),
+            RichCond(snd),
+        ]
+    if k is RichSelect:
+        snd, rcv, sel = label[:3]
+        return [
+            RichSelect(snd, rcv, "right" if sel == "left" else "left"),
+            RichSelect(rcv, snd, sel),
+            RichSelect(outside, rcv, sel),
+            RichSelect(snd, outside, sel),
+            RichCond(snd),
+        ]
+    if k is RichCond:
+        return [RichCond(outside), RichCall(("X", label.pid), label.pid)]
+    (name, owner), pid = label.proc, label.pid
+    return [RichCall((name + "_", owner), pid), RichCall(label.proc, outside), RichCond(pid)]
+
+
+def _suggested(n: Network, s: State) -> list:
+    """The labels each process's head suggests, enabled or not: a send or
+    a receive names its peer whatever the peer heads."""
+    out = []
+    for pid, b in n.items():
+        t = type(b)
+        if t is Send:
+            qb = n.get(b.peer)
+            var = qb.var if type(qb) is Recv else "x"
+            out.append(RichComm(pid, eval_expr(b.expr, s, pid), b.peer, var))
+        elif t is Recv:
+            out += [RichComm(b.peer, v, pid, b.var) for v in (0, 1)]
+        elif t is SelectSend:
+            out.append(RichSelect(pid, b.peer, b.label))
+        elif t is Branch:
+            out += [RichSelect(b.peer, pid, sel) for sel in ("left", "right")]
+        elif t is Cond:
+            out.append(RichCond(pid))
+        elif t is Call:
+            out.append(RichCall(b.name, pid))
+    return out
+
+
+def _outcome(step, p: NetProgram, s: State, label):
+    try:
+        return step(p, s, label)
+    except NotEnabledError:
+        return None
+
+
+def _step_matches_reference(p: NetProgram, s: State) -> list:
+    """``sp_step`` and the frozen filter over ``sp_enabled`` agree at one
+    configuration: on every enabled label, with the transition
+    ``sp_enabled`` lists; on every perturbed label, which both refuse;
+    and on every label a process's head suggests.  Returns the enabled
+    labels."""
+    for label in _suggested(p.net, s):
+        assert _outcome(sp_step, p, s, label) == _outcome(reference_sp_step, p, s, label), label
+    trans = sp_enabled(p.procs, p.net, s)
+    enabled = {t for t, _n2, _s2 in trans}
+    for t, n2, s2 in trans:
+        live = sp_step(p, s, t)
+        assert live == reference_sp_step(p, s, t) == (NetProgram(p.procs, n2), s2), t
+        assert live[0].procs is p.procs
+        for bad in _perturbed(t):
+            assert bad not in enabled, bad
+            with pytest.raises(NotEnabledError):
+                sp_step(p, s, bad)
+            with pytest.raises(NotEnabledError):
+                reference_sp_step(p, s, bad)
+    return [t for t, _n2, _s2 in trans]
+
+
+_NET_PIDS = ["p", "q", "r"]
+_NET_EXPRS = st.sampled_from([Lit(0), Lit(-1), VarRef("x"), Add(VarRef("x"), Lit(1))])
+_NET_VARS = st.sampled_from(["x", "y"])
+_NET_LABELS = st.sampled_from(["left", "right"])
+
+
+def _net_behaviours():
+    """Small behaviours over three pids."""
+    base = st.sampled_from([SP_END, Call(("X", "p")), Call(("X", "q")), Call(("Y", "r"))])
+    peers = st.sampled_from(_NET_PIDS)
+    guards = st.sampled_from([Eq(VarRef("x"), Lit(0)), Lt(VarRef("y"), Lit(1))])
+
+    def extend(children):
+        opt = st.none() | children
+        # lambdas keep hypothesis away from the tag discriminator field
+        return st.one_of(
+            st.builds(lambda q, e, c: Send(q, e, c), peers, _NET_EXPRS, children),
+            st.builds(lambda q, v, c: Recv(q, v, c), peers, _NET_VARS, children),
+            st.builds(lambda q, l, c: SelectSend(q, l, c), peers, _NET_LABELS, children),
+            st.builds(lambda q, l, r: Branch(q, l, r), peers, opt, opt),
+            st.builds(lambda g, t, e: Cond(g, t, e), guards, children, children),
+        )
+
+    return st.recursive(base, extend, max_leaves=4)
+
+
+@st.composite
+def _networks(draw):
+    """A network of generated behaviours in which, most of the time, two
+    processes head a matching communication or selection: random heads
+    rarely match."""
+    beh = _net_behaviours()
+    net = draw(st.dictionaries(st.sampled_from(_NET_PIDS), beh))
+    a, b = draw(st.permutations(_NET_PIDS))[:2]
+    kind = draw(st.sampled_from(["comm", "select", "none"]))
+    if kind == "comm":
+        net[a] = Send(b, draw(_NET_EXPRS), draw(beh))
+        net[b] = Recv(a, draw(_NET_VARS), draw(beh))
+    elif kind == "select":
+        net[a] = SelectSend(b, draw(_NET_LABELS), draw(beh))
+        net[b] = Branch(a, draw(st.none() | beh), draw(st.none() | beh))
+    return Network(net)
+
+
+class TestStepAgainstReference:
+    """``sp_step`` derives only the transition its label names; the frozen
+    ``reference_sp_step`` in ``net_reference.py`` filters every transition
+    ``sp_enabled`` derives.  The two must agree on every label."""
+
+    STORES = [EMPTY_STATE, State({("c", "credentials"): 7, ("s", "token"): 42})]
+
+    def test_corpus(self):
+        kinds = set()
+        for name in PROJECTABLE:
+            np = epp_program(load_program(name))
+            for s0 in self.STORES:
+                for net, s, _trans in net_explore(np, s0, depth=40):
+                    labels = _step_matches_reference(NetProgram(np.procs, net), s)
+                    kinds.update(type(t) for t in labels)
+        assert kinds == {RichComm, RichSelect, RichCond, RichCall}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _networks(),
+        st.fixed_dictionaries({("X", "p"): _net_behaviours(), ("X", "q"): _net_behaviours()}),
+        st.dictionaries(
+            st.tuples(st.sampled_from(_NET_PIDS), st.sampled_from(["x", "y"])),
+            st.integers(-2, 2),
+        ),
+    )
+    def test_generated_networks(self, net, procs, store):
+        # ("Y", "r") has no body: calling it ends the process
+        np = NetProgram(procs, net)
+        for n, s, _trans in net_explore(np, State(store), depth=3):
+            _step_matches_reference(NetProgram(procs, n), s)
