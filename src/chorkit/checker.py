@@ -26,7 +26,9 @@ step rebuilds only the part of the term in front of the action it
 takes, so the successor is projected only there, and every other
 behaviour comes back as the object already projected, which is often
 the live network's own: the pruning check relates a process whose two
-behaviours are one object by reflexivity, without walking them.  The
+behaviours are one object by reflexivity, without walking them.  Since
+reached terms are interned, a prefix rebuilt along another interleaving
+is the term already projected, and the memo answers for it too.  The
 memo lives for one call, so a projection seam patched between calls is
 always seen.
 
@@ -38,6 +40,11 @@ enabled transitions of each reached (choreography, state) and (network,
 state) once: ``chorkit verify`` builds one per file and passes it to all
 four suites, so the later suites and the confluence joins mostly reuse
 what ``verify_epp`` derived; a suite called without one builds its own.
+The table interns every choreography term it meets, so equal terms are
+one object, and every structure of the checker (the engine's visited
+set, the transition memo, the network of each reached term, the
+confluence joins) keys a term by its identity: a lookup neither hashes
+nor compares a term, whatever its length.
 When the reachable space is exhausted below the depth bound the
 certificate is total for the program; otherwise it holds up to the bound.
 Along the way the checker asserts per-label determinism and stability of
@@ -55,9 +62,13 @@ from typing import Optional, Tuple
 
 from . import projection, pruning
 from .chor import (
+    Call,
     ChorProgram,
     Choreography,
+    Cond,
     End as ChorEnd,
+    Interaction,
+    RunningCall,
     cc_check_wf,
     cc_enabled,
     infer_params,
@@ -191,7 +202,8 @@ def _hypotheses(p: ChorProgram, xs, ps, memo: dict):
 
 class _Context:
     """Per-verification immutable inputs plus the projection caches: the
-    network of each reached choreography, and the call's ``bproj`` memo."""
+    network of each reached choreography, keyed by the id of the term a
+    ``SuccessorTable`` interned, and the call's ``bproj`` memo."""
 
     __slots__ = ("cc_procs", "sp_procs", "ps", "epp_cache", "memo")
 
@@ -208,18 +220,18 @@ class _Context:
         Only the network depends on the reached term; the compiled
         procedure table is fixed across transitions.
         """
-        hit = self.epp_cache.get(main)
+        hit = self.epp_cache.get(id(main))
         if hit is not None:
             return hit if hit is not _NOT_PROJECTABLE else None
         entries = []
         for pid in self.ps:
             b = projection.bproj(self.cc_procs, main, pid, self.memo)
             if b is UNDEFINED:
-                self.epp_cache[main] = _NOT_PROJECTABLE
+                self.epp_cache[id(main)] = _NOT_PROJECTABLE
                 return None
             entries.append((pid, b))
         net = Network(entries)
-        self.epp_cache[main] = net
+        self.epp_cache[id(main)] = net
         return net
 
 
@@ -228,49 +240,162 @@ _NOT_PROJECTABLE = object()
 
 class SuccessorTable:
     """The enabled transitions of one program's configurations, each
-    derived once.
+    derived once, over choreography terms interned by the table.
 
-    ``cc((choreography, state))`` memoises ``cc_enabled`` over the
+    The table keeps one term for each class of structurally equal
+    choreography terms.  ``intern`` maps a term to that one: the intern
+    key is a node's type, its non-term fields and the ids of its
+    children's interned terms, and ``_known`` maps the id of every node
+    the table has walked to (node, interned term), keeping the node
+    alive so that its id is not reused while the table lives.  The
+    table interns the program's main when it is built, and main is its
+    own interned term.  A successor that ``cc_enabled`` derives is new
+    only in the prefix it rebuilt in front of the action it took (or in
+    a procedure body, on its first unfolding): its tail is a term the
+    table has walked already, so ``intern`` walks only that prefix, with
+    its own stack.  Equal terms are then one object, and a
+    configuration's key holds its choreography by id:
+    ``(id(term), state)``.
+
+    ``cc(config)`` and ``cc_at(key)`` memoise ``cc_enabled`` over the
     choreography program's procedures, with the walk stopped once every
-    process of the program is blocked; ``sp((network, state))`` memoises
-    ``sp_enabled`` over the network program's; ``verify_epp`` stores the
-    network program it compiles in ``net``.  A table serves one program
-    for one ``chorkit verify`` run, and the lists it hands out are shared,
-    so callers must not mutate them.  ``derived`` and ``reused`` count the
-    lists computed and the lists served again.
+    process of the program is blocked, and with successors interned;
+    ``sp(config)`` memoises ``sp_enabled`` over the network program's;
+    ``verify_epp`` stores the network program it compiles in ``net``.
+    ``cc_next`` and ``sp_next`` give a configuration's successor keys,
+    without repeats, in the order of its transitions.  A table serves
+    one program for one ``chorkit verify`` run, so its intern table
+    lives and dies with that program; the lists it hands out are shared,
+    so callers must not mutate them.  ``derived`` and ``reused`` count
+    the transition lists computed and served again (a successor tuple
+    built from a list counts as the list), and ``visited`` the nodes
+    ``intern`` has walked.
     """
 
-    __slots__ = ("chor", "net", "derived", "reused", "_cc", "_sp", "_pids")
+    __slots__ = (
+        "chor", "net", "derived", "reused", "visited",
+        "_pids", "_known", "_terms", "_cc", "_sp", "_cc_next", "_sp_next",
+    )
 
     def __init__(self, chor: Optional[ChorProgram] = None, net: Optional[NetProgram] = None):
         self.chor = chor
         self.net = net
         self.derived = 0
         self.reused = 0
+        self.visited = 0
+        self._known: dict = {}  # id(node) -> (node, interned term)
+        self._terms: dict = {}  # intern key -> interned term
         self._cc: dict = {}
         self._sp: dict = {}
-        self._pids = None if chor is None else frozenset(infer_params(chor)[1])
+        self._cc_next: dict = {}
+        self._sp_next: dict = {}
+        self._pids = None
+        if chor is not None:
+            self._pids = frozenset(infer_params(chor)[1])
+            self.intern(chor.main)
 
-    def cc(self, key: tuple) -> list:
+    def intern(self, c: Choreography) -> Choreography:
+        """The table's one term equal to ``c``."""
+        known = self._known
+        hit = known.get(id(c))
+        if hit is not None:
+            return hit[1]
+        terms = self._terms
+        todo = [c]
+        visited = 0
+        while todo:
+            n = todo[-1]
+            if id(n) in known:  # reached twice before it was done
+                todo.pop()
+                continue
+            t = type(n)
+            if t is Interaction:
+                cont = known.get(id(n.cont))
+                if cont is None:
+                    todo.append(n.cont)
+                    continue
+                key = (t, n.eta, id(cont[1]))
+            elif t is Cond:
+                then_c = known.get(id(n.then_c))
+                else_c = known.get(id(n.else_c))
+                if then_c is None or else_c is None:
+                    if else_c is None:
+                        todo.append(n.else_c)
+                    if then_c is None:
+                        todo.append(n.then_c)
+                    continue
+                key = (t, n.pid, n.guard, id(then_c[1]), id(else_c[1]))
+            elif t is RunningCall:
+                body = known.get(id(n.body))
+                if body is None:
+                    todo.append(n.body)
+                    continue
+                key = (t, n.proc, n.pending, id(body[1]))
+            elif t is Call:
+                key = (t, n.proc)
+            elif t is ChorEnd:
+                key = (t,)
+            else:
+                raise TypeError(f"not a choreography: {n!r}")
+            todo.pop()
+            visited += 1
+            known[id(n)] = (n, terms.setdefault(key, n))
+        self.visited += visited
+        return known[id(c)][1]
+
+    def key(self, config: tuple) -> tuple:
+        """A (choreography, ...) configuration's key: the interned
+        term's id in place of the term."""
+        return (id(self.intern(config[0])), *config[1:])
+
+    def config(self, key: tuple) -> tuple:
+        """The configuration a key stands for."""
+        return (self._known[key[0]][1], *key[1:])
+
+    def cc(self, config: tuple) -> list:
+        return self.cc_at(self.key(config))
+
+    def cc_at(self, key: tuple) -> list:
         trans = self._cc.get(key)
         if trans is None:
-            main, s = key
-            trans = self._cc[key] = cc_enabled(
-                self.chor.procs, main, s, frozenset(), self._pids
-            )
+            intern = self.intern
+            main = self._known[key[0]][1]
+            trans = self._cc[key] = [
+                (label, intern(c2), s2)
+                for label, c2, s2 in cc_enabled(
+                    self.chor.procs, main, key[1], frozenset(), self._pids
+                )
+            ]
             self.derived += 1
         else:
             self.reused += 1
         return trans
 
-    def sp(self, key: tuple) -> list:
-        trans = self._sp.get(key)
+    def cc_next(self, key: tuple) -> tuple:
+        nxt = self._cc_next.get(key)
+        if nxt is None:
+            trans = self.cc_at(key)
+            nxt = self._cc_next[key] = tuple(dict.fromkeys((id(c2), s2) for _l, c2, s2 in trans))
+        else:
+            self.reused += 1
+        return nxt
+
+    def sp(self, config: tuple) -> list:
+        trans = self._sp.get(config)
         if trans is None:
-            trans = self._sp[key] = sp_enabled(self.net.procs, *key)
+            trans = self._sp[config] = sp_enabled(self.net.procs, *config)
             self.derived += 1
         else:
             self.reused += 1
         return trans
+
+    def sp_next(self, config: tuple) -> tuple:
+        nxt = self._sp_next.get(config)
+        if nxt is None:
+            nxt = self._sp_next[config] = tuple(dict.fromkeys(tr[1:] for tr in self.sp(config)))
+        else:
+            self.reused += 1
+        return nxt
 
 
 def _explore(root, step, depth: int, verdict: Verdict, table: SuccessorTable) -> Verdict:
@@ -278,9 +403,12 @@ def _explore(root, step, depth: int, verdict: Verdict, table: SuccessorTable) ->
 
     ``step(node, d)`` does one check's work at a node reached at depth
     ``d`` and returns (successor nodes, counterexample or None).  Nodes are
-    hashable and explored once each; nodes at the depth bound are checked
-    but not expanded, and the verdict says whether that cut anything off,
-    and how many transition lists ``table`` derived and reused meanwhile.
+    configuration keys, which hold a choreography by the id of its term
+    in ``table`` (``SuccessorTable.key``), so ``seen`` neither hashes nor
+    compares a term.  Each is explored once; nodes at the depth bound
+    are checked but not expanded, and the verdict says whether that cut
+    anything off, and how many transition lists ``table`` derived and
+    reused meanwhile.
     """
     derived, reused = table.derived, table.reused
     seen = {root}
@@ -309,11 +437,12 @@ def _explore(root, step, depth: int, verdict: Verdict, table: SuccessorTable) ->
     return verdict
 
 
-def _completeness(ctx: _Context, node, d: int, cc_trans, index: dict, verdict: Verdict):
+def _completeness(ctx: _Context, config, d: int, cc_trans, index: dict, verdict: Verdict):
     """Match every choreography transition by its one network partner.
 
     ``index`` maps each observable label to the network transition that
-    carries it.  Returns (successor nodes, counterexample or None).
+    carries it.  Returns (successor keys, counterexample at ``config`` or
+    None).
     """
     succs = []
     for rich_cc, main2, s2 in cc_trans:
@@ -330,13 +459,13 @@ def _completeness(ctx: _Context, node, d: int, cc_trans, index: dict, verdict: V
             why = "candidate network does not cover the projection of the successor"
         else:
             verdict.transitions_matched += 1
-            succs.append((main2, partner[1], s2))
+            succs.append((id(main2), partner[1], s2))
             continue
-        return succs, Counterexample("completeness", node, d, obs, why)
+        return succs, Counterexample("completeness", config, d, obs, why)
     return succs, None
 
 
-def _soundness(node, d: int, cc_trans, sp_trans, verdict: Verdict):
+def _soundness(config, d: int, cc_trans, sp_trans, verdict: Verdict):
     """Every network transition must be local and carry a choreography label.
 
     Completeness has already checked each such transition against its one
@@ -351,10 +480,10 @@ def _soundness(node, d: int, cc_trans, sp_trans, verdict: Verdict):
             if not (isinstance(name, tuple) and name[1] == rich_sp.pid):
                 verdict.locality_violations += 1
                 why = f"call label names {name!r} but {rich_sp.pid} acts"
-                return Counterexample("locality", node, d, obs, why)
+                return Counterexample("locality", config, d, obs, why)
         if obs not in cc_labels:
             why = "no choreography transition has this label"
-            return Counterexample("soundness", node, d, obs, why)
+            return Counterexample("soundness", config, d, obs, why)
         verdict.transitions_matched += 1
     return None
 
@@ -402,51 +531,58 @@ def verify_epp(
     """Certify the correspondence for one program up to a depth bound.
 
     The hypotheses are checked against the procedure names and processes
-    ``infer_params`` finds; checking projectability compiles
-    the network program, once.  Nodes are (choreography, network,
-    state) triples.  The enabled transitions of both sides come from
-    ``table`` (a fresh one for ``p`` if None), which also keeps the
-    compiled network program in ``table.net``, and are paired once per
-    node, by observable label: completeness looks up each choreography
-    transition's one network partner, so soundness only checks that every
-    network label is a choreography label (and that call labels are
-    local).  The table derives each node's network transitions once,
+    ``infer_params`` finds; checking projectability compiles the network
+    program, once.  ``table`` (a fresh one if None) must be built for
+    ``p``, so that ``p.main`` is its own interned term and the compiled
+    network and the projections of reached terms share the memo's
+    behaviour objects.  Nodes are keys of (choreography, network,
+    state) triples, the choreography held by the id of its interned
+    term.  The enabled transitions of both sides come from ``table``,
+    which also keeps the compiled network program in ``table.net``, and
+    are paired once per node, by observable label: completeness looks
+    up each choreography transition's one network partner, so soundness
+    only checks that every network label is a choreography label (and
+    that call labels are local).  The table derives each node's network transitions once,
     with ``sp_enabled``; the stability check derives each of them a
     second time, independently, with ``sp_step``.
 
     The call creates one ``bproj`` memo, keyed by ``(id(node), pid)``,
     that compiles the initial network and projects every reached
     choreography; it answers only when its stored node is the queried
-    node, and dies with the call.
+    node, and dies with the call.  Reached terms are interned, so a
+    prefix reached again along another interleaving is the term already
+    projected, and the network of each is cached by the term's id.
     """
     xs, ps = infer_params(p)
+    if table is None:
+        table = SuccessorTable(p)
+    main = table.intern(p.main)
     memo: dict = {}
     failures, sp = _hypotheses(p, xs, ps, memo)
     if failures:
         return Verdict("hypotheses-violated", depth, hypothesis_failures=failures)
-    if table is None:
-        table = SuccessorTable(p)
     table.net = sp
     ctx = _Context(p, sp, ps, memo)
     verdict = Verdict("verified", depth)
-    root = (p.main, sp.net, s0)
-    if not _prunes(sp.net, ctx.epp_net(p.main)):
+    root = (main, sp.net, s0)
+    if not _prunes(sp.net, ctx.epp_net(main)):
         why = "initial network below its own projection"
         verdict.status = "counterexample"
         verdict.counterexample = Counterexample("invariant", root, 0, None, why)
         return verdict
 
     def step(node, d):
-        main, net, s = node
-        cc_trans = table.cc((main, s))
+        i, net, s = node
+        cc_trans = table.cc_at((i, s))
         sp_trans = table.sp((net, s))
         index = _sp_self_checks(ctx, net, s, sp_trans, verdict)
-        succs, cex = _completeness(ctx, node, d, cc_trans, index, verdict)
+        config = table.config(node)
+        succs, cex = _completeness(ctx, config, d, cc_trans, index, verdict)
         if cex is None:
-            cex = _soundness(node, d, cc_trans, sp_trans, verdict)
+            cex = _soundness(config, d, cc_trans, sp_trans, verdict)
         return succs, cex
 
-    _explore(root, step, depth, verdict, table)
+    _explore((id(main), sp.net, s0), step, depth, verdict, table)
     if verdict.ok and (verdict.determinism_violations or verdict.stability_violations):
         why = "network semantics violated determinism or stability"
         verdict.status = "counterexample"
@@ -470,43 +606,47 @@ def check_deadlock_freedom(
         table = SuccessorTable(p)
 
     def step(node, d):
-        succs = [tr[1:] for tr in table.cc(node)]
-        if not succs and type(node[0]) is not ChorEnd:
-            why = "non-end choreography with no transition"
-            return succs, Counterexample("deadlock", node, d, None, why)
+        succs = table.cc_next(node)
+        if not succs:
+            config = table.config(node)
+            if type(config[0]) is not ChorEnd:
+                why = "non-end choreography with no transition"
+                return succs, Counterexample("deadlock", config, d, None, why)
         return succs, None
 
-    return _explore((p.main, s0), step, depth, Verdict("verified", depth), table)
+    root = table.key((p.main, s0))
+    return _explore(root, step, depth, Verdict("verified", depth), table)
 
 
 def _check_confluence(
-    enabled, root, depth: int, join_depth: int, table: SuccessorTable
+    succs_fn, config, root, depth: int, join_depth: int, table: SuccessorTable
 ) -> Verdict:
     """From each reached node, any two one-step successors must reach a
-    common node within ``join_depth`` steps each.  ``enabled`` is one of
-    ``table``'s two memos."""
+    common node within ``join_depth`` steps each.  ``succs_fn`` is one of
+    ``table``'s two successor-key memos, and ``config`` maps a key back
+    to the configuration a counterexample reports."""
     verdict = Verdict("verified", depth)
-
-    def succs_fn(node):
-        return [tr[1:] for tr in enabled(node)]
 
     def step(node, d):
         succs = succs_fn(node)
-        # Configurations are not orderable; dedupe preserving first occurrence.
-        distinct = list(dict.fromkeys(sk for sk in succs if sk != node))
+        distinct = [sk for sk in succs if sk != node]
         for i in range(len(distinct)):
             for j in range(i + 1, len(distinct)):
                 verdict.transitions_matched += 1
                 if not _joins(succs_fn, distinct[i], distinct[j], join_depth):
-                    pair = (distinct[i], distinct[j])
+                    pair = (config(distinct[i]), config(distinct[j]))
                     why = f"successors do not join within {join_depth} steps"
-                    return succs, Counterexample("confluence", node, d, None, why, pair)
+                    cex = Counterexample("confluence", config(node), d, None, why, pair)
+                    return succs, cex
         return succs, None
 
     return _explore(root, step, depth, verdict, table)
 
 
-def _joins(enabled_fn, a, b, join_depth: int) -> bool:
+def _joins(succs_fn, a, b, join_depth: int) -> bool:
+    """Whether ``a`` and ``b`` reach a common key within ``join_depth``
+    steps each.  The two reach sets are disjoint until one side's new
+    frontier meets the other's set, so only the frontier is tested."""
     if a == b:
         return True
     reach = ({a}, {b})
@@ -514,9 +654,9 @@ def _joins(enabled_fn, a, b, join_depth: int) -> bool:
     for _ in range(join_depth):
         for side in (0, 1):
             seen = reach[side]
-            frontier[side] = {s for k in frontier[side] for s in enabled_fn(k) if s not in seen}
+            frontier[side] = {s for k in frontier[side] for s in succs_fn(k) if s not in seen}
             seen |= frontier[side]
-            if reach[0] & reach[1]:
+            if not frontier[side].isdisjoint(reach[1 - side]):
                 return True
         if not frontier[0] and not frontier[1]:
             return False
@@ -533,7 +673,8 @@ def check_cc_confluence(
 ) -> Verdict:
     if table is None:
         table = SuccessorTable(p)
-    return _check_confluence(table.cc, (p.main, s0), depth, join_depth, table)
+    root = table.key((p.main, s0))
+    return _check_confluence(table.cc_next, table.config, root, depth, join_depth, table)
 
 
 def check_sp_confluence(
@@ -547,4 +688,9 @@ def check_sp_confluence(
     """``table``, when given, must hold ``p`` as its ``net``."""
     if table is None:
         table = SuccessorTable(net=p)
-    return _check_confluence(table.sp, (p.net, s0), depth, join_depth, table)
+    return _check_confluence(table.sp_next, _same, (p.net, s0), depth, join_depth, table)
+
+
+def _same(config: tuple) -> tuple:
+    """A network configuration is its own key."""
+    return config

@@ -103,11 +103,6 @@ class Network(CanonicalMap):
     __slots__ = ()
     default = SP_END
 
-    @property
-    def support(self) -> tuple:
-        """Pids with a non-end behaviour, sorted."""
-        return tuple(pid for pid, _ in self.items())
-
     def get(self, pid: Pid) -> Behaviour:
         return self._map.get(pid, SP_END)
 

@@ -9,7 +9,8 @@ from checker_reference import (
     reference_check_sp_confluence,
     reference_verify_epp,
 )
-from conftest import CORPUS, PROJECTABLE, SEAM_MUTATIONS, load_program
+from cc_reference import reference_cc_enabled
+from conftest import CORPUS, PROJECTABLE, SEAM_MUTATIONS, explore, load_program
 
 from chorkit import checker as checker_mod
 from chorkit import chor as chor_mod
@@ -27,7 +28,9 @@ from chorkit.chor import (
     Call,
     ChorProgram,
     CommEta,
+    Cond,
     Interaction,
+    ProcDef,
     RunningCall,
     cc_enabled,
 )
@@ -35,6 +38,7 @@ from chorkit.chor import End as ChorEnd
 from chorkit.core import (
     EMPTY_STATE,
     CanonicalMap,
+    Eq,
     Lit,
     RichComm,
     RichSelect,
@@ -243,9 +247,80 @@ class TestSinglePartner:
                 assert len(set(labels)) == len(labels), (name, node)
 
 
+def _wide_source(pairs: int, conds: int, length: int, taken: str) -> str:
+    """wide(K,C,L) as ``.chor`` text: K independent pairs of L
+    interactions, the last C of which then branch, each branch copying
+    the rest of the program, so that the parsed program holds equal but
+    distinct tails.  ``taken`` names, per conditional, the branch its
+    guard picks while its ``a.x`` is 0 ("then" tests ``a.x == 0``,
+    "else" ``a.x == 1``)."""
+    plain = pairs - conds
+
+    def pair(k):
+        a, b = f"a{k}", f"b{k}"
+        return [
+            f"{a}.x -> {b}.y;" if i % 2 == 0 else f"{b}.y + {i} -> {a}.x;" for i in range(length)
+        ]
+
+    tail = "end"
+    for k in reversed(range(plain, pairs)):
+        a, b = f"a{k}", f"b{k}"
+        value = 0 if taken[k - plain] == "then" else 1
+        then_c = f"{a} -> {b}[left]; {a}.x + 1 -> {b}.z; {tail}"
+        else_c = f"{a} -> {b}[right]; {b}.y + 2 -> {a}.w; {tail}"
+        tail = " ".join(pair(k)) + f" if {a}.x == {value} then {{ {then_c} }} else {{ {else_c} }}"
+    body = " ".join(line for k in range(plain) for line in pair(k))
+    return f"main {{ {body} {tail} }}"
+
+
+def _twins() -> dict:
+    """Programs whose terms hold pairs of nodes that differ in exactly one
+    field that is not a term (an interaction, a guard, a pending list)
+    above equal children, so an intern key that leaves that field out
+    merges the two."""
+    body = Interaction(CommEta("a", Lit(1), "b", "x"), ChorEnd())
+    return {
+        "eta": parse(
+            "main { if a.x == 0 then { a.1 -> b.y; b.y -> a.z; end }"
+            " else { a.2 -> b.y; b.y -> a.z; end } }"
+        ).program,
+        "guard": parse(
+            "main { if a.x == 0 then {"
+            " if a.y == 0 then { a -> b[left]; end } else { a -> b[right]; end } } else {"
+            " if a.y == 1 then { a -> b[left]; end } else { a -> b[right]; end } } }"
+        ).program,
+        "pending": ChorProgram(
+            {"P": ProcDef(("a", "b"), body)},
+            Cond(
+                "a",
+                Eq(VarRef("x"), Lit(0)),
+                RunningCall("P", ("a",), body),
+                RunningCall("P", ("b",), body),
+            ),
+        ),
+    }
+
+
+GENERATED = {
+    **{f"wide({k},{c},{n})-{taken}": parse(_wide_source(k, c, n, taken)).program
+       for k, c, n, taken in (
+           (2, 1, 1, "then"), (3, 1, 2, "else"), (3, 2, 1, "then-else"),
+           (4, 2, 1, "else-then"), (2, 2, 2, "then-then"),
+       )},
+    **{f"twins-{name}": p for name, p in _twins().items()},
+}
+GENERATED_STORES = [
+    EMPTY_STATE,
+    State({("a", "x"): 1, ("a", "y"): 1, ("a0", "x"): 1, ("a1", "x"): 2}),
+]
+
+
 class TestAgainstReference:
     """``verify_epp`` against the frozen two-scan checker in
-    ``checker_reference.py``: every verdict field, counterexample included."""
+    ``checker_reference.py``: every verdict field, counterexample included.
+    Beside the corpus, generated programs whose branches hold equal but
+    distinct tails, or nodes that differ in one field above equal
+    children, check the successor table's interning."""
 
     @pytest.mark.parametrize(
         "mutation", [None] + SEAM_MUTATIONS, ids=["none"] + [m[0] for m in SEAM_MUTATIONS]
@@ -297,6 +372,42 @@ class TestAgainstReference:
                     assert alone == expected, (s0, depth, join_depth)
                     assert behind == expected, (s0, depth, join_depth)
         assert shared.reused > 0
+
+    @pytest.mark.parametrize(
+        "mutation", [None] + SEAM_MUTATIONS, ids=["none"] + [m[0] for m in SEAM_MUTATIONS]
+    )
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_generated(self, name, mutation, monkeypatch):
+        if mutation is not None:
+            monkeypatch.setattr(*mutation[1:])
+        p = GENERATED[name]
+        shared = SuccessorTable(p)
+        for s0 in GENERATED_STORES:
+            for depth in (3, 20):
+                expected = [
+                    reference_verify_epp(p, depth, s0),
+                    reference_check_deadlock_freedom(p, depth, s0),
+                    reference_check_cc_confluence(p, depth, s0, 1),
+                ]
+                behind = [
+                    verify_epp(p, depth, s0, table=shared),
+                    check_deadlock_freedom(p, depth, s0, table=shared),
+                    check_cc_confluence(p, depth, s0, 1, table=shared),
+                ]
+                if shared.net is not None:
+                    expected.append(reference_check_sp_confluence(shared.net, depth, s0, 1))
+                    behind.append(check_sp_confluence(shared.net, depth, s0, 1, table=shared))
+                assert behind == expected, (s0, depth)
+
+    @pytest.mark.parametrize("name", sorted(GENERATED) + CORPUS_NAMES)
+    def test_table_transitions(self, name):
+        """Every reached configuration's transitions from one table, which
+        interns what it derives, against the frozen enumerator."""
+        p = GENERATED[name] if name in GENERATED else load_program(name)
+        table = SuccessorTable(p)
+        for s0 in GENERATED_STORES + STORES:
+            for main, s, trans in explore(p, s0, depth=20):
+                assert table.cc((main, s)) == reference_cc_enabled(p.procs, main, s) == trans
 
 
 class TestDeadlockFreedom:
@@ -386,10 +497,11 @@ class TestCounterexampleConfigs:
         assert net == epp_program(auth).net
 
 
-def _ring_program(procs: int, rounds: int) -> ChorProgram:
-    """ring(P,R): a token passed R times round P processes, one path."""
+def _ring_program(procs: int, rounds: int, length=None) -> ChorProgram:
+    """ring(P,R): a token passed R times round P processes, one path;
+    ``length``, when given, is the number of interactions instead."""
     c = ChorEnd()
-    for i in reversed(range(procs * rounds)):
+    for i in reversed(range(procs * rounds if length is None else length)):
         c = Interaction(CommEta(f"p{i % procs}", Lit(i), f"p{(i + 1) % procs}", "x"), c)
     return ChorProgram({}, c)
 
@@ -412,9 +524,11 @@ class TestCounterGrowth:
     it should not fails here whatever the machine's speed.  A count that
     is constant per configuration may grow by a quarter from the smaller
     size to the double one (fewer transitions leave the configurations
-    on the border of the space); one that is linear may grow by 2.25x."""
+    on the border of the space); one that is linear may grow by 2.25x.
+    ``visited`` counts the nodes the successor table's interning walks:
+    the program once, then only the prefix each step rebuilt."""
 
-    COUNTERS = ("bproj", "cc_enabled", "sp_enabled", "_patch", "successors_derived")
+    COUNTERS = ("bproj", "cc_enabled", "sp_enabled", "_patch", "successors_derived", "visited")
 
     def _per_config(self, monkeypatch, programs, configs) -> list:
         counts: Counter = Counter()
@@ -440,10 +554,12 @@ class TestCounterGrowth:
         out = []
         for p, expected in zip(programs, configs):
             counts.clear()
-            v = verify_epp(p, depth=10_000)
+            table = SuccessorTable(p)
+            v = verify_epp(p, depth=10_000, table=table)
             assert v.status == "verified"
             assert v.configs_explored == expected
             counts["successors_derived"] = v.successors_derived
+            counts["visited"] = table.visited
             out.append({name: counts[name] / expected for name in self.COUNTERS})
         return out
 
@@ -461,11 +577,82 @@ class TestCounterGrowth:
     def test_par(self, monkeypatch):
         # a configuration's term holds what the pairs in front of the
         # acting one have not done yet: cc_enabled walks across it and a
-        # step rebuilds it, which bproj then projects, so those two are
-        # linear in L per configuration; nothing may grow faster
+        # step rebuilds it, which the table interns and bproj then
+        # projects, so those three are linear in L per configuration;
+        # nothing may grow faster
         sizes = (8, 16)
         programs = [_par_program(2, n) for n in sizes]
         small, large = self._per_config(monkeypatch, programs, [(n + 1) ** 2 for n in sizes])
         for name in self.COUNTERS:
-            factor = 2.25 if name in ("bproj", "cc_enabled") else 1.25
+            factor = 2.25 if name in ("bproj", "cc_enabled", "visited") else 1.25
             assert 0 < large[name] <= factor * small[name], (name, small, large)
+
+
+class TestLongPrograms:
+    """The suites on a 10 000-interaction ring at the default recursion
+    limit: interning walks the program with its own stack, ``cc_enabled``
+    stops once every process is blocked, and no configuration is hashed
+    or compared by its term, so each step costs the same however long
+    the program."""
+
+    @pytest.mark.parametrize("suite", [check_deadlock_freedom, check_cc_confluence])
+    def test_ring_of_10000_interactions(self, suite, default_recursion_limit):
+        p = _ring_program(3, 0, length=10_000)
+        v = suite(p, depth=10_000)
+        assert v.status == "verified"
+        assert v.configs_explored == 10_001
+
+
+class TestIdentityKeys:
+    """Once the successor table has interned the program, no check hashes
+    or compares a choreography term: every structure keys a term by its
+    identity."""
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_suites_behind_one_table(self, name, monkeypatch):
+        p = load_program(name)
+        table = SuccessorTable(p)
+        calls: Counter = Counter()
+        for cls in (Interaction, Cond, RunningCall):
+            for method in ("__hash__", "__eq__", "__ne__"):
+
+                def counted(self, *args, _original=getattr(cls, method), _key=(cls, method)):
+                    calls[_key] += 1
+                    return _original(self, *args)
+
+                monkeypatch.setattr(cls, method, counted)
+        for s0 in STORES:
+            verdicts = [
+                verify_epp(p, 10, s0, table=table),
+                check_deadlock_freedom(p, 10, s0, table=table),
+                check_cc_confluence(p, 10, s0, table=table),
+            ]
+            if table.net is not None:
+                verdicts.append(check_sp_confluence(table.net, 10, s0, table=table))
+            assert all(v.configs_explored for v in verdicts[1:]), verdicts
+        assert not calls, calls
+
+    def test_counted_methods_see_structural_use(self, monkeypatch):
+        # the counting above is live: a dict keyed by a term hashes it
+        calls = []
+        monkeypatch.setattr(Interaction, "__hash__", lambda c: calls.append(c) or 0)
+        term = Interaction(CommEta("a", Lit(1), "b", "x"), ChorEnd())
+        {(term, EMPTY_STATE): None}
+        assert calls == [term]
+
+    def test_dropped_terms_do_not_pass_for_interned_ones(self):
+        # each term is dropped once interned; without the node each entry
+        # keeps, a later term could reuse a dropped term's id and pass for
+        # the interned term that id once stood for
+        table = SuccessorTable(ChorProgram({}, ChorEnd()))
+
+        def term(i):
+            a, b = ("p", "q") if i % 2 else ("q", "p")
+            tail = Interaction(CommEta(b, Lit(i % 7), a, "y"), ChorEnd())
+            return Interaction(CommEta(a, Lit(i % 5), b, "x"), tail)
+
+        for i in range(2000):
+            c, again = term(i), term(i)
+            interned = table.intern(c)
+            assert interned == c and table.intern(again) is interned, i
+            del c, again, interned

@@ -66,12 +66,12 @@ def net_explore(p: NetProgram, s0=EMPTY_STATE, depth=12):
 class TestNetworkCanonicalForm:
     def test_end_entries_dropped(self):
         n = Network({"p": SP_END, "q": Send("p", Lit(1), SP_END)})
-        assert n.support == ("q",)
+        assert n.items() == (("q", Send("p", Lit(1), SP_END)),)
         assert n.get("p") == SP_END
 
     def test_support_sorted(self):
         n = Network({"z": Send("a", Lit(1), SP_END), "a": Recv("z", "x", SP_END)})
-        assert n.support == ("a", "z")
+        assert [pid for pid, _ in n.items()] == ["a", "z"]
 
     def test_equality_extensional(self):
         a = Network({"p": SP_END, "q": Send("p", Lit(1), SP_END)})
@@ -152,8 +152,7 @@ class TestOrderOnRead:
         for n in nets:
             assert n == first and hash(n) == hash(first)
             assert n.items() == tuple(sorted(self.ENTRIES.items()))
-            assert n.support == ("a", "m", "q", "z")
-            assert n.key_view() == set(n.support)
+            assert n.key_view() == {"a", "m", "q", "z"}
             assert repr(n) == repr(first)
             assert repr(n).startswith("Network(a[Cond(") and " | z[Recv(" in repr(n)
             assert sp_enabled({}, n, s) == trans

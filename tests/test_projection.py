@@ -305,7 +305,7 @@ class TestEpp:
 
     def test_extra_listed_process_is_dropped_from_support(self, auth):
         np = epp((), ("c", "ip", "s", "z"), auth)
-        assert np.net.support == ("c", "ip", "s")
+        assert np.net.key_view() == {"c", "ip", "s"}
 
     def test_silent_declared_process_compiles_to_end(self, auth):
         procs = dict(auth.procs)
@@ -314,7 +314,7 @@ class TestEpp:
         np = epp(("Quiet",), ("c", "ip", "s", "z"), widened)
         assert np.procs[("Quiet", "c")] == SP_END
         assert np.procs[("Quiet", "z")] == SP_END
-        assert "z" not in np.net.support
+        assert "z" not in np.net.key_view()
 
 
 # Hand-picked listings: a missing process, an unlisted procedure called
@@ -442,7 +442,7 @@ class TestMemo:
             main, projected = roots[0]
             compiled = table.net.net
             assert main is p.main and projected == compiled, name
-            for pid in compiled.support:
+            for pid in compiled.key_view():
                 assert projected.get(pid) is compiled.get(pid), (name, pid)
 
 
