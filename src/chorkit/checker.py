@@ -40,11 +40,12 @@ enabled transitions of each reached (choreography, state) and (network,
 state) once: ``chorkit verify`` builds one per file and passes it to all
 four suites, so the later suites and the confluence joins mostly reuse
 what ``verify_epp`` derived; a suite called without one builds its own.
-The table interns every choreography term it meets, so equal terms are
-one object, and every structure of the checker (the engine's visited
-set, the transition memo, the network of each reached term, the
-confluence joins) keys a term by its identity: a lookup neither hashes
-nor compares a term, whatever its length.
+The table interns every choreography term, store and network it meets,
+so equal ones are one object, and every key of the checker (the
+engine's visited set, the transition memos, the network of each reached
+term, the coverage memo, the confluence joins) is a tuple of the ids of
+interned terms, stores and networks: a lookup neither hashes nor
+compares a term or a map, whatever its size.
 When the reachable space is exhausted below the depth bound the
 certificate is total for the program; otherwise it holds up to the bound.
 Along the way the checker asserts per-label determinism and stability of
@@ -75,6 +76,7 @@ from .chor import (
 )
 from .core import (
     EMPTY_STATE,
+    CanonicalMap,
     NotEnabledError,
     ObsLabel,
     RichCall,
@@ -203,9 +205,11 @@ def _hypotheses(p: ChorProgram, xs, ps, memo: dict):
 class _Context:
     """Per-verification immutable inputs plus the projection caches: the
     network of each reached choreography, keyed by the id of the term a
-    ``SuccessorTable`` interned, and the call's ``bproj`` memo."""
+    ``SuccessorTable`` interned, the call's ``bproj`` memo, and whether
+    each successor network covers the projection of its term, keyed by
+    the ids of the two."""
 
-    __slots__ = ("cc_procs", "sp_procs", "ps", "epp_cache", "memo")
+    __slots__ = ("cc_procs", "sp_procs", "ps", "epp_cache", "memo", "covered")
 
     def __init__(self, p: ChorProgram, sp: NetProgram, ps, memo: dict):
         self.cc_procs = p.procs
@@ -213,6 +217,7 @@ class _Context:
         self.ps = ps
         self.epp_cache: dict = {}
         self.memo = memo
+        self.covered: dict = {}
 
     def epp_net(self, main: Choreography) -> Optional[Network]:
         """Network of the projection of a reached choreography, or None.
@@ -240,30 +245,38 @@ _NOT_PROJECTABLE = object()
 
 class SuccessorTable:
     """The enabled transitions of one program's configurations, each
-    derived once, over choreography terms interned by the table.
+    derived once, over choreography terms, stores and networks interned
+    by the table.
 
-    The table keeps one term for each class of structurally equal
-    choreography terms.  ``intern`` maps a term to that one: the intern
-    key is a node's type, its non-term fields and the ids of its
-    children's interned terms, and ``_known`` maps the id of every node
-    the table has walked to (node, interned term), keeping the node
-    alive so that its id is not reused while the table lives.  The
-    table interns the program's main when it is built, and main is its
-    own interned term.  A successor that ``cc_enabled`` derives is new
-    only in the prefix it rebuilt in front of the action it took (or in
-    a procedure body, on its first unfolding): its tail is a term the
-    table has walked already, so ``intern`` walks only that prefix, with
-    its own stack.  Equal terms are then one object, and a
-    configuration's key holds its choreography by id:
-    ``(id(term), state)``.
+    The table keeps one object for each class of structurally equal
+    choreography terms, of equal stores (``State``) and of equal
+    networks (``Network``).  ``intern`` maps each to that one, and ``_known`` maps the id of
+    every object the table keeps to (object, interned object), keeping
+    it alive so that its id is not reused while the table lives.  A
+    term's intern key is a node's type, its non-term fields and the ids
+    of its children's interned terms.  The table interns the program's
+    main when it is built, and main is its own interned term.  A
+    successor that ``cc_enabled`` derives is new only in the prefix it
+    rebuilt in front of the action it took (or in a procedure body, on
+    its first unfolding): its tail is a term the table has walked
+    already, so ``intern`` walks only that prefix, with its own stack.
+    A map is interned by its value, hashed once when it is derived (a
+    network's hash reads every behaviour in it); only the first of each
+    class is kept, and an equal map derived later is dropped for it.
+    The roots and every successor the table hands out are interned, so
+    a configuration's key is a tuple of ids: ``(term, state)``,
+    ``(network, state)`` or, in ``verify_epp``, ``(term, network,
+    state)``.  Hashing and comparing a key never leaves C, and
+    ``config`` maps a key back to its objects.
 
     ``cc(config)`` and ``cc_at(key)`` memoise ``cc_enabled`` over the
     choreography program's procedures, with the walk stopped once every
-    process of the program is blocked, and with successors interned;
-    ``sp(config)`` memoises ``sp_enabled`` over the network program's;
-    ``verify_epp`` stores the network program it compiles in ``net``.
-    ``cc_next`` and ``sp_next`` give a configuration's successor keys,
-    without repeats, in the order of its transitions.  A table serves
+    process of the program is blocked; ``sp_at(key)`` memoises
+    ``sp_enabled`` over the network program's, which
+    ``verify_epp`` compiles and stores in ``net``.  ``cc_next`` and
+    ``sp_next`` give a configuration's successor keys, without repeats,
+    in the order of its transitions.  ``params`` holds what
+    ``infer_params`` finds for the choreography program.  A table serves
     one program for one ``chorkit verify`` run, so its intern table
     lives and dies with that program; the lists it hands out are shared,
     so callers must not mutate them.  ``derived`` and ``reused`` count
@@ -273,8 +286,8 @@ class SuccessorTable:
     """
 
     __slots__ = (
-        "chor", "net", "derived", "reused", "visited",
-        "_pids", "_known", "_terms", "_cc", "_sp", "_cc_next", "_sp_next",
+        "chor", "net", "params", "derived", "reused", "visited",
+        "_pids", "_known", "_terms", "_maps", "_cc", "_sp", "_cc_next", "_sp_next",
     )
 
     def __init__(self, chor: Optional[ChorProgram] = None, net: Optional[NetProgram] = None):
@@ -283,23 +296,27 @@ class SuccessorTable:
         self.derived = 0
         self.reused = 0
         self.visited = 0
-        self._known: dict = {}  # id(node) -> (node, interned term)
+        self._known: dict = {}  # id(object) -> (object, interned object)
         self._terms: dict = {}  # intern key -> interned term
+        self._maps: dict = {}  # map -> interned map
         self._cc: dict = {}
         self._sp: dict = {}
         self._cc_next: dict = {}
         self._sp_next: dict = {}
-        self._pids = None
+        self.params = self._pids = None
         if chor is not None:
-            self._pids = frozenset(infer_params(chor)[1])
+            self.params = infer_params(chor)
+            self._pids = frozenset(self.params[1])
             self.intern(chor.main)
 
-    def intern(self, c: Choreography) -> Choreography:
-        """The table's one term equal to ``c``."""
+    def intern(self, c):
+        """The table's one term, store or network equal to ``c``."""
         known = self._known
         hit = known.get(id(c))
         if hit is not None:
             return hit[1]
+        if isinstance(c, CanonicalMap):
+            return self._intern_map(c)
         terms = self._terms
         todo = [c]
         visited = 0
@@ -343,14 +360,27 @@ class SuccessorTable:
         self.visited += visited
         return known[id(c)][1]
 
+    def _intern_map(self, m: CanonicalMap) -> CanonicalMap:
+        """The table's one store or network equal to ``m``: hashed and
+        compared by value unless ``m`` is that one already.  A store
+        never equals a network, whatever their entries."""
+        known = self._known
+        hit = known.get(id(m))
+        if hit is not None:
+            return hit[1]
+        first = self._maps.setdefault(m, m)
+        if first is m:
+            known[id(m)] = (m, m)
+        return first
+
     def key(self, config: tuple) -> tuple:
-        """A (choreography, ...) configuration's key: the interned
-        term's id in place of the term."""
-        return (id(self.intern(config[0])), *config[1:])
+        """A configuration's key: the ids of its interned parts."""
+        return tuple(id(self.intern(x)) for x in config)
 
     def config(self, key: tuple) -> tuple:
         """The configuration a key stands for."""
-        return (self._known[key[0]][1], *key[1:])
+        known = self._known
+        return tuple(known[i][1] for i in key)
 
     def cc(self, config: tuple) -> list:
         return self.cc_at(self.key(config))
@@ -358,13 +388,11 @@ class SuccessorTable:
     def cc_at(self, key: tuple) -> list:
         trans = self._cc.get(key)
         if trans is None:
-            intern = self.intern
-            main = self._known[key[0]][1]
+            intern, intern_map, known = self.intern, self._intern_map, self._known
+            main, s = known[key[0]][1], known[key[1]][1]
             trans = self._cc[key] = [
-                (label, intern(c2), s2)
-                for label, c2, s2 in cc_enabled(
-                    self.chor.procs, main, key[1], frozenset(), self._pids
-                )
+                (label, intern(c2), intern_map(s2))
+                for label, c2, s2 in cc_enabled(self.chor.procs, main, s, frozenset(), self._pids)
             ]
             self.derived += 1
         else:
@@ -375,24 +403,34 @@ class SuccessorTable:
         nxt = self._cc_next.get(key)
         if nxt is None:
             trans = self.cc_at(key)
-            nxt = self._cc_next[key] = tuple(dict.fromkeys((id(c2), s2) for _l, c2, s2 in trans))
+            nxt = self._cc_next[key] = tuple(
+                dict.fromkeys((id(c2), id(s2)) for _l, c2, s2 in trans)
+            )
         else:
             self.reused += 1
         return nxt
 
-    def sp(self, config: tuple) -> list:
-        trans = self._sp.get(config)
+    def sp_at(self, key: tuple) -> list:
+        trans = self._sp.get(key)
         if trans is None:
-            trans = self._sp[config] = sp_enabled(self.net.procs, *config)
+            intern_map, known = self._intern_map, self._known
+            net, s = known[key[0]][1], known[key[1]][1]
+            trans = self._sp[key] = [
+                (label, intern_map(n2), intern_map(s2))
+                for label, n2, s2 in sp_enabled(self.net.procs, net, s)
+            ]
             self.derived += 1
         else:
             self.reused += 1
         return trans
 
-    def sp_next(self, config: tuple) -> tuple:
-        nxt = self._sp_next.get(config)
+    def sp_next(self, key: tuple) -> tuple:
+        nxt = self._sp_next.get(key)
         if nxt is None:
-            nxt = self._sp_next[config] = tuple(dict.fromkeys(tr[1:] for tr in self.sp(config)))
+            trans = self.sp_at(key)
+            nxt = self._sp_next[key] = tuple(
+                dict.fromkeys((id(n2), id(s2)) for _l, n2, s2 in trans)
+            )
         else:
             self.reused += 1
         return nxt
@@ -403,9 +441,9 @@ def _explore(root, step, depth: int, verdict: Verdict, table: SuccessorTable) ->
 
     ``step(node, d)`` does one check's work at a node reached at depth
     ``d`` and returns (successor nodes, counterexample or None).  Nodes are
-    configuration keys, which hold a choreography by the id of its term
-    in ``table`` (``SuccessorTable.key``), so ``seen`` neither hashes nor
-    compares a term.  Each is explored once; nodes at the depth bound
+    configuration keys, tuples of the ids of the parts ``table`` interned
+    (``SuccessorTable.key``), so ``seen`` neither hashes nor compares a
+    term or a map.  Each is explored once; nodes at the depth bound
     are checked but not expanded, and the verdict says whether that cut
     anything off, and how many transition lists ``table`` derived and
     reused meanwhile.
@@ -437,74 +475,80 @@ def _explore(root, step, depth: int, verdict: Verdict, table: SuccessorTable) ->
     return verdict
 
 
-def _completeness(ctx: _Context, config, d: int, cc_trans, index: dict, verdict: Verdict):
+def _completeness(ctx: _Context, cc_trans, cc_obs, index: dict, verdict: Verdict):
     """Match every choreography transition by its one network partner.
 
+    ``cc_obs`` holds the observable label of each transition, and
     ``index`` maps each observable label to the network transition that
-    carries it.  Returns (successor keys, counterexample at ``config`` or
-    None).
+    carries it.  Both sides' successors are interned by one table, so
+    equal stores are one object.  Returns (successor keys, the first
+    failure's (direction, label, explanation) or None).
     """
     succs = []
-    for rich_cc, main2, s2 in cc_trans:
-        obs = forget(rich_cc)
+    covered = ctx.covered
+    for (_rich, main2, s2), obs in zip(cc_trans, cc_obs):
         target = ctx.epp_net(main2)
         partner = index.get(obs)
         if target is None:
             why = "stepped choreography is no longer projectable"
         elif partner is None:
             why = "no network transition has this label"
-        elif partner[2] != s2:
+        elif partner[2] is not s2:
             why = "candidate changes the state differently"
-        elif not _prunes(partner[1], target):
-            why = "candidate network does not cover the projection of the successor"
         else:
-            verdict.transitions_matched += 1
-            succs.append((id(main2), partner[1], s2))
-            continue
-        return succs, Counterexample("completeness", config, d, obs, why)
+            net2 = partner[1]
+            pair = (id(main2), id(net2))
+            ok = covered.get(pair)
+            if ok is None:
+                ok = covered[pair] = _prunes(net2, target)
+            if ok:
+                verdict.transitions_matched += 1
+                succs.append((pair[0], pair[1], id(s2)))
+                continue
+            why = "candidate network does not cover the projection of the successor"
+        return succs, ("completeness", obs, why)
     return succs, None
 
 
-def _soundness(config, d: int, cc_trans, sp_trans, verdict: Verdict):
+def _soundness(cc_obs, sp_trans, sp_obs, verdict: Verdict):
     """Every network transition must be local and carry a choreography label.
 
     Completeness has already checked each such transition against its one
-    choreography partner.  Returns a counterexample or None.
+    choreography partner.  Returns the first failure's (direction, label,
+    explanation) or None.
     """
-    cc_labels = {forget(rich) for rich, _main2, _s2 in cc_trans}
-    for rich_sp, _net2, _s2 in sp_trans:
-        obs = forget(rich_sp)
+    cc_labels = set(cc_obs)
+    for (rich_sp, _net2, _s2), obs in zip(sp_trans, sp_obs):
         if type(rich_sp) is RichCall:
             verdict.locality_checks += 1
             name = rich_sp.proc
             if not (isinstance(name, tuple) and name[1] == rich_sp.pid):
                 verdict.locality_violations += 1
-                why = f"call label names {name!r} but {rich_sp.pid} acts"
-                return Counterexample("locality", config, d, obs, why)
+                return "locality", obs, f"call label names {name!r} but {rich_sp.pid} acts"
         if obs not in cc_labels:
-            why = "no choreography transition has this label"
-            return Counterexample("soundness", config, d, obs, why)
+            return "soundness", obs, "no choreography transition has this label"
         verdict.transitions_matched += 1
     return None
 
 
-def _sp_self_checks(ctx: _Context, net: Network, s: State, sp_trans, verdict: Verdict) -> dict:
+def _sp_self_checks(
+    ctx: _Context, net: Network, s: State, sp_trans, sp_obs, verdict: Verdict
+) -> dict:
     """Determinism per observable label and stability.
 
-    Returns the index of the network transitions by observable label.  A
-    label that repeats is a determinism violation and keeps its first
-    transition.  Each distinct label is re-derived once through
-    ``sp_step``, which derives only the transition its label names and
-    shares no code with ``sp_enabled``: a stability violation is a
-    transition the two derive differently, a label ``sp_step`` finds not
-    enabled, or a step after which the procedure table is not the
-    compiled one.
+    Returns the index of the network transitions by observable label
+    (``sp_obs`` holds each transition's).  A label that repeats is a
+    determinism violation and keeps its first transition.  Each distinct
+    label is re-derived once through ``sp_step``, which derives only the
+    transition its label names and shares no code with ``sp_enabled``:
+    a stability violation is a transition the two derive differently, a
+    label ``sp_step`` finds not enabled, or a step after which the
+    procedure table is not the compiled one.  The comparison is
+    structural, since ``sp_step``'s network and store are new objects.
     """
     program = NetProgram(ctx.sp_procs, net)
     index: dict = {}
-    for tr in sp_trans:
-        rich = tr[0]
-        obs = forget(rich)
+    for tr, obs in zip(sp_trans, sp_obs):
         if obs in index:
             verdict.determinism_violations += 1
             continue
@@ -512,7 +556,7 @@ def _sp_self_checks(ctx: _Context, net: Network, s: State, sp_trans, verdict: Ve
         verdict.determinism_checks += 1
         verdict.stability_checks += 1
         try:
-            stepped, s2 = sp_step(program, s, rich)
+            stepped, s2 = sp_step(program, s, tr[0])
             stable = stepped.procs is ctx.sp_procs and (stepped.net, s2) == tr[1:]
         except NotEnabledError:
             stable = False
@@ -531,20 +575,22 @@ def verify_epp(
     """Certify the correspondence for one program up to a depth bound.
 
     The hypotheses are checked against the procedure names and processes
-    ``infer_params`` finds; checking projectability compiles the network
-    program, once.  ``table`` (a fresh one if None) must be built for
-    ``p``, so that ``p.main`` is its own interned term and the compiled
-    network and the projections of reached terms share the memo's
-    behaviour objects.  Nodes are keys of (choreography, network,
-    state) triples, the choreography held by the id of its interned
-    term.  The enabled transitions of both sides come from ``table``,
-    which also keeps the compiled network program in ``table.net``, and
-    are paired once per node, by observable label: completeness looks
-    up each choreography transition's one network partner, so soundness
-    only checks that every network label is a choreography label (and
-    that call labels are local).  The table derives each node's network transitions once,
-    with ``sp_enabled``; the stability check derives each of them a
-    second time, independently, with ``sp_step``.
+    ``infer_params`` found when ``table`` was built; checking
+    projectability compiles the network program, once.  ``table`` (a
+    fresh one if None) must be built for ``p``, so that ``p.main`` is
+    its own interned term and the compiled network and the projections
+    of reached terms share the memo's behaviour objects.  Nodes are
+    keys of (choreography, network, state) triples: the ids of the
+    interned term, network and store.  The enabled transitions of both
+    sides come from ``table``, which also keeps the compiled network
+    program in ``table.net``, and are paired once per node, by
+    observable label, each label forgotten once per node: completeness
+    looks up each choreography transition's one network partner, so
+    soundness only checks that every network label is a choreography
+    label (and that call labels are local).  The table derives each
+    node's network transitions once, with ``sp_enabled``; the stability
+    check derives each of them a second time, independently, with
+    ``sp_step``.
 
     The call creates one ``bproj`` memo, keyed by ``(id(node), pid)``,
     that compiles the initial network and projects every reached
@@ -552,10 +598,12 @@ def verify_epp(
     node, and dies with the call.  Reached terms are interned, so a
     prefix reached again along another interleaving is the term already
     projected, and the network of each is cached by the term's id.
+    Whether a successor network covers the projection of its term is
+    asked once per pair of the two, for the call.
     """
-    xs, ps = infer_params(p)
     if table is None:
         table = SuccessorTable(p)
+    xs, ps = table.params
     main = table.intern(p.main)
     memo: dict = {}
     failures, sp = _hypotheses(p, xs, ps, memo)
@@ -564,29 +612,32 @@ def verify_epp(
     table.net = sp
     ctx = _Context(p, sp, ps, memo)
     verdict = Verdict("verified", depth)
-    root = (main, sp.net, s0)
+    root = table.key((main, sp.net, s0))
     if not _prunes(sp.net, ctx.epp_net(main)):
         why = "initial network below its own projection"
         verdict.status = "counterexample"
-        verdict.counterexample = Counterexample("invariant", root, 0, None, why)
+        verdict.counterexample = Counterexample("invariant", table.config(root), 0, None, why)
         return verdict
 
     def step(node, d):
-        i, net, s = node
-        cc_trans = table.cc_at((i, s))
-        sp_trans = table.sp((net, s))
-        index = _sp_self_checks(ctx, net, s, sp_trans, verdict)
-        config = table.config(node)
-        succs, cex = _completeness(ctx, config, d, cc_trans, index, verdict)
-        if cex is None:
-            cex = _soundness(config, d, cc_trans, sp_trans, verdict)
-        return succs, cex
+        i, n, j = node
+        cc_trans = table.cc_at((i, j))
+        sp_trans = table.sp_at((n, j))
+        sp_obs = [forget(tr[0]) for tr in sp_trans]
+        index = _sp_self_checks(ctx, *table.config((n, j)), sp_trans, sp_obs, verdict)
+        cc_obs = [forget(tr[0]) for tr in cc_trans]
+        succs, fail = _completeness(ctx, cc_trans, cc_obs, index, verdict)
+        if fail is None:
+            fail = _soundness(cc_obs, sp_trans, sp_obs, verdict)
+            if fail is None:
+                return succs, None
+        return succs, Counterexample(fail[0], table.config(node), d, *fail[1:])
 
-    _explore((id(main), sp.net, s0), step, depth, verdict, table)
+    _explore(root, step, depth, verdict, table)
     if verdict.ok and (verdict.determinism_violations or verdict.stability_violations):
         why = "network semantics violated determinism or stability"
         verdict.status = "counterexample"
-        verdict.counterexample = Counterexample("invariant", root, 0, None, why)
+        verdict.counterexample = Counterexample("invariant", table.config(root), 0, None, why)
     return verdict
 
 
@@ -618,14 +669,12 @@ def check_deadlock_freedom(
     return _explore(root, step, depth, Verdict("verified", depth), table)
 
 
-def _check_confluence(
-    succs_fn, config, root, depth: int, join_depth: int, table: SuccessorTable
-) -> Verdict:
+def _check_confluence(succs_fn, root, depth: int, join_depth: int, table: SuccessorTable):
     """From each reached node, any two one-step successors must reach a
     common node within ``join_depth`` steps each.  ``succs_fn`` is one of
-    ``table``'s two successor-key memos, and ``config`` maps a key back
-    to the configuration a counterexample reports."""
+    ``table``'s two successor-key memos."""
     verdict = Verdict("verified", depth)
+    config = table.config
 
     def step(node, d):
         succs = succs_fn(node)
@@ -674,7 +723,7 @@ def check_cc_confluence(
     if table is None:
         table = SuccessorTable(p)
     root = table.key((p.main, s0))
-    return _check_confluence(table.cc_next, table.config, root, depth, join_depth, table)
+    return _check_confluence(table.cc_next, root, depth, join_depth, table)
 
 
 def check_sp_confluence(
@@ -688,9 +737,5 @@ def check_sp_confluence(
     """``table``, when given, must hold ``p`` as its ``net``."""
     if table is None:
         table = SuccessorTable(net=p)
-    return _check_confluence(table.sp_next, _same, (p.net, s0), depth, join_depth, table)
-
-
-def _same(config: tuple) -> tuple:
-    """A network configuration is its own key."""
-    return config
+    root = table.key((p.net, s0))
+    return _check_confluence(table.sp_next, root, depth, join_depth, table)

@@ -22,8 +22,9 @@ merge-algebra test sweeps run hundreds of millions of comparisons.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Tuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Tuple, Union
 
 Pid = str
 VarName = str

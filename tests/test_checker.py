@@ -1,7 +1,9 @@
 """The bounded correspondence checker and its companion suites."""
 
+import sys
 from collections import Counter
 
+import checker_reference
 import pytest
 from checker_reference import (
     reference_check_cc_confluence,
@@ -46,7 +48,7 @@ from chorkit.core import (
     VarRef,
     forget,
 )
-from chorkit.net import sp_enabled
+from chorkit.net import Network, Recv, Send, sp_enabled
 from chorkit.projection import epp_program
 from chorkit.syntax import parse
 
@@ -301,6 +303,22 @@ def _twins() -> dict:
     }
 
 
+def _orders() -> dict:
+    """Programs whose interleavings write one store in different orders
+    (an entry of the initial store erased and written again among them)
+    and reach one network along several paths, so the successor table
+    interns equal stores and networks that are distinct objects."""
+    return {
+        "pairs": parse(
+            "main { a.1 -> b.x; c.2 -> d.y; e.3 -> f.z; b.x -> a.y; d.y -> c.x; end }"
+        ).program,
+        "rewrite": parse(
+            "main { b.0 -> a.x; c.2 -> d.y; b.1 -> a.x; d.y -> c.z;"
+            " if a.x == 1 then { a -> b[left]; end } else { a -> b[right]; end } }"
+        ).program,
+    }
+
+
 GENERATED = {
     **{f"wide({k},{c},{n})-{taken}": parse(_wide_source(k, c, n, taken)).program
        for k, c, n, taken in (
@@ -308,6 +326,7 @@ GENERATED = {
            (4, 2, 1, "else-then"), (2, 2, 2, "then-then"),
        )},
     **{f"twins-{name}": p for name, p in _twins().items()},
+    **{f"orders-{name}": p for name, p in _orders().items()},
 }
 GENERATED_STORES = [
     EMPTY_STATE,
@@ -319,8 +338,32 @@ class TestAgainstReference:
     """``verify_epp`` against the frozen two-scan checker in
     ``checker_reference.py``: every verdict field, counterexample included.
     Beside the corpus, generated programs whose branches hold equal but
-    distinct tails, or nodes that differ in one field above equal
-    children, check the successor table's interning."""
+    distinct tails, nodes that differ in one field above equal children,
+    or interleavings that reach equal stores and networks as distinct
+    objects check the successor table's interning."""
+
+    @pytest.mark.parametrize("name", [f"orders-{name}" for name in sorted(_orders())])
+    def test_orders_reach_equal_maps_as_distinct_objects(self, name):
+        # without a table, both semantics derive equal stores in several
+        # write orders and equal networks as several objects
+        p = GENERATED[name]
+        np = epp_program(p)
+        stores, nets = [], []
+        for s0 in GENERATED_STORES:
+            for _main, s, trans in explore(p, s0, depth=20):
+                stores += [s2 for _l, _c2, s2 in trans]
+            for n, s in _reachable((np.net, s0), lambda node: [
+                tr[1:] for tr in sp_enabled(np.procs, *node)
+            ]):
+                nets += [n2 for _l, n2, _s2 in sp_enabled(np.procs, n, s)]
+        written = {}
+        for s in stores:
+            written.setdefault(s, set()).add(tuple(s._map))
+        assert any(len(o) > 1 for o in written.values()), name
+        distinct = {}
+        for n in nets:
+            distinct.setdefault(n, set()).add(id(n))
+        assert any(len(ids) > 1 for ids in distinct.values()), name
 
     @pytest.mark.parametrize(
         "mutation", [None] + SEAM_MUTATIONS, ids=["none"] + [m[0] for m in SEAM_MUTATIONS]
@@ -398,6 +441,33 @@ class TestAgainstReference:
                     expected.append(reference_check_sp_confluence(shared.net, depth, s0, 1))
                     behind.append(check_sp_confluence(shared.net, depth, s0, 1, table=shared))
                 assert behind == expected, (s0, depth)
+
+    def test_networks_that_depend_on_the_path(self, monkeypatch):
+        # a faulty network semantics that leaves a stray process behind
+        # when a acts last: the term ``end`` is then reached with two
+        # networks, of which only the one without the stray process
+        # covers its projection, so coverage is a property of the pair
+        # (term, network) and must not be remembered per term
+        p = parse("main { a.1 -> b.x; c.2 -> d.y; end }").program
+        stray = Send("a", Lit(0), net_mod.SP_END)
+        original = net_mod.sp_enabled
+
+        def path_dependent(procs, n, s):
+            out = []
+            for rich, n2, s2 in original(procs, n, s):
+                if rich.sender == "a" and not n2.key_view():
+                    n2 = n2.set("z", stray)
+                out.append((rich, n2, s2))
+            return out
+
+        for owner in (checker_mod, checker_reference):
+            monkeypatch.setattr(owner, "sp_enabled", path_dependent)
+        v = verify_epp(p)
+        assert v == reference_verify_epp(p)
+        assert str(v.counterexample) == (
+            "completeness failure at depth 1 on a.1 -> b: "
+            "candidate network does not cover the projection of the successor"
+        )
 
     @pytest.mark.parametrize("name", sorted(GENERATED) + CORPUS_NAMES)
     def test_table_transitions(self, name):
@@ -526,9 +596,13 @@ class TestCounterGrowth:
     size to the double one (fewer transitions leave the configurations
     on the border of the space); one that is linear may grow by 2.25x.
     ``visited`` counts the nodes the successor table's interning walks:
-    the program once, then only the prefix each step rebuilt."""
+    the program once, then only the prefix each step rebuilt.
+    ``__hash__`` counts the canonical maps hashed: the table hashes each
+    store and network once, when it is derived."""
 
-    COUNTERS = ("bproj", "cc_enabled", "sp_enabled", "_patch", "successors_derived", "visited")
+    COUNTERS = (
+        "bproj", "cc_enabled", "sp_enabled", "_patch", "__hash__", "successors_derived", "visited",
+    )
 
     def _per_config(self, monkeypatch, programs, configs) -> list:
         counts: Counter = Counter()
@@ -551,6 +625,7 @@ class TestCounterGrowth:
             count(owner, "sp_enabled")
         count(projection_mod, "bproj")
         count(CanonicalMap, "_patch")
+        count(CanonicalMap, "__hash__")
         out = []
         for p, expected in zip(programs, configs):
             counts.clear()
@@ -605,8 +680,9 @@ class TestLongPrograms:
 
 class TestIdentityKeys:
     """Once the successor table has interned the program, no check hashes
-    or compares a choreography term: every structure keys a term by its
-    identity."""
+    or compares a choreography term, and a store or a network is hashed
+    once, when the table interns it: every structure keys a
+    configuration by the ids of its interned parts."""
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_suites_behind_one_table(self, name, monkeypatch):
@@ -632,6 +708,41 @@ class TestIdentityKeys:
             assert all(v.configs_explored for v in verdicts[1:]), verdicts
         assert not calls, calls
 
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_maps_behind_one_table(self, name, monkeypatch):
+        # every hash of a store or network is the table interning one it
+        # derived or a root, and every comparison an interning hit or the
+        # stability check of a network transition derived twice
+        p = load_program(name)
+        table = SuccessorTable(p)
+        calls = {"__hash__": Counter(), "__eq__": Counter()}
+        for method, seen in calls.items():
+
+            def counted(self, *args, _original=getattr(CanonicalMap, method), _seen=seen):
+                _seen[sys._getframe(1).f_code.co_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(CanonicalMap, method, counted)
+        roots = stability = 0
+        for s0 in STORES:
+            verdicts = [
+                verify_epp(p, 10, s0, table=table),
+                check_deadlock_freedom(p, 10, s0, table=table),
+                check_cc_confluence(p, 10, s0, table=table),
+            ]
+            roots += 2  # the stores of the two choreography suites
+            if table.net is not None:
+                verdicts.append(check_sp_confluence(table.net, 10, s0, table=table))
+                roots += 4  # a network and a store for each network root
+            stability += verdicts[0].stability_checks
+        derived = sum(map(len, table._cc.values())) + 2 * sum(map(len, table._sp.values()))
+        hashes, eqs = calls["__hash__"], calls["__eq__"]
+        assert set(hashes) <= {"_intern_map"}, hashes
+        assert sum(hashes.values()) <= derived + roots, (hashes, derived, roots)
+        assert set(eqs) <= {"_intern_map", "_sp_self_checks"}, eqs
+        assert eqs["_intern_map"] <= hashes["_intern_map"], (eqs, hashes)
+        assert eqs["_sp_self_checks"] <= 2 * stability, (eqs, stability)
+
     def test_counted_methods_see_structural_use(self, monkeypatch):
         # the counting above is live: a dict keyed by a term hashes it
         calls = []
@@ -656,3 +767,22 @@ class TestIdentityKeys:
             interned = table.intern(c)
             assert interned == c and table.intern(again) is interned, i
             del c, again, interned
+
+    def test_dropped_maps_do_not_pass_for_interned_ones(self):
+        # an equal store or network interned after the first is dropped:
+        # the table keeps only the first of each class, so a later map
+        # that reuses a dropped one's id does not pass for the interned
+        # map that id once stood for
+        table = SuccessorTable(ChorProgram({}, ChorEnd()))
+
+        def maps(i):
+            s = State({("p", "x"): i % 5, ("q", "y"): i % 7})
+            n = Network({"p": Send("q", Lit(i % 5), Recv("q", "y", net_mod.SP_END))})
+            return s, n
+
+        for i in range(2000):
+            first, again = maps(i), maps(i)
+            for m, twin in zip(first, again):
+                interned = table.intern(m)
+                assert interned == m and table.intern(twin) is interned, i
+            del first, again, m, twin, interned

@@ -1,5 +1,7 @@
 """Values, stores, expression evaluation, labels, digests."""
 
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -80,6 +82,22 @@ class TestState:
     def test_values_wrap(self):
         s = State({("p", "x"): 2**63})
         assert s.get("p", "x") == I64_MIN
+
+    def test_accepted_inputs(self):
+        # a mapping (a dict or any other), pairs, a generator or another
+        # store; a mapping is read through its items, not iterated
+        entries = {("p", "x"): 1, ("q", "y"): 2}
+        expected = State(entries)
+        assert expected.items() == tuple(sorted(entries.items()))
+        inputs = [
+            MappingProxyType(entries),
+            list(entries.items()),
+            ((k, v) for k, v in entries.items()),
+            expected,
+        ]
+        for given_entries in inputs:
+            built = State(given_entries)
+            assert built == expected and built.items() == expected.items()
 
     @given(
         st.lists(
