@@ -17,49 +17,30 @@ partner and checks state and pruning for the pair; once it has passed,
 soundness reduces to label inclusion, since every network transition
 whose label the choreography also offers has just been checked.
 
-Projecting each reached choreography is incremental.  One ``verify_epp``
-call keeps one ``bproj`` memo, keyed by node identity and process, that
-answers only for the very node it stored and keeps that node alive.
-Checking the projectability hypothesis compiles the program once,
-through that memo, and the network it compiles is the initial one.  A
-step rebuilds only the part of the term in front of the action it
-takes, so the successor is projected only there, and every other
-behaviour comes back as the object already projected, which is often
-the live network's own: the pruning check relates a process whose two
-behaviours are one object by reflexivity, without walking them.  Since
-reached terms are interned, a prefix rebuilt along another interleaving
-is the term already projected, and the memo answers for it too.  The
-memo lives for one call, so a projection seam patched between calls is
-always seen.
-
-Exploration is breadth-first with memoisation on canonical forms, so a
-reported counterexample is at minimal depth; the correspondence check and
-the deadlock-freedom and confluence suites share one engine, ``_explore``.
-They also share one ``SuccessorTable`` per program, which derives the
-enabled transitions of each reached (choreography, state) and (network,
-state) once: ``chorkit verify`` builds one per file and passes it to all
-four suites, so the later suites and the confluence joins mostly reuse
-what ``verify_epp`` derived; a suite called without one builds its own.
-The table interns every choreography term, store and network it meets,
-so equal ones are one object, and every key of the checker (the
-engine's visited set, the transition memos, the network of each reached
-term, the coverage memo, the confluence joins) is a tuple of the ids of
-interned terms, stores and networks: a lookup neither hashes nor
-compares a term or a map, whatever its size.
+Exploration is breadth-first with memoisation on configuration keys, so
+a reported counterexample is at minimal depth.  The correspondence
+check and the deadlock-freedom and confluence suites share one engine,
+``_explore``, and one ``SuccessorTable`` per program, which derives the
+transitions of each reached configuration once and interns what it
+meets, so that every key is a tuple of ids (the rules are stated
+there).  ``chorkit verify`` builds one table per file and passes it to
+all four suites, so the later suites and the confluence joins mostly
+reuse what ``verify_epp`` derived; a suite called without one builds
+its own.  How ``verify_epp`` projects reached choreographies
+incrementally, through one memo per call, is stated at ``verify_epp``.
 When the reachable space is exhausted below the depth bound the
-certificate is total for the program; otherwise it holds up to the bound.
-Along the way the checker asserts per-label determinism and stability of
-the network semantics (``sp_step`` derives each transition again, on its
-own, to the same network and store, and leaves the procedure table
-alone), and that every network call label names the acting process;
-these counts are reported in the verdict.
+certificate is total for the program; otherwise it holds up to the
+bound.  Along the way the checker asserts per-label determinism and
+stability of the network semantics (``sp_step`` derives each transition
+again, on its own, to the same network and store, and leaves the
+procedure table alone), and that every network call label names the
+acting process; these counts are reported in the verdict.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import projection, pruning
 from .chor import (
@@ -93,8 +74,7 @@ def _prunes(wider: Network, projected: Network) -> bool:
     return pruning.net_more_branches(wider, projected)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """Where a check failed: the explored node and its BFS depth.
 
     ``config`` is the node itself: (choreography, network, state) for the
@@ -114,8 +94,7 @@ class Counterexample:
         return f"{self.direction} failure at depth {self.depth}{lbl}: {self.explanation}"
 
 
-@dataclass(frozen=True)
-class HypothesisFailure:
+class HypothesisFailure(NamedTuple):
     name: str
     detail: str
 
@@ -123,26 +102,48 @@ class HypothesisFailure:
         return f"{self.name}: {self.detail}"
 
 
-@dataclass
 class Verdict:
-    status: str  # verified | verified-to-depth | counterexample | hypotheses-violated
-    depth: int
-    configs_explored: int = 0
-    # correspondence: one per matched transition per direction; confluence: pairs checked
-    transitions_matched: int = 0
-    counterexample: Optional[Counterexample] = None
-    hypothesis_failures: Tuple[HypothesisFailure, ...] = ()
-    determinism_checks: int = 0
-    determinism_violations: int = 0
-    stability_checks: int = 0
-    stability_violations: int = 0
-    locality_checks: int = 0
-    locality_violations: int = 0
-    # What the exploration cost the successor table: transition lists it
-    # derived and lists it served again.  Not part of the verdict, which
-    # is the same whether the table started empty or not.
-    successors_derived: int = field(default=0, compare=False)
-    successors_reused: int = field(default=0, compare=False)
+    """What a check found, and the counts it kept on the way.
+
+    ``status`` is verified, verified-to-depth, counterexample or
+    hypotheses-violated; ``transitions_matched`` counts each matched
+    transition per direction in the correspondence, and the pairs
+    checked in a confluence suite.  Mutable, as the engine and the
+    suites count into it, so unhashable.  The last two fields count the
+    transition lists the successor table derived and served again, a
+    cost that ``==`` leaves out: the verdict is the same either way.
+    """
+
+    __slots__ = (
+        "status", "depth", "configs_explored", "transitions_matched", "counterexample",
+        "hypothesis_failures", "determinism_checks", "determinism_violations",
+        "stability_checks", "stability_violations", "locality_checks",
+        "locality_violations", "successors_derived", "successors_reused",
+    )
+    __hash__ = None
+
+    def __init__(
+        self, status: str, depth: int, configs_explored: int = 0,
+        transitions_matched: int = 0, counterexample: Optional[Counterexample] = None,
+        hypothesis_failures: Tuple[HypothesisFailure, ...] = (),
+        determinism_checks: int = 0, determinism_violations: int = 0,
+        stability_checks: int = 0, stability_violations: int = 0,
+        locality_checks: int = 0, locality_violations: int = 0,
+        successors_derived: int = 0, successors_reused: int = 0,
+    ) -> None:
+        values = locals()
+        for name in Verdict.__slots__:
+            setattr(self, name, values[name])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Verdict:
+            return NotImplemented
+        compared = Verdict.__slots__[:-2]
+        return [getattr(self, n) for n in compared] == [getattr(other, n) for n in compared]
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in Verdict.__slots__)
+        return f"Verdict({body})"
 
     @property
     def ok(self) -> bool:
@@ -165,20 +166,15 @@ class Verdict:
         return f"counterexample: {self.counterexample}"
 
 
-def check_hypotheses(p: ChorProgram, xs, ps) -> Tuple[HypothesisFailure, ...]:
-    """The preconditions under which the correspondence is claimed."""
-    return _hypotheses(p, xs, ps, {})[0]
-
-
-def _hypotheses(p: ChorProgram, xs, ps, memo: dict):
-    """The hypothesis failures, and the network program compiled on the
-    way (None unless the program is projectable).
-
-    Well-formedness of the program, projectability (checked by compiling
-    with ``projection.epp`` through ``memo``; its coverage conjuncts ask
-    that ``xs`` and ``ps`` name every procedure and process the program
-    can reach), and strong projectability of main at every listed
-    process, which reads main's projections back from the same memo.
+def check_hypotheses(p: ChorProgram, xs, ps, memo: dict):
+    """The failures of the preconditions under which the correspondence
+    is claimed, and the network program compiled on the way (None unless
+    the program is projectable): well-formedness of the program,
+    projectability (checked by compiling with ``projection.epp`` through
+    ``memo``; its coverage conjuncts ask that ``xs`` and ``ps`` name
+    every procedure and process the program can reach), and strong
+    projectability of main at every listed process, which reads main's
+    projections back from the same memo.
     """
     out: list = []
     wf = cc_check_wf(p)
@@ -203,11 +199,8 @@ def _hypotheses(p: ChorProgram, xs, ps, memo: dict):
 
 
 class _Context:
-    """Per-verification immutable inputs plus the projection caches: the
-    network of each reached choreography, keyed by the id of the term a
-    ``SuccessorTable`` interned, the call's ``bproj`` memo, and whether
-    each successor network covers the projection of its term, keyed by
-    the ids of the two."""
+    """Per-verification immutable inputs plus the projection caches that
+    ``verify_epp`` describes."""
 
     __slots__ = ("cc_procs", "sp_procs", "ps", "epp_cache", "memo", "covered")
 
@@ -250,39 +243,40 @@ class SuccessorTable:
 
     The table keeps one object for each class of structurally equal
     choreography terms, of equal stores (``State``) and of equal
-    networks (``Network``).  ``intern`` maps each to that one, and ``_known`` maps the id of
-    every object the table keeps to (object, interned object), keeping
-    it alive so that its id is not reused while the table lives.  A
-    term's intern key is a node's type, its non-term fields and the ids
-    of its children's interned terms.  The table interns the program's
-    main when it is built, and main is its own interned term.  A
-    successor that ``cc_enabled`` derives is new only in the prefix it
-    rebuilt in front of the action it took (or in a procedure body, on
-    its first unfolding): its tail is a term the table has walked
-    already, so ``intern`` walks only that prefix, with its own stack.
-    A map is interned by its value, hashed once when it is derived (a
-    network's hash reads every behaviour in it); only the first of each
-    class is kept, and an equal map derived later is dropped for it.
-    The roots and every successor the table hands out are interned, so
-    a configuration's key is a tuple of ids: ``(term, state)``,
-    ``(network, state)`` or, in ``verify_epp``, ``(term, network,
-    state)``.  Hashing and comparing a key never leaves C, and
-    ``config`` maps a key back to its objects.
+    networks (``Network``).  ``intern`` maps each to that one, and
+    ``_known`` maps the id of every object the table keeps to (object,
+    interned object), keeping it alive so that its id is not reused
+    while the table lives.  A term's intern key is a node's type, its
+    non-term fields and the ids of its children's interned terms.  The
+    table interns the program's main when it is built, and main is its
+    own interned term.  A successor that ``cc_enabled`` derives is new
+    only in the prefix it rebuilt in front of the action it took (or in
+    a procedure body, on its first unfolding): its tail is a term the
+    table has walked already, so ``intern`` walks only that prefix, with
+    its own stack.  A map is interned by its value, hashed once when it
+    is derived (a network's hash reads every behaviour in it); only the
+    first of each class is kept.  The roots and every successor the
+    table hands out are interned, so a configuration's key is a tuple of
+    ids: ``(term, state)``, ``(network, state)`` or, in ``verify_epp``,
+    ``(term, network, state)``.  Every key of the checker (the engine's
+    visited set, the transition memos, the network of each reached term,
+    the coverage memo, the confluence joins) is built from these ids, so
+    a lookup neither hashes nor compares a term or a map, whatever its
+    size; ``config`` maps a key back to its objects.
 
-    ``cc(config)`` and ``cc_at(key)`` memoise ``cc_enabled`` over the
-    choreography program's procedures, with the walk stopped once every
-    process of the program is blocked; ``sp_at(key)`` memoises
-    ``sp_enabled`` over the network program's, which
-    ``verify_epp`` compiles and stores in ``net``.  ``cc_next`` and
-    ``sp_next`` give a configuration's successor keys, without repeats,
-    in the order of its transitions.  ``params`` holds what
-    ``infer_params`` finds for the choreography program.  A table serves
-    one program for one ``chorkit verify`` run, so its intern table
-    lives and dies with that program; the lists it hands out are shared,
-    so callers must not mutate them.  ``derived`` and ``reused`` count
-    the transition lists computed and served again (a successor tuple
-    built from a list counts as the list), and ``visited`` the nodes
-    ``intern`` has walked.
+    ``cc_at(key)`` memoises ``cc_enabled`` over the choreography
+    program's procedures, with the walk stopped once every process of
+    the program is blocked; ``sp_at(key)`` memoises ``sp_enabled`` over
+    the network program's, which ``verify_epp`` compiles and stores in
+    ``net``.  ``cc_next`` and ``sp_next`` give a configuration's
+    successor keys, without repeats, in the order of its transitions.
+    ``params`` holds what ``infer_params`` finds for the choreography
+    program.  A table serves one program for one ``chorkit verify`` run,
+    so its intern table lives and dies with that program; the lists it
+    hands out are shared, so callers must not mutate them.  ``derived``
+    and ``reused`` count the transition lists computed and served again
+    (a successor tuple built from a list counts as the list), and
+    ``visited`` the nodes ``intern`` has walked.
     """
 
     __slots__ = (
@@ -382,9 +376,6 @@ class SuccessorTable:
         known = self._known
         return tuple(known[i][1] for i in key)
 
-    def cc(self, config: tuple) -> list:
-        return self.cc_at(self.key(config))
-
     def cc_at(self, key: tuple) -> list:
         trans = self._cc.get(key)
         if trans is None:
@@ -440,13 +431,11 @@ def _explore(root, step, depth: int, verdict: Verdict, table: SuccessorTable) ->
     """The breadth-first engine behind every check.
 
     ``step(node, d)`` does one check's work at a node reached at depth
-    ``d`` and returns (successor nodes, counterexample or None).  Nodes are
-    configuration keys, tuples of the ids of the parts ``table`` interned
-    (``SuccessorTable.key``), so ``seen`` neither hashes nor compares a
-    term or a map.  Each is explored once; nodes at the depth bound
-    are checked but not expanded, and the verdict says whether that cut
-    anything off, and how many transition lists ``table`` derived and
-    reused meanwhile.
+    ``d`` and returns (successor nodes, counterexample or None).  Nodes
+    are configuration keys (``SuccessorTable.key``).  Each is explored
+    once; nodes at the depth bound are checked but not expanded, and the
+    verdict says whether that cut anything off, and how many transition
+    lists ``table`` derived and reused meanwhile.
     """
     derived, reused = table.derived, table.reused
     seen = {root}
@@ -575,38 +564,38 @@ def verify_epp(
     """Certify the correspondence for one program up to a depth bound.
 
     The hypotheses are checked against the procedure names and processes
-    ``infer_params`` found when ``table`` was built; checking
-    projectability compiles the network program, once.  ``table`` (a
-    fresh one if None) must be built for ``p``, so that ``p.main`` is
-    its own interned term and the compiled network and the projections
-    of reached terms share the memo's behaviour objects.  Nodes are
-    keys of (choreography, network, state) triples: the ids of the
-    interned term, network and store.  The enabled transitions of both
-    sides come from ``table``, which also keeps the compiled network
-    program in ``table.net``, and are paired once per node, by
-    observable label, each label forgotten once per node: completeness
+    ``infer_params`` found when ``table`` (a fresh one if None, built
+    for ``p``) was built; checking projectability compiles the network
+    program once, into ``table.net``.  Nodes are the keys of
+    (choreography, network, state) triples (see ``SuccessorTable``).
+    Both sides' transitions come from ``table`` and are paired once per
+    node by observable label, each label forgotten once: completeness
     looks up each choreography transition's one network partner, so
     soundness only checks that every network label is a choreography
-    label (and that call labels are local).  The table derives each
-    node's network transitions once, with ``sp_enabled``; the stability
-    check derives each of them a second time, independently, with
+    label (and that call labels are local).  The stability check derives
+    each network transition a second time, independently, with
     ``sp_step``.
 
-    The call creates one ``bproj`` memo, keyed by ``(id(node), pid)``,
-    that compiles the initial network and projects every reached
-    choreography; it answers only when its stored node is the queried
-    node, and dies with the call.  Reached terms are interned, so a
-    prefix reached again along another interleaving is the term already
-    projected, and the network of each is cached by the term's id.
+    Projection is incremental.  The call creates one ``bproj`` memo,
+    keyed by ``(id(node), pid)``, that answers only for the very node it
+    stored and keeps that node alive; it compiles the initial network
+    and projects every reached choreography.  A step rebuilds only the
+    part of the term in front of the action it takes, so the successor
+    is projected only there, and every other behaviour comes back as the
+    object already projected, often the live network's own, which the
+    pruning check relates by reflexivity without walking it.  A prefix
+    reached again along another interleaving is the interned term
+    already projected, and the network of each term is cached by its id.
     Whether a successor network covers the projection of its term is
-    asked once per pair of the two, for the call.
+    asked once per pair of the two.  The memo and both caches die with
+    the call, so a projection seam patched between calls is always seen.
     """
     if table is None:
         table = SuccessorTable(p)
     xs, ps = table.params
     main = table.intern(p.main)
     memo: dict = {}
-    failures, sp = _hypotheses(p, xs, ps, memo)
+    failures, sp = check_hypotheses(p, xs, ps, memo)
     if failures:
         return Verdict("hypotheses-violated", depth, hypothesis_failures=failures)
     table.net = sp

@@ -20,7 +20,6 @@ order) so that runs and golden tests are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .core import (
@@ -184,8 +183,7 @@ def chor_pids(c: Choreography, vars_of: Callable[[ProcName], Iterable[Pid]]) -> 
 Path = Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class WfViolation:
+class WfViolation(NamedTuple):
     rule: str
     path: Path
     detail: str
@@ -194,8 +192,7 @@ class WfViolation:
         return f"[{self.rule}] at {'/'.join(self.path) or '<root>'}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class WfReport:
+class WfReport(NamedTuple):
     violations: Tuple[WfViolation, ...] = ()
 
     @property

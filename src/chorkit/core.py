@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Tuple, Union
 
 Pid = str
@@ -461,8 +460,7 @@ class NotEnabledError(Exception):
         self.label = label
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     trace: Tuple[TraceRecord, ...]
     final: object  # the choreography or network the run stopped at
     final_state: State

@@ -25,8 +25,7 @@ check after ``epp`` is one memo hit per process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 from . import pruning
 from .chor import (
@@ -132,8 +131,7 @@ def bproj(procs: Mapping[ProcName, ProcDef], c: Choreography, r: Pid, memo=None)
 # Projectability diagnostics
 
 
-@dataclass(frozen=True)
-class ProjectionFailure:
+class ProjectionFailure(NamedTuple):
     """Why a projection is undefined, located as precisely as possible."""
 
     process: Pid

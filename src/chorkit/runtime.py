@@ -36,7 +36,6 @@ from __future__ import annotations
 import queue
 import random
 import threading
-from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -71,21 +70,28 @@ from .net import (
 )
 
 
-@dataclass(frozen=True)
-class RuntimeConfig:
+class _RuntimeFields(NamedTuple):
     seed: int = 0
     step_timeout_ms: int = 2000
     max_steps: int = 10000
 
-    def __post_init__(self) -> None:
+
+class RuntimeConfig(_RuntimeFields):
+    """The fields of ``_RuntimeFields``, checked when the record is built."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if self.step_timeout_ms < 1:
             raise ValueError("step_timeout_ms must be at least 1")
+        return self
 
 
-@dataclass(frozen=True)
-class ExecutionReport:
+class ExecutionReport(NamedTuple):
     trace: Tuple[TraceRecord, ...]
     final_state: State  # the threads' stores, plus the pids that run none
     final_net: Network  # the threads' current behaviours

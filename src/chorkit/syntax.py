@@ -42,7 +42,6 @@ to the nearest enclosing node, one segment at a time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -215,7 +214,6 @@ def _canonical(path: Path) -> tuple:
     return tuple(out)
 
 
-@dataclass
 class SourceUnit:
     """A parsed choreography source with per-node source spans.
 
@@ -225,17 +223,31 @@ class SourceUnit:
     ``blocks`` holds the first and last token indices of the whole
     program and of each procedure definition.  ``span_for`` turns them
     into lines and columns, locating the tokens in ``text`` on its first
-    call.
+    call and keeping them in ``_spans``, which ``==`` and repr leave out.
     """
 
-    path: str
-    text: str
-    program: ChorProgram
-    spines: Dict[tuple, Tuple[List[int], int]] = field(default_factory=dict)
-    blocks: Dict[tuple, Tuple[int, int]] = field(default_factory=dict)
-    _spans: Optional[List[Tuple[int, int]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("path", "text", "program", "spines", "blocks", "_spans")
+    __hash__ = None
+
+    def __init__(
+        self, path: str, text: str, program: ChorProgram,
+        spines: Optional[Dict[tuple, Tuple[List[int], int]]] = None,
+        blocks: Optional[Dict[tuple, Tuple[int, int]]] = None,
+    ) -> None:
+        self.path, self.text, self.program = path, text, program
+        self.spines = {} if spines is None else spines
+        self.blocks = {} if blocks is None else blocks
+        self._spans: Optional[List[Tuple[int, int]]] = None
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SourceUnit:
+            return NotImplemented
+        compared = SourceUnit.__slots__[:-1]
+        return [getattr(self, n) for n in compared] == [getattr(other, n) for n in compared]
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in SourceUnit.__slots__[:-1])
+        return f"SourceUnit({body})"
 
     def _tokens(self, key: tuple) -> Optional[Tuple[int, int]]:
         """First and last token indices of the node at canonical ``key``."""

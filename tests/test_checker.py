@@ -118,7 +118,7 @@ class TestHypotheses:
         assert "projectability" in names
 
     def test_coverage_failure_reported(self, auth):
-        failures = check_hypotheses(auth, (), ("c", "ip"))
+        failures = check_hypotheses(auth, (), ("c", "ip"), {})[0]
         assert any(
             h.name == "projectability"
             and h.detail.startswith("projection fails for s ")
@@ -143,7 +143,10 @@ class TestNegativeControls:
         assert not v.ok
         assert v.counterexample is not None
         assert v.counterexample.direction in ("completeness", "soundness")
-        assert str(v).startswith("counterexample: ")
+        assert str(v) == (
+            "counterexample: completeness failure at depth 2 on ip -> s[left]: "
+            "candidate network does not cover the projection of the successor"
+        )
 
     def test_pruning_check_is_live(self, auth, monkeypatch):
         with monkeypatch.context() as m:
@@ -151,6 +154,9 @@ class TestNegativeControls:
             v = verify_epp(auth, depth=10)
         assert v.status == "counterexample"
         assert v.counterexample.direction == "invariant"
+        assert str(v.counterexample) == (
+            "invariant failure at depth 0: initial network below its own projection"
+        )
 
     def test_network_step_without_choreography_partner(self, monkeypatch):
         # the choreography refuses every action, the network does not
@@ -184,6 +190,14 @@ class TestNegativeControls:
             "candidate changes the state differently"
         )
 
+    # the completeness failure each faulty enumerator leads to
+    UNSTABLE = {
+        "wrong-branch": "completeness failure at depth 2 on ip -> s[left]: "
+        "candidate network does not cover the projection of the successor",
+        "value-plus-one": "completeness failure at depth 0 on c.0 -> ip: "
+        "no network transition has this label",
+    }
+
     @pytest.mark.parametrize("fault", ["wrong-branch", "value-plus-one"])
     def test_faulty_enumerator_is_a_stability_violation(self, auth, fault, monkeypatch):
         # only sp_enabled is broken: sp_step derives each transition on
@@ -209,6 +223,7 @@ class TestNegativeControls:
         v = verify_epp(auth)
         assert v.stability_violations > 0
         assert not v.ok
+        assert str(v.counterexample) == self.UNSTABLE[fault]
 
     def test_repeated_label_is_a_determinism_violation(self, auth, monkeypatch):
         original = checker_mod.sp_enabled
@@ -216,6 +231,9 @@ class TestNegativeControls:
         v = verify_epp(auth)
         assert (v.determinism_checks, v.determinism_violations) == (5, 5)
         assert v.counterexample.direction == "invariant"
+        assert str(v.counterexample) == (
+            "invariant failure at depth 0: network semantics violated determinism or stability"
+        )
 
 
 def _reachable(root, successors, depth=40):
@@ -477,7 +495,7 @@ class TestAgainstReference:
         table = SuccessorTable(p)
         for s0 in GENERATED_STORES + STORES:
             for main, s, trans in explore(p, s0, depth=20):
-                assert table.cc((main, s)) == reference_cc_enabled(p.procs, main, s) == trans
+                assert table.cc_at(table.key((main, s))) == reference_cc_enabled(p.procs, main, s) == trans
 
 
 class TestDeadlockFreedom:

@@ -444,12 +444,17 @@ def _ring(n: int, procs: int = 3) -> ChorProgram:
     return ChorProgram({}, c)
 
 
+def _table_transitions(p: ChorProgram) -> list:
+    table = SuccessorTable(p)
+    return table.cc_at(table.key((p.main, EMPTY_STATE)))
+
+
 class TestEarlyStop:
     """The walk stops once every process of the program is blocked, and
     gives what the frozen reference gives."""
 
     ENTRIES = {
-        "table": lambda p: SuccessorTable(p).cc((p.main, EMPTY_STATE)),
+        "table": lambda p: _table_transitions(p),
         "cc_step": lambda p: cc_step(p, EMPTY_STATE, RichComm("p0", 0, "p1", "x")),
         "cc_run": lambda p: cc_run(p, fuel=1),
     }
@@ -493,7 +498,7 @@ class TestEarlyStop:
         table = SuccessorTable(p)
         reached = 0
         for main, s, trans in explore(p, depth=20):
-            assert table.cc((main, s)) == trans == reference_cc_enabled(p.procs, main, s)
+            assert table.cc_at(table.key((main, s))) == trans == reference_cc_enabled(p.procs, main, s)
             reached += 1
         assert reached > 5
 

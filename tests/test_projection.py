@@ -564,5 +564,5 @@ class TestCounterGrowth:
         epp(xs, ps, p)
         compiled = len(calls)
         calls.clear()
-        assert check_hypotheses(p, xs, ps) == ()
+        assert check_hypotheses(p, xs, ps, {})[0] == ()
         assert len(calls) == compiled + len(ps)
