@@ -20,13 +20,14 @@ whose label the choreography also offers has just been checked.
 Exploration is breadth-first with memoisation on configuration keys, so
 a reported counterexample is at minimal depth.  The correspondence
 check and the deadlock-freedom and confluence suites share one engine,
-``_explore``, and one ``SuccessorTable`` per program, which derives the
-transitions of each reached configuration once and interns what it
-meets, so that every key is a tuple of ids (the rules are stated
-there).  ``chorkit verify`` builds one table per file and passes it to
-all four suites, so the later suites and the confluence joins mostly
-reuse what ``verify_epp`` derived; a suite called without one builds
-its own.  How ``verify_epp`` projects reached choreographies
+``_explore``, and one ``SuccessorTable`` per program, whose one memo
+``at`` derives the transitions of each reached configuration of either
+calculus once (``next`` gives its successor keys), and which interns
+what it meets, so that every key is a tuple of ids (the rules are
+stated there).  ``chorkit verify`` builds one table per file and passes
+it to all four suites, so the later suites and the confluence joins
+mostly reuse what ``verify_epp`` derived; a suite called without one
+builds its own.  How ``verify_epp`` projects reached choreographies
 incrementally, through one memo per call, is stated at ``verify_epp``.
 When the reachable space is exhausted below the depth bound the
 certificate is total for the program; otherwise it holds up to the
@@ -234,6 +235,7 @@ class _Context:
 
 
 _NOT_PROJECTABLE = object()
+_TERMS = frozenset((Interaction, Cond, RunningCall, Call, ChorEnd))  # choreography nodes
 
 
 class SuccessorTable:
@@ -246,42 +248,45 @@ class SuccessorTable:
     networks (``Network``).  ``intern`` maps each to that one, and
     ``_known`` maps the id of every object the table keeps to (object,
     interned object), keeping it alive so that its id is not reused
-    while the table lives.  A term's intern key is a node's type, its
-    non-term fields and the ids of its children's interned terms.  The
-    table interns the program's main when it is built, and main is its
-    own interned term.  A successor that ``cc_enabled`` derives is new
-    only in the prefix it rebuilt in front of the action it took (or in
-    a procedure body, on its first unfolding): its tail is a term the
-    table has walked already, so ``intern`` walks only that prefix, with
-    its own stack.  A map is interned by its value, hashed once when it
+    while the table lives.  A term's intern key is its node's type and
+    each field: the id of the child's interned term where the field is
+    a choreography term, the field itself otherwise.  The table interns
+    the program's main when it is built, and main is its own interned
+    term.  A successor that ``cc_enabled`` derives is new only in the
+    prefix it rebuilt in front of the action it took (or in a procedure
+    body, on its first unfolding): its tail is a term the table has
+    walked already, so ``intern`` walks only that prefix, with its own
+    stack.  A map is interned by its value, hashed once when it
     is derived (a network's hash reads every behaviour in it); only the
     first of each class is kept.  The roots and every successor the
     table hands out are interned, so a configuration's key is a tuple of
     ids: ``(term, state)``, ``(network, state)`` or, in ``verify_epp``,
     ``(term, network, state)``.  Every key of the checker (the engine's
-    visited set, the transition memos, the network of each reached term,
+    visited set, the transition memo, the network of each reached term,
     the coverage memo, the confluence joins) is built from these ids, so
     a lookup neither hashes nor compares a term or a map, whatever its
     size; ``config`` maps a key back to its objects.
 
-    ``cc_at(key)`` memoises ``cc_enabled`` over the choreography
-    program's procedures, with the walk stopped once every process of
-    the program is blocked; ``sp_at(key)`` memoises ``sp_enabled`` over
-    the network program's, which ``verify_epp`` compiles and stores in
-    ``net``.  ``cc_next`` and ``sp_next`` give a configuration's
-    successor keys, without repeats, in the order of its transitions.
-    ``params`` holds what ``infer_params`` finds for the choreography
-    program.  A table serves one program for one ``chorkit verify`` run,
-    so its intern table lives and dies with that program; the lists it
-    hands out are shared, so callers must not mutate them.  ``derived``
-    and ``reused`` count the transition lists computed and served again
-    (a successor tuple built from a list counts as the list), and
-    ``visited`` the nodes ``intern`` has walked.
+    ``at(key)`` memoises the transitions of a configuration of either
+    calculus, in one dict, since the ids of terms and networks differ: a
+    network's come from ``sp_enabled`` over the network program's
+    procedures, which ``verify_epp`` compiles and stores in ``net``, and
+    a term's from ``cc_enabled`` over the choreography program's, with
+    the walk stopped once every process of the program is blocked.
+    ``next(key)`` gives a configuration's successor keys, without
+    repeats, in the order of its transitions.  ``params`` holds what
+    ``infer_params`` finds for the choreography program.  A table serves
+    one program for one ``chorkit verify`` run, so its intern table lives
+    and dies with that program; the lists it hands out are shared, so
+    callers must not mutate them.  ``derived`` and ``reused`` count the
+    transition lists computed and served again (a successor tuple built
+    from a list counts as the list), and ``visited`` the nodes
+    ``intern`` has walked.
     """
 
     __slots__ = (
         "chor", "net", "params", "derived", "reused", "visited",
-        "_pids", "_known", "_terms", "_maps", "_cc", "_sp", "_cc_next", "_sp_next",
+        "_pids", "_known", "_terms", "_maps", "_at", "_next",
     )
 
     def __init__(self, chor: Optional[ChorProgram] = None, net: Optional[NetProgram] = None):
@@ -293,10 +298,8 @@ class SuccessorTable:
         self._known: dict = {}  # id(object) -> (object, interned object)
         self._terms: dict = {}  # intern key -> interned term
         self._maps: dict = {}  # map -> interned map
-        self._cc: dict = {}
-        self._sp: dict = {}
-        self._cc_next: dict = {}
-        self._sp_next: dict = {}
+        self._at: dict = {}  # key -> transitions
+        self._next: dict = {}  # key -> successor keys
         self.params = self._pids = None
         if chor is not None:
             self.params = infer_params(chor)
@@ -320,37 +323,21 @@ class SuccessorTable:
                 todo.pop()
                 continue
             t = type(n)
-            if t is Interaction:
-                cont = known.get(id(n.cont))
-                if cont is None:
-                    todo.append(n.cont)
-                    continue
-                key = (t, n.eta, id(cont[1]))
-            elif t is Cond:
-                then_c = known.get(id(n.then_c))
-                else_c = known.get(id(n.else_c))
-                if then_c is None or else_c is None:
-                    if else_c is None:
-                        todo.append(n.else_c)
-                    if then_c is None:
-                        todo.append(n.then_c)
-                    continue
-                key = (t, n.pid, n.guard, id(then_c[1]), id(else_c[1]))
-            elif t is RunningCall:
-                body = known.get(id(n.body))
-                if body is None:
-                    todo.append(n.body)
-                    continue
-                key = (t, n.proc, n.pending, id(body[1]))
-            elif t is Call:
-                key = (t, n.proc)
-            elif t is ChorEnd:
-                key = (t,)
-            else:
+            if t not in _TERMS:
                 raise TypeError(f"not a choreography: {n!r}")
-            todo.pop()
-            visited += 1
-            known[id(n)] = (n, terms.setdefault(key, n))
+            key = [t]
+            for f in n:
+                if type(f) in _TERMS:
+                    hit = known.get(id(f))
+                    if hit is None:  # intern the child first
+                        todo.append(f)
+                        break
+                    f = id(hit[1])
+                key.append(f)
+            else:
+                todo.pop()
+                visited += 1
+                known[id(n)] = (n, terms.setdefault(tuple(key), n))
         self.visited += visited
         return known[id(c)][1]
 
@@ -376,51 +363,26 @@ class SuccessorTable:
         known = self._known
         return tuple(known[i][1] for i in key)
 
-    def cc_at(self, key: tuple) -> list:
-        trans = self._cc.get(key)
+    def at(self, key: tuple) -> list:
+        trans = self._at.get(key)
         if trans is None:
-            intern, intern_map, known = self.intern, self._intern_map, self._known
-            main, s = known[key[0]][1], known[key[1]][1]
-            trans = self._cc[key] = [
-                (label, intern(c2), intern_map(s2))
-                for label, c2, s2 in cc_enabled(self.chor.procs, main, s, frozenset(), self._pids)
-            ]
+            intern, known = self.intern, self._known
+            c, s = known[key[0]][1], known[key[1]][1]
+            if type(c) is Network:
+                found = sp_enabled(self.net.procs, c, s)
+            else:
+                found = cc_enabled(self.chor.procs, c, s, frozenset(), self._pids)
+            trans = self._at[key] = [(label, intern(c2), intern(s2)) for label, c2, s2 in found]
             self.derived += 1
         else:
             self.reused += 1
         return trans
 
-    def cc_next(self, key: tuple) -> tuple:
-        nxt = self._cc_next.get(key)
+    def next(self, key: tuple) -> tuple:
+        nxt = self._next.get(key)
         if nxt is None:
-            trans = self.cc_at(key)
-            nxt = self._cc_next[key] = tuple(
-                dict.fromkeys((id(c2), id(s2)) for _l, c2, s2 in trans)
-            )
-        else:
-            self.reused += 1
-        return nxt
-
-    def sp_at(self, key: tuple) -> list:
-        trans = self._sp.get(key)
-        if trans is None:
-            intern_map, known = self._intern_map, self._known
-            net, s = known[key[0]][1], known[key[1]][1]
-            trans = self._sp[key] = [
-                (label, intern_map(n2), intern_map(s2))
-                for label, n2, s2 in sp_enabled(self.net.procs, net, s)
-            ]
-            self.derived += 1
-        else:
-            self.reused += 1
-        return trans
-
-    def sp_next(self, key: tuple) -> tuple:
-        nxt = self._sp_next.get(key)
-        if nxt is None:
-            trans = self.sp_at(key)
-            nxt = self._sp_next[key] = tuple(
-                dict.fromkeys((id(n2), id(s2)) for _l, n2, s2 in trans)
+            nxt = self._next[key] = tuple(
+                dict.fromkeys((id(c2), id(s2)) for _l, c2, s2 in self.at(key))
             )
         else:
             self.reused += 1
@@ -610,8 +572,8 @@ def verify_epp(
 
     def step(node, d):
         i, n, j = node
-        cc_trans = table.cc_at((i, j))
-        sp_trans = table.sp_at((n, j))
+        cc_trans = table.at((i, j))
+        sp_trans = table.at((n, j))
         sp_obs = [forget(tr[0]) for tr in sp_trans]
         index = _sp_self_checks(ctx, *table.config((n, j)), sp_trans, sp_obs, verdict)
         cc_obs = [forget(tr[0]) for tr in cc_trans]
@@ -646,7 +608,7 @@ def check_deadlock_freedom(
         table = SuccessorTable(p)
 
     def step(node, d):
-        succs = table.cc_next(node)
+        succs = table.next(node)
         if not succs:
             config = table.config(node)
             if type(config[0]) is not ChorEnd:
@@ -658,20 +620,19 @@ def check_deadlock_freedom(
     return _explore(root, step, depth, Verdict("verified", depth), table)
 
 
-def _check_confluence(succs_fn, root, depth: int, join_depth: int, table: SuccessorTable):
+def _check_confluence(root, depth: int, join_depth: int, table: SuccessorTable):
     """From each reached node, any two one-step successors must reach a
-    common node within ``join_depth`` steps each.  ``succs_fn`` is one of
-    ``table``'s two successor-key memos."""
+    common node within ``join_depth`` steps each."""
     verdict = Verdict("verified", depth)
-    config = table.config
+    config, nxt = table.config, table.next
 
     def step(node, d):
-        succs = succs_fn(node)
+        succs = nxt(node)
         distinct = [sk for sk in succs if sk != node]
         for i in range(len(distinct)):
             for j in range(i + 1, len(distinct)):
                 verdict.transitions_matched += 1
-                if not _joins(succs_fn, distinct[i], distinct[j], join_depth):
+                if not _joins(nxt, distinct[i], distinct[j], join_depth):
                     pair = (config(distinct[i]), config(distinct[j]))
                     why = f"successors do not join within {join_depth} steps"
                     cex = Counterexample("confluence", config(node), d, None, why, pair)
@@ -681,7 +642,7 @@ def _check_confluence(succs_fn, root, depth: int, join_depth: int, table: Succes
     return _explore(root, step, depth, verdict, table)
 
 
-def _joins(succs_fn, a, b, join_depth: int) -> bool:
+def _joins(nxt, a, b, join_depth: int) -> bool:
     """Whether ``a`` and ``b`` reach a common key within ``join_depth``
     steps each.  The two reach sets are disjoint until one side's new
     frontier meets the other's set, so only the frontier is tested."""
@@ -692,7 +653,7 @@ def _joins(succs_fn, a, b, join_depth: int) -> bool:
     for _ in range(join_depth):
         for side in (0, 1):
             seen = reach[side]
-            frontier[side] = {s for k in frontier[side] for s in succs_fn(k) if s not in seen}
+            frontier[side] = {s for k in frontier[side] for s in nxt(k) if s not in seen}
             seen |= frontier[side]
             if not frontier[side].isdisjoint(reach[1 - side]):
                 return True
@@ -712,7 +673,7 @@ def check_cc_confluence(
     if table is None:
         table = SuccessorTable(p)
     root = table.key((p.main, s0))
-    return _check_confluence(table.cc_next, root, depth, join_depth, table)
+    return _check_confluence(root, depth, join_depth, table)
 
 
 def check_sp_confluence(
@@ -727,4 +688,4 @@ def check_sp_confluence(
     if table is None:
         table = SuccessorTable(net=p)
     root = table.key((p.net, s0))
-    return _check_confluence(table.sp_next, root, depth, join_depth, table)
+    return _check_confluence(root, depth, join_depth, table)

@@ -42,7 +42,6 @@ from .checker import (
     verify_epp,
 )
 from .core import State, TraceRecord, obs_label_text, rich_label_text, state_digest
-from .merge import UNDEFINED
 from .net import sp_run
 from .projection import ProjectionError, epp, infer_params
 from .runtime import RuntimeConfig, execute, validate_trace
@@ -153,7 +152,7 @@ def _gate(unit: SourceUnit, compile: bool) -> Tuple[List[dict], object, tuple]:
             {"failure": f.kind, "detail": f.detail}, str(f),
         )
         if f.conflict is not None:
-            left, right = (_beh_text(x) for x in f.conflict)
+            left, right = map(print_behaviour, f.conflict)
             entry["conflict"] = [left, right]
             entry["text"] += f"\n  merge({left}, {right}) undefined"
         failures.append(entry)
@@ -165,15 +164,6 @@ def _refused(failures: List[dict]) -> bool:
     for f in failures:
         print(f["text"], file=sys.stderr)
     return bool(failures)
-
-
-def _beh_text(b) -> str:
-    if b is UNDEFINED:
-        return "undefined"
-    try:
-        return print_behaviour(b)
-    except Exception:
-        return repr(b)
 
 
 # ---------------------------------------------------------------------------

@@ -255,18 +255,21 @@ def validate_trace(
 
     Every record must be enabled at its point with matching state
     digests, and the fold must end at the report's final network and
-    state.
+    state.  Each replayed store is digested once: a record's pre-state
+    is the previous record's post-state.
     """
     program = p
     state = s0
+    digest = state_digest(s0)
     for i, rec in enumerate(report.trace):
-        if rec.pre_digest != state_digest(state):
+        if rec.pre_digest != digest:
             return ValidationResult(False, i, "pre-state digest mismatch")
         try:
             program, state = sp_step(program, state, rec.rich)
         except NotEnabledError:
             return ValidationResult(False, i, "label not enabled here")
-        if rec.post_digest != state_digest(state):
+        digest = state_digest(state)
+        if rec.post_digest != digest:
             return ValidationResult(False, i, "post-state digest mismatch")
     if program.net != report.final_net:
         return ValidationResult(False, len(report.trace), "final network differs")

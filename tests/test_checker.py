@@ -13,6 +13,7 @@ from checker_reference import (
 )
 from cc_reference import reference_cc_enabled
 from conftest import CORPUS, PROJECTABLE, SEAM_MUTATIONS, explore, load_program
+from net_reference import reference_sp_step
 
 from chorkit import checker as checker_mod
 from chorkit import chor as chor_mod
@@ -48,8 +49,8 @@ from chorkit.core import (
     VarRef,
     forget,
 )
-from chorkit.net import Network, Recv, Send, sp_enabled
-from chorkit.projection import epp_program
+from chorkit.net import NetProgram, Network, Recv, Send, sp_enabled
+from chorkit.projection import ProjectionError, epp_program
 from chorkit.syntax import parse
 
 CORPUS_NAMES = sorted(f.stem for f in CORPUS.glob("*.chor"))
@@ -490,12 +491,27 @@ class TestAgainstReference:
     @pytest.mark.parametrize("name", sorted(GENERATED) + CORPUS_NAMES)
     def test_table_transitions(self, name):
         """Every reached configuration's transitions from one table, which
-        interns what it derives, against the frozen enumerator."""
+        interns what it derives: a choreography's against the frozen
+        enumerator, and, in the same memo, a compiled network's against
+        ``sp_enabled``, each label replaying through the frozen
+        ``sp_step`` to an equal network and store."""
         p = GENERATED[name] if name in GENERATED else load_program(name)
         table = SuccessorTable(p)
         for s0 in GENERATED_STORES + STORES:
             for main, s, trans in explore(p, s0, depth=20):
-                assert table.cc_at(table.key((main, s))) == reference_cc_enabled(p.procs, main, s) == trans
+                assert table.at(table.key((main, s))) == reference_cc_enabled(p.procs, main, s) == trans
+        try:
+            table.net = np = epp_program(p)
+        except ProjectionError:
+            return  # no network to reach
+        step = lambda node: [tr[1:] for tr in sp_enabled(np.procs, *node)]
+        for s0 in GENERATED_STORES + STORES:
+            for n, s in _reachable((np.net, s0), step, depth=20):
+                trans = table.at(table.key((n, s)))
+                assert trans == sp_enabled(np.procs, n, s)
+                for label, n2, s2 in trans:
+                    replayed = reference_sp_step(NetProgram(np.procs, n), s, label)
+                    assert replayed == (NetProgram(np.procs, n2), s2), label
 
 
 class TestDeadlockFreedom:
@@ -753,7 +769,9 @@ class TestIdentityKeys:
                 verdicts.append(check_sp_confluence(table.net, 10, s0, table=table))
                 roots += 4  # a network and a store for each network root
             stability += verdicts[0].stability_checks
-        derived = sum(map(len, table._cc.values())) + 2 * sum(map(len, table._sp.values()))
+        derived = sum(
+            isinstance(x, CanonicalMap) for trans in table._at.values() for tr in trans for x in tr[1:]
+        )
         hashes, eqs = calls["__hash__"], calls["__eq__"]
         assert set(hashes) <= {"_intern_map"}, hashes
         assert sum(hashes.values()) <= derived + roots, (hashes, derived, roots)

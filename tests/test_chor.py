@@ -446,7 +446,7 @@ def _ring(n: int, procs: int = 3) -> ChorProgram:
 
 def _table_transitions(p: ChorProgram) -> list:
     table = SuccessorTable(p)
-    return table.cc_at(table.key((p.main, EMPTY_STATE)))
+    return table.at(table.key((p.main, EMPTY_STATE)))
 
 
 class TestEarlyStop:
@@ -498,7 +498,7 @@ class TestEarlyStop:
         table = SuccessorTable(p)
         reached = 0
         for main, s, trans in explore(p, depth=20):
-            assert table.cc_at(table.key((main, s))) == trans == reference_cc_enabled(p.procs, main, s)
+            assert table.at(table.key((main, s))) == trans == reference_cc_enabled(p.procs, main, s)
             reached += 1
         assert reached > 5
 

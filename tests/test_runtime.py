@@ -251,6 +251,28 @@ class TestValidation:
         assert res.index == 1
         assert "digest" in res.reason
 
+    def test_tampered_pre_digest_detected(self):
+        # the previous record's post-digest is intact, so only the
+        # pre-state check can see this one
+        np, report = self._good()
+        bad = list(report.trace)
+        bad[2] = bad[2]._replace(pre_digest="0" * 16)
+        tampered = ExecutionReport(
+            tuple(bad), report.final_state, report.final_net, report.outcome
+        )
+        res = validate_trace(np, AUTH_STATE, tampered)
+        assert not res.ok
+        assert res.index == 2
+        assert res.reason == "pre-state digest mismatch"
+
+    def test_each_replayed_store_digested_once(self, monkeypatch):
+        np, report = self._good()
+        digested = []
+        original = runtime.state_digest
+        monkeypatch.setattr(runtime, "state_digest", lambda s: digested.append(s) or original(s))
+        assert validate_trace(np, AUTH_STATE, report).ok
+        assert len(digested) == len(report.trace) + 1
+
     def test_tampered_final_state_detected(self):
         np, report = self._good()
         tampered = ExecutionReport(
