@@ -256,11 +256,13 @@ class SuccessorTable:
     prefix it rebuilt in front of the action it took (or in a procedure
     body, on its first unfolding): its tail is a term the table has
     walked already, so ``intern`` walks only that prefix, with its own
-    stack.  A map is interned by its value, hashed once when it
-    is derived (a network's hash reads every behaviour in it); only the
-    first of each class is kept.  The roots and every successor the
-    table hands out are interned, so a configuration's key is a tuple of
-    ids: ``(term, state)``, ``(network, state)`` or, in ``verify_epp``,
+    stack.  A map is keyed by its value, in the same dict (a term's key
+    is a tuple, never equal to a map); ``_intern_map``, the one place a
+    map is hashed (a network's hash reads all its behaviours), keeps the
+    first of each class, and ``key`` keeps every root, so no map is
+    hashed twice.  The roots and every successor the table hands out
+    are interned, so a configuration's key is a tuple of ids:
+    ``(term, state)``, ``(network, state)`` or, in ``verify_epp``,
     ``(term, network, state)``.  Every key of the checker (the engine's
     visited set, the transition memo, the network of each reached term,
     the coverage memo, the confluence joins) is built from these ids, so
@@ -286,7 +288,7 @@ class SuccessorTable:
 
     __slots__ = (
         "chor", "net", "params", "derived", "reused", "visited",
-        "_pids", "_known", "_terms", "_maps", "_at", "_next",
+        "_pids", "_known", "_canonical", "_at", "_next",
     )
 
     def __init__(self, chor: Optional[ChorProgram] = None, net: Optional[NetProgram] = None):
@@ -296,8 +298,7 @@ class SuccessorTable:
         self.reused = 0
         self.visited = 0
         self._known: dict = {}  # id(object) -> (object, interned object)
-        self._terms: dict = {}  # intern key -> interned term
-        self._maps: dict = {}  # map -> interned map
+        self._canonical: dict = {}  # intern key or map -> interned object
         self._at: dict = {}  # key -> transitions
         self._next: dict = {}  # key -> successor keys
         self.params = self._pids = None
@@ -314,7 +315,7 @@ class SuccessorTable:
             return hit[1]
         if isinstance(c, CanonicalMap):
             return self._intern_map(c)
-        terms = self._terms
+        canonical = self._canonical
         todo = [c]
         visited = 0
         while todo:
@@ -337,26 +338,21 @@ class SuccessorTable:
             else:
                 todo.pop()
                 visited += 1
-                known[id(n)] = (n, terms.setdefault(tuple(key), n))
+                known[id(n)] = (n, canonical.setdefault(tuple(key), n))
         self.visited += visited
         return known[id(c)][1]
 
     def _intern_map(self, m: CanonicalMap) -> CanonicalMap:
-        """The table's one store or network equal to ``m``: hashed and
-        compared by value unless ``m`` is that one already.  A store
-        never equals a network, whatever their entries."""
-        known = self._known
-        hit = known.get(id(m))
-        if hit is not None:
-            return hit[1]
-        first = self._maps.setdefault(m, m)
+        """The table's one store or network equal to ``m``, new to ``intern``."""
+        first = self._canonical.setdefault(m, m)
         if first is m:
-            known[id(m)] = (m, m)
+            self._known[id(m)] = (m, m)
         return first
 
     def key(self, config: tuple) -> tuple:
-        """A configuration's key: the ids of its interned parts."""
-        return tuple(id(self.intern(x)) for x in config)
+        """A configuration's key: the ids of its interned parts, each kept."""
+        known = self._known
+        return tuple(id(known.setdefault(id(x), (x, self.intern(x)))[1]) for x in config)
 
     def config(self, key: tuple) -> tuple:
         """The configuration a key stands for."""

@@ -327,15 +327,13 @@ def infer_params(p: ChorProgram) -> Tuple[tuple, tuple]:
     ``projectable`` by construction.
     """
     xs: set = set()
-    frontier = called_procs(p.main)
-    while frontier:
-        name = next(iter(frontier))
-        frontier = frontier - {name}
-        if name in xs or name not in p.procs:
+    todo = list(called_procs(p.main))
+    while todo:
+        name = todo.pop()
+        if name not in xs:
             xs.add(name)
-            continue
-        xs.add(name)
-        frontier |= called_procs(p.procs[name].body) - xs
+            if name in p.procs:
+                todo.extend(called_procs(p.procs[name].body))
     syntactic = lambda _name: ()
     ps = set(chor_pids(p.main, syntactic))
     for name in xs:

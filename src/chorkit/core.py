@@ -164,12 +164,10 @@ class CanonicalMap:
     ``key_view`` gives the keys unordered to callers that need no order.
     Subclasses set ``default`` and ``normalise``; updates copy the dict and
     patch only the written entries, since the others are canonical already.
-    A map never changes once built, so its hash is computed on first use
-    and kept; construction only clears ``_hash``, since run drivers build
-    a map per step and never hash it.
+    Within chorkit only the successor table hashes a map, so no hash is kept.
     """
 
-    __slots__ = ("_map", "_hash")
+    __slots__ = ("_map",)
     default: object = None
     normalise = staticmethod(lambda value: value)
 
@@ -185,7 +183,6 @@ class CanonicalMap:
             else:
                 m.pop(key, None)
         self._map = m
-        self._hash = None
 
     def _patch(self, entries: Iterable):
         """A copy with ``entries`` written, built without ``__init__``."""
@@ -209,10 +206,7 @@ class CanonicalMap:
         return self._map == other._map
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            self._hash = h = hash(frozenset(self._map.items()))
-        return h
+        return hash(frozenset(self._map.items()))
 
 
 class State(CanonicalMap):

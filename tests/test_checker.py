@@ -745,15 +745,19 @@ class TestIdentityKeys:
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_maps_behind_one_table(self, name, monkeypatch):
         # every hash of a store or network is the table interning one it
-        # derived or a root, and every comparison an interning hit or the
-        # stability check of a network transition derived twice
+        # derived or a root, no map is hashed twice, and every comparison
+        # is an interning hit or the stability check of a network
+        # transition derived twice
         p = load_program(name)
         table = SuccessorTable(p)
         calls = {"__hash__": Counter(), "__eq__": Counter()}
+        hashed: dict = {}  # id -> [map, hash calls]; keeps the map, so its id is not reused
         for method, seen in calls.items():
 
-            def counted(self, *args, _original=getattr(CanonicalMap, method), _seen=seen):
+            def counted(self, *args, _original=getattr(CanonicalMap, method), _seen=seen, _method=method):
                 _seen[sys._getframe(1).f_code.co_name] += 1
+                if _method == "__hash__":
+                    hashed.setdefault(id(self), [self, 0])[1] += 1
                 return _original(self, *args)
 
             monkeypatch.setattr(CanonicalMap, method, counted)
@@ -775,6 +779,8 @@ class TestIdentityKeys:
         hashes, eqs = calls["__hash__"], calls["__eq__"]
         assert set(hashes) <= {"_intern_map"}, hashes
         assert sum(hashes.values()) <= derived + roots, (hashes, derived, roots)
+        twice = [m for m, n in hashed.values() if n > 1]
+        assert not twice, twice
         assert set(eqs) <= {"_intern_map", "_sp_self_checks"}, eqs
         assert eqs["_intern_map"] <= hashes["_intern_map"], (eqs, hashes)
         assert eqs["_sp_self_checks"] <= 2 * stability, (eqs, stability)

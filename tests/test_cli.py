@@ -13,6 +13,7 @@ from conftest import CORPUS, load_program
 from chorkit import cli, projection, runtime
 from chorkit.chor import cc_run
 from chorkit.cli import main
+from chorkit.core import CanonicalMap
 from chorkit.projection import infer_params
 
 AUTH = str(CORPUS / "auth.chor")
@@ -324,6 +325,27 @@ class TestProjectedOnce:
         assert main([command, path, *extra]) == 0
         _xs, ps = infer_params(units[0].program)
         assert sorted(computed) == sorted(ps)
+
+
+class TestNoMapHashed:
+    """Only the successor table hashes a store or a network, so the
+    commands that build no table hash no map at all."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.chor")))
+    def test_commands_hash_no_map(self, name, tmp_path, monkeypatch, capsys):
+        hashed = []
+        original = CanonicalMap.__hash__
+        monkeypatch.setattr(CanonicalMap, "__hash__", lambda m: hashed.append(m) or original(m))
+        path = str(CORPUS / name)
+        state = AUTH_STATE if name == "auth.chor" else []
+        fuel, steps = (["--fuel", "12"], ["--max-steps", "12"]) if name == "counter.chor" else ([], [])
+        for argv in (
+            ["check"], ["check", "--json"], ["project", "-o", str(tmp_path)], ["run", *state, *fuel],
+            ["simulate", *state, *fuel], ["exec", *state, *steps], ["exec", "--json", *state, *steps],
+        ):
+            main([*argv, path])
+            capsys.readouterr()
+            assert not hashed, (argv, hashed)
 
 
 class TestGate:

@@ -118,7 +118,7 @@ class TestState:
         s = EMPTY_STATE
         d = {}
         for pid, var, v in writes:
-            hash(s)  # the hash cached here must not reach the patched copy
+            hash(s)  # a patched copy hashes by its own entries
             s = s.set(pid, var, v)
             d[(pid, var)] = v
         for (pid, var), v in d.items():

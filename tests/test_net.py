@@ -105,7 +105,7 @@ class TestNetworkCanonicalForm:
         n = EMPTY_NET
         d = {}
         for batch in batches:
-            hash(n)  # the hash cached here must not reach the patched copy
+            hash(n)  # a patched copy hashes by its own entries
             n = n.set(*batch[0]) if len(batch) == 1 else n.set_many(batch)
             d.update(batch)
         for pid, b in d.items():

@@ -17,9 +17,11 @@ from projection_reference import (
     reference_projectable,
     reference_str_projectable,
 )
+from test_checker import GENERATED
 from test_chor import _choreographies
 
 from chorkit import checker as checker_mod
+from chorkit import chor as chor_mod
 from chorkit import projection
 from chorkit.checker import SuccessorTable, check_hypotheses, verify_epp
 from chorkit.chor import (
@@ -210,6 +212,63 @@ class TestInferParams:
         tail = ProcDef(("r", "s"), Interaction(CommEta("r", Lit(1), "s", "y"), ChorEnd()))
         p = ChorProgram({"Tail": tail}, main)
         assert infer_params(p) == (("Tail",), ("p", "q", "r", "s"))
+
+    def test_wide_reach_at_the_default_recursion_limit(self, default_recursion_limit, monkeypatch):
+        # main reaches 4 000 procedures through a tree of conditionals,
+        # and each calls the next; every body is scanned once
+        p = _procedure_tree(4000)
+        scanned = []
+        original = chor_mod.called_procs
+        monkeypatch.setattr(chor_mod, "called_procs", lambda c: scanned.append(c) or original(c))
+        xs, ps = infer_params(p)
+        assert xs == tuple(sorted(p.procs)) and ps == ("p", "q")
+        assert len(scanned) == len(p.procs) + 1
+
+    def test_matches_a_fixpoint(self):
+        # an undefined callee is a name too; A and B call each other
+        a = ProcDef(("p", "q"), Interaction(CommEta("p", Lit(1), "q", "x"), ChorCall("B")))
+        b = ProcDef(
+            ("q", "r"),
+            ChorCond("q", Eq(VarRef("x"), Lit(0)), ChorCall("A"), ChorCall("Missing")),
+        )
+        odd = ChorProgram({"A": a, "B": b, "Unused": a}, ChorCall("B"))
+        assert infer_params(odd) == (("A", "B", "Missing"), ("p", "q", "r"))
+        programs = [odd, *GENERATED.values(), _procedure_tree(50)]
+        programs += [load_program(f.stem) for f in sorted(CORPUS.glob("*.chor"))]
+        for p in programs:
+            assert infer_params(p) == _fixpoint_params(p), p
+
+
+def _procedure_tree(n: int) -> ChorProgram:
+    """``main`` branches, through a balanced tree of conditionals, to calls
+    of ``P0`` .. ``P{n-1}``; each ``Pi`` calls ``P{i+1 mod n}``."""
+
+    def tree(lo, hi):
+        if hi - lo == 1:
+            return ChorCall(f"P{lo}")
+        mid = (lo + hi) // 2
+        return ChorCond("p", Eq(VarRef("x"), Lit(lo)), tree(lo, mid), tree(mid, hi))
+
+    procs = {
+        f"P{i}": ProcDef(("p", "q"), Interaction(CommEta("p", Lit(i), "q", "x"), ChorCall(f"P{(i + 1) % n}")))
+        for i in range(n)
+    }
+    return ChorProgram(procs, tree(0, n))
+
+
+def _fixpoint_params(p: ChorProgram) -> tuple:
+    """``infer_params`` stated as a fixpoint: grow the reached names until
+    no reached body calls a new one."""
+    xs = set(chor_mod.called_procs(p.main))
+    while True:
+        more = {n for x in xs if x in p.procs for n in chor_mod.called_procs(p.procs[x].body)} - xs
+        if not more:
+            break
+        xs |= more
+    ps = set(chor_mod.chor_pids(p.main, lambda _name: ()))
+    for x in xs & p.procs.keys():
+        ps |= {*p.procs[x].params, *chor_mod.chor_pids(p.procs[x].body, lambda _name: ())}
+    return tuple(sorted(xs)), tuple(sorted(ps))
 
 
 class TestStrProjectable:
