@@ -480,8 +480,8 @@ def drive(
     canonical order.  A run with no action left has terminated if it
     stopped at ``end`` and is deadlocked otherwise.  Policy "first" always takes the first; "random"
     draws from a seeded generator, so runs are repeatable.  A step's
-    pre-state digest is the previous step's post-state digest, so each
-    step hashes the store once.
+    pre-state digest is the previous step's post-state digest, which a
+    step that returns the same store object keeps.
     """
     if policy not in ("first", "random"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -498,8 +498,8 @@ def drive(
         if step == fuel:
             outcome = "fuel-exhausted"
             break
-        label, term, s = trans[0] if policy == "first" else rng.choice(trans)
-        post = state_digest(s)
+        label, term, nxt = trans[0] if policy == "first" else rng.choice(trans)
+        post = digest if nxt is s else state_digest(nxt)
         trace.append(trace_record(step, label, digest, post))
-        digest = post
+        s, digest = nxt, post
     return RunResult(tuple(trace), term, s, outcome)

@@ -187,9 +187,10 @@ def execute(
                 outcome = "step-limit"
                 break
             rich = candidates[rng.randrange(len(candidates))]
+            post = digest
             if type(rich) is RichComm:
                 state = state.set(rich.receiver, rich.var, rich.value)
-            post = state_digest(state)
+                post = state_digest(state)
             trace.append(trace_record(len(trace), rich, digest, post))
             digest = post
             for pid in label_pids(rich):
@@ -256,7 +257,8 @@ def validate_trace(
     Every record must be enabled at its point with matching state
     digests, and the fold must end at the report's final network and
     state.  Each replayed store is digested once: a record's pre-state
-    is the previous record's post-state.
+    is the previous record's post-state, and a step that returns the
+    same store object keeps its digest.
     """
     program = p
     state = s0
@@ -265,10 +267,11 @@ def validate_trace(
         if rec.pre_digest != digest:
             return ValidationResult(False, i, "pre-state digest mismatch")
         try:
-            program, state = sp_step(program, state, rec.rich)
+            program, nxt = sp_step(program, state, rec.rich)
         except NotEnabledError:
             return ValidationResult(False, i, "label not enabled here")
-        digest = state_digest(state)
+        if nxt is not state:
+            state, digest = nxt, state_digest(nxt)
         if rec.post_digest != digest:
             return ValidationResult(False, i, "post-state digest mismatch")
     if program.net != report.final_net:

@@ -4,10 +4,11 @@ Choreography sources use the ``.chor`` grammar; behaviours have their own
 single-line notation used by ``project`` output.  Both printers are exact
 inverses of the corresponding parsers on parseable terms.
 
-The lexer blanks out "//" comments with spaces, then one ``findall``
-returns the text of every token; whitespace ([ \t\r\n]) is what the
-search skips.  The distinct texts are checked once each, so the success
-path runs no Python per token.  The parser indexes that list and reads a
+The lexer blanks out "//" comments with spaces, then runs one
+``findall`` per distinct whitespace-separated chunk: no token holds
+whitespace ([ \t\r\n]) and the search starts afresh after it, so the
+chunks' lists in turn are the tokens of the text.  The distinct texts
+are checked once each.  The parser indexes that list and reads a
 token's kind from its text.  Nothing on that path knows where a token
 is: spans and errors hold token indices.  The offsets of the tokens are
 found by running the same regex again, with ``finditer``, only when a
@@ -152,8 +153,24 @@ def _blank_comments(text: str) -> str:
 
 
 def _token_texts(text: str) -> List[str]:
-    """The text of every token, then "" for the end of the input."""
-    texts = _TOKEN_RE.findall(_blank_comments(text))
+    r"""The text of every token, then "" for the end of the input.  Where
+    most chunks are distinct, a search each costs more than one search of
+    the chunks joined by single spaces.  A text holding a blank the
+    grammar rejects but ``str.split`` splits on (\v, \f, \x1c-\x1f,
+    non-ASCII) is searched as it is, so its error names the same token."""
+    text = _blank_comments(text)
+    chunks = text.split()
+    lexed = dict.fromkeys(chunks)
+    if not text.isascii() or any(c in text for c in "\v\f\x1c\x1d\x1e\x1f"):
+        texts = _TOKEN_RE.findall(text)
+    elif 2 * len(lexed) > len(chunks):
+        texts = _TOKEN_RE.findall(" ".join(chunks))
+    else:
+        for chunk in lexed:
+            lexed[chunk] = _TOKEN_RE.findall(chunk)
+        texts = []
+        for chunk in chunks:
+            texts += lexed[chunk]
     # Besides punctuators, only ASCII identifiers and digit strings are
     # valid; the str tests alone would also pass letters such as "é".
     bad = [

@@ -14,6 +14,12 @@ longer at each interaction.  ``reference_span_for`` is the lookup that
 went with it.  Together they hold the live parser to the same program,
 spans and errors.
 
+``reference_token_texts`` is the lexer as it was before it searched
+each distinct whitespace-separated chunk once: one ``findall`` over the
+whole comment-blanked text.  It raises the live module's ``_Error``, so
+it can stand in for ``_token_texts``; the differential tests hold the
+live lexer to the same token list and the same error.
+
 ``reference_print_behaviour`` is the behaviour printer as it was before
 it looped along chains of sends, receives and selections: one call per
 node, each formatting the text of its whole subterm.
@@ -49,7 +55,7 @@ from chorkit.core import (
 )
 from chorkit.net import Branch, Call as SpCall, Cond as SpCond, End as SpEnd
 from chorkit.net import Recv, SelectSend, Send
-from chorkit.syntax import RESERVED, ParseError, Span, print_bexpr, print_expr
+from chorkit.syntax import RESERVED, ParseError, Span, _Error, print_bexpr, print_expr
 
 
 class Token(NamedTuple):
@@ -385,3 +391,29 @@ def reference_print_behaviour(b) -> str:
     assert t is SpCall
     name, pid = b.name
     return f"call {name}@{pid}"
+
+
+_FINDALL_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\(\+\)|->|==|<=|&&|[^ \t\r\n]")
+_COMMENT_RE = re.compile(r"//[^\n]*")
+_PUNCTUATORS = frozenset(
+    ["(+)", "->", "==", "<=", "&&", ".", ";", "{", "}", "(", ")", "[", "]",
+     ",", "!", "+", "-", "*", "?", ":", "@", "<", "&"]
+)
+
+
+def reference_token_texts(text: str) -> List[str]:
+    if "//" in text:
+        text = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
+    texts = _FINDALL_RE.findall(text)
+    bad = [
+        t for t in set(texts) - _PUNCTUATORS
+        if not (t.isascii() and (t.isidentifier() or t.isdigit()))
+    ]
+    if bad:
+        i = min(map(texts.index, bad))
+        msg = f"unexpected character {texts[i]!r}"
+        if texts[i] == "=":
+            msg = "single '=' (did you mean '==')"
+        raise _Error(msg, i)
+    texts.append("")
+    return texts

@@ -6,8 +6,9 @@ import time
 from collections import deque
 
 import pytest
-from conftest import PROJECTABLE, load_program
+from conftest import PROJECTABLE, load, load_program
 
+from chorkit import core
 from chorkit.chor import cc_run
 from chorkit.core import (
     EMPTY_STATE,
@@ -38,6 +39,7 @@ from chorkit.projection import epp_program
 from chorkit import net as net_mod
 from chorkit import runtime
 from chorkit.runtime import ExecutionReport, RuntimeConfig, execute, validate_trace
+from chorkit.syntax import parse
 
 AUTH_STATE = State({("c", "credentials"): 0, ("s", "token"): 42})
 
@@ -267,11 +269,24 @@ class TestValidation:
 
     def test_each_replayed_store_digested_once(self, monkeypatch):
         np, report = self._good()
-        digested = []
-        original = runtime.state_digest
-        monkeypatch.setattr(runtime, "state_digest", lambda s: digested.append(s) or original(s))
+        digested = _count_digests(monkeypatch, runtime)
         assert validate_trace(np, AUTH_STATE, report).ok
-        assert len(digested) == len(report.trace) + 1
+        # auth's selections leave the store as it is
+        assert _store_changes(report.trace) < len(report.trace)
+        assert len(digested) <= _store_changes(report.trace) + 1
+
+    def test_digest_reused_across_a_communication_detected(self):
+        # the trace a driver that never re-digests would write: every
+        # record carries the initial store's digest
+        np, report = self._good()
+        first = report.trace[0].pre_digest
+        bad = tuple(r._replace(pre_digest=first, post_digest=first) for r in report.trace)
+        tampered = ExecutionReport(bad, report.final_state, report.final_net, report.outcome)
+        res = validate_trace(np, AUTH_STATE, tampered)
+        # auth's first communication writes 0, which the store omits
+        changed = next(i for i, r in enumerate(report.trace) if r.post_digest != first)
+        assert type(report.trace[changed].rich) is RichComm
+        assert (res.ok, res.index, res.reason) == (False, changed, "post-state digest mismatch")
 
     def test_tampered_final_state_detected(self):
         np, report = self._good()
@@ -284,6 +299,78 @@ class TestValidation:
         res = validate_trace(np, AUTH_STATE, tampered)
         assert not res.ok
         assert res.index == len(report.trace)
+
+
+def _count_digests(monkeypatch, module) -> list:
+    """The stores ``module.state_digest`` is called on from now."""
+    digested = []
+    original = module.state_digest
+    monkeypatch.setattr(module, "state_digest", lambda s: digested.append(s) or original(s))
+    return digested
+
+
+def _store_changes(trace) -> int:
+    """Steps that wrote the store: communications, and nothing else."""
+    return sum(type(r.rich) is RichComm for r in trace)
+
+
+def _ring_hops(n: int) -> str:
+    """A token passed round three processes, each hop a communication
+    and then a selection, which leaves the store as it is."""
+    return "main { " + " ".join(
+        f"p{i % 3}.(x + 1) -> p{(i + 1) % 3}.x; p{i % 3} -> p{(i + 1) % 3}[left];"
+        for i in range(n)
+    ) + " end }"
+
+
+_DIGEST_CASES = {
+    "ring": (_ring_hops(30), EMPTY_STATE),
+    "loop": (load("pingpong").text, State({("p", "n"): 4})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIGEST_CASES))
+class TestOneDigestPerStoreChange:
+    """Each run driver hashes a store once when a step writes it, plus
+    once for its initial store: selections, conditionals and calls keep
+    the previous digest.  The traces still validate, so each digest kept
+    is the digest of the store it stands for."""
+
+    @pytest.fixture
+    def case(self, name):
+        text, s0 = _DIGEST_CASES[name]
+        p = parse(text).program
+        return p, epp_program(p), s0
+
+    def test_run(self, case, monkeypatch):
+        p, np, s0 = case
+        digested = _count_digests(monkeypatch, core)
+        result = cc_run(p, s0)
+        assert result.outcome == "terminated"
+        assert _store_changes(result.trace) < len(result.trace)
+        assert len(digested) <= _store_changes(result.trace) + 1
+
+    def test_simulate(self, case, monkeypatch):
+        p, np, s0 = case
+        digested = _count_digests(monkeypatch, core)
+        result = sp_run(np, s0)
+        assert result.outcome == "terminated"
+        assert _store_changes(result.trace) < len(result.trace)
+        assert len(digested) <= _store_changes(result.trace) + 1
+        assert validate_trace(np, s0, ExecutionReport(
+            result.trace, result.final_state, result.final, result.outcome
+        )).ok
+
+    def test_exec(self, case, monkeypatch):
+        p, np, s0 = case
+        digested = _count_digests(monkeypatch, runtime)
+        report = execute(np, s0, RuntimeConfig())
+        assert report.outcome == "terminated"
+        assert _store_changes(report.trace) < len(report.trace)
+        assert len(digested) <= _store_changes(report.trace) + 1
+        del digested[:]
+        assert validate_trace(np, s0, report).ok
+        assert len(digested) <= _store_changes(report.trace) + 1
 
 
 # Faults planted in the workers.  The sequencer runs no semantics of its

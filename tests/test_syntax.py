@@ -11,8 +11,10 @@ from syntax_reference import (
     reference_parse,
     reference_print_behaviour,
     reference_span_for,
+    reference_token_texts,
     reference_tokenize,
 )
+from test_checker import GENERATED
 
 from chorkit.chor import Call as ChorCall
 from chorkit.chor import CommEta, Cond as ChorCond, Interaction, RunningCall
@@ -495,6 +497,142 @@ class TestLazyPositions:
             parse(_ring_source(10_000).replace("end", "p0.1 -> p1.x end"))
         assert str(e.value) == "line 10002, col 14: expected ';', found 'end'"
         assert calls[0] == 1
+
+
+# Characters str.split splits on that the grammar rejects: the six ASCII
+# ones beyond [ \t\r\n], then non-ASCII spaces and line separators.
+_SPLIT_BLANKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                 "\x85", "\xa0", "\u1680", "\u2000", "\u2028", "\u3000"]
+# Each form repeats its chunks, so that with a plain space for BLANK it
+# is lexed chunk by chunk.  A blank inside a comment is no error.
+_BLANK_FORMS = {
+    form.replace("REP", "p.1 -> q.x; " * 12): in_comment
+    for form, in_comment in (
+        ("main { REP p.1 ->BLANKq.x; end }", False), ("main { REP p.1 -> qBLANK.x; end }", False),
+        ("main { REP p.1 -> q.x;BLANK end }", False), ("BLANKmain { REP end }", False),
+        ("main { REP end }BLANK", False), ("REP xBLANKy", False), ("REP BLANK", False),
+        ("main { REP // aBLANKb\n end }", True), ("// BLANK\nmain { REP end }", True),
+        ("main { REP end } //BLANK", True),
+    )
+}
+
+
+def _chunked(text) -> bool:
+    """Whether at most half the chunks of ``text`` are distinct, so that
+    it is lexed chunk by chunk unless it holds a rejected blank."""
+    chunks = syntax._blank_comments(text).split()
+    return 2 * len(set(chunks)) <= len(chunks)
+
+
+def _assert_same_texts(text) -> bool:
+    """The live lexer gives the frozen one-``findall`` lexer's token list,
+    or the same error, and ``tokenize`` the frozen tokenizer's error;
+    True if the text was accepted."""
+    try:
+        ref = reference_token_texts(text)
+    except syntax._Error as e:
+        with pytest.raises(syntax._Error) as live:
+            syntax._token_texts(text)
+        assert live.value.args == e.args
+        with pytest.raises(ParseError) as live:
+            tokenize(text)
+        with pytest.raises(ParseError) as frozen:
+            reference_tokenize(text)
+        assert (live.value.msg, live.value.line, live.value.col) == (
+            frozen.value.msg, frozen.value.line, frozen.value.col
+        )
+        return False
+    assert syntax._token_texts(text) == ref
+    return True
+
+
+def _random_text(rng: random.Random) -> str:
+    """Up to 60 picks from 6 random words and 6 gaps, so chunks repeat."""
+    chars = "abxyzAX_019.;{}()[],!+-*?:@<&=/#"
+    words = ["".join(rng.choice(chars) for _ in range(rng.randint(1, 4))) for _ in range(6)]
+    gaps = [rng.choice([" ", "\t", "\n", "\r", "", *_SPLIT_BLANKS]) for _ in range(6)]
+    return "".join(rng.choice(words) + rng.choice(gaps) for _ in range(rng.randrange(60)))
+
+
+class _CountedRegex:
+    """``_TOKEN_RE`` counting its ``findall`` calls."""
+
+    def __init__(self, regex):
+        self.regex, self.findall_calls = regex, 0
+
+    def findall(self, text):
+        self.findall_calls += 1
+        return self.regex.findall(text)
+
+    def finditer(self, text):
+        return self.regex.finditer(text)
+
+
+class TestChunkedLexer:
+    """``_token_texts`` searches each distinct whitespace-separated chunk
+    once, unless most chunks are distinct or the text holds a blank that
+    ``str.split`` splits on and the grammar rejects.  Either way it must
+    give the token list of the frozen lexer, which runs one ``findall``
+    over the whole text, and its errors."""
+
+    def test_corpus(self):
+        for f in sorted(CORPUS.glob("*.chor")):
+            text = f.read_text(encoding="utf-8")
+            _assert_same_texts(text)
+            assert _chunked(text * 3)
+            _assert_same_texts(text * 3)
+
+    def test_generated(self):
+        for name, p in GENERATED.items():
+            if name != "twins-pending":  # a pending call has no surface syntax
+                _assert_same_texts(print_choreography(p))
+        rnd = random.Random(3)
+        for spine, depth in ((0, 0), (5, 3), (300, 1), (40, 3)):
+            _assert_same_texts(_program_source(rnd, spine, depth))
+        for n in (1, 10, 1_000):
+            _assert_same_texts(_ring_source(n))
+
+    @pytest.mark.parametrize("blank", _SPLIT_BLANKS)
+    def test_blanks_split_but_rejected(self, blank):
+        for form, in_comment in _BLANK_FORMS.items():
+            assert _chunked(form.replace("BLANK", " "))
+            assert _assert_same_texts(form.replace("BLANK", blank)) == in_comment
+            assert _assert_same_texts(form.replace("BLANK", blank * 2 + " ")) == in_comment
+
+    @pytest.mark.parametrize("text", [
+        "main {\r\n  p.1 -> q.x;\r\n  end\r\n}\r\n", "main {\r  p.1 -> q.x;\r  end\r}\r",
+        "main {\r\n\tp.1\t->\tq.x;\r\tend }", "main { end }", "main { p.1 -> q.x; end }//",
+        "", " ", "\n", "\t\r\n", "=", "p.1 = q.x", "main { p.1 -> q.x; = }\n#",
+        "x X x.1 X.1 ab aB Ab x X x.1 X.1 ab aB Ab",  # chunks that differ in case
+    ])
+    def test_line_ends_tabs_and_edges(self, text):
+        _assert_same_texts(text)
+        _assert_same_texts(text * 4)
+
+    def test_random_texts(self):
+        rng = random.Random(29)
+        texts = [_random_text(rng) for _ in range(3_000)]
+        accepted = sum(map(_assert_same_texts, texts))
+        # both the token list and the errors are compared, on both paths
+        assert 0 < accepted < 3_000
+        assert 0 < sum(map(_chunked, texts)) < 3_000
+
+    def test_one_search_per_distinct_chunk(self, monkeypatch):
+        counted = _CountedRegex(syntax._TOKEN_RE)
+        monkeypatch.setattr(syntax, "_TOKEN_RE", counted)
+        text = _ring_source(10_000)
+        texts = syntax._token_texts(text)
+        assert texts == reference_token_texts(text)
+        assert counted.findall_calls == len(set(text.split())) < len(texts) / 3
+
+    def test_one_search_where_most_chunks_are_distinct(self, monkeypatch):
+        counted = _CountedRegex(syntax._TOKEN_RE)
+        monkeypatch.setattr(syntax, "_TOKEN_RE", counted)
+        lines = "".join(f"  a{i}.(x{i} + {i}) -> b{i}.y{i};\n" for i in range(3_000))
+        text = f"main {{\n{lines}  end\n}}\n"
+        assert not _chunked(text)
+        assert syntax._token_texts(text) == reference_token_texts(text)
+        assert counted.findall_calls == 1
 
 
 # Characters that str.isidentifier or str.isdigit accept but the grammar
