@@ -178,11 +178,10 @@ def check_hypotheses(p: ChorProgram, xs, ps, memo: dict):
     projections back from the same memo.
     """
     out: list = []
-    wf = cc_check_wf(p)
-    for v in wf.violations:
+    for v in cc_check_wf(p):
         name = "well-annotation" if v.rule == "undeclared-process-use" else "well-formedness"
         out.append(HypothesisFailure(name, str(v)))
-    if not wf.ok:
+    if out:
         return tuple(out), None
     try:
         sp = projection.epp(xs, ps, p, memo)
@@ -221,12 +220,12 @@ class _Context:
         """
         hit = self.epp_cache.get(id(main))
         if hit is not None:
-            return hit if hit is not _NOT_PROJECTABLE else None
+            return hit if hit is not UNDEFINED else None
         entries = []
         for pid in self.ps:
             b = projection.bproj(self.cc_procs, main, pid, self.memo)
             if b is UNDEFINED:
-                self.epp_cache[id(main)] = _NOT_PROJECTABLE
+                self.epp_cache[id(main)] = UNDEFINED
                 return None
             entries.append((pid, b))
         net = Network(entries)
@@ -234,7 +233,6 @@ class _Context:
         return net
 
 
-_NOT_PROJECTABLE = object()
 _TERMS = frozenset((Interaction, Cond, RunningCall, Call, ChorEnd))  # choreography nodes
 
 

@@ -192,19 +192,6 @@ class WfViolation(NamedTuple):
         return f"[{self.rule}] at {'/'.join(self.path) or '<root>'}: {self.detail}"
 
 
-class WfReport(NamedTuple):
-    violations: Tuple[WfViolation, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "well-formed"
-        return "\n".join(str(v) for v in self.violations)
-
-
 def _scan_chor(
     c: Choreography,
     path: Path,
@@ -282,8 +269,9 @@ def _scan_chor(
             todo.append((c.body, path + ("body",)))
 
 
-def cc_check_wf(p: ChorProgram) -> WfReport:
-    """Check the restrictions a runnable program must satisfy.
+def cc_check_wf(p: ChorProgram) -> Tuple[WfViolation, ...]:
+    """The violations of the restrictions a runnable program must
+    satisfy, in the order they are found; none means well-formed.
 
     No self-communication anywhere; procedure bodies are initial; every
     running call has a non-empty, duplicate-free pending list contained in
@@ -315,7 +303,7 @@ def cc_check_wf(p: ChorProgram) -> WfReport:
                 )
             )
     _scan_chor(p.main, ("main",), p.procs, out, False)
-    return WfReport(tuple(out))
+    return tuple(out)
 
 
 def infer_params(p: ChorProgram) -> Tuple[tuple, tuple]:

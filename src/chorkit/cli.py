@@ -135,7 +135,7 @@ def _gate(unit: SourceUnit, compile: bool) -> Tuple[List[dict], object, tuple]:
             unit, {"kind": "well-formedness", "rule": v.rule}, v.path,
             {"detail": v.detail}, f"[{v.rule}] {v.detail}",
         )
-        for v in cc_check_wf(unit.program).violations
+        for v in cc_check_wf(unit.program)
     ]
     if failures:
         return failures, None, ()

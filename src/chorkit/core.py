@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping
-from typing import Callable, Iterable, Iterator, NamedTuple, Tuple, Union
+from typing import Callable, Iterable, NamedTuple, Tuple, Union
 
 Pid = str
 VarName = str
@@ -31,9 +31,7 @@ ProcName = str
 # Procedure names on the process-calculus side are (procedure, pid) pairs.
 ProcKey = Tuple[str, Pid]
 
-LABEL_LEFT = "left"
-LABEL_RIGHT = "right"
-LABELS = (LABEL_LEFT, LABEL_RIGHT)
+LABELS = ("left", "right")
 
 _SPAN = 1 << 64
 _BIAS = 1 << 63
@@ -196,8 +194,7 @@ class CanonicalMap:
 
     def key_view(self):
         """The keys of the non-default entries, unordered: a set-like view
-        for callers that only test or combine membership.  It is not
-        called ``keys``, so that ``dict(m)`` still reads ``m``'s pairs."""
+        for callers that only test or combine membership."""
         return self._map.keys()
 
     def __eq__(self, other: object) -> bool:
@@ -223,13 +220,11 @@ class State(CanonicalMap):
         return self._map.get((pid, var), 0)
 
     def set(self, pid: Pid, var: VarName, value: int) -> "State":
+        """The store with ``var`` of ``pid`` set, or this one if it already
+        holds ``value``: a write that changes nothing makes no new store."""
+        if self._map.get((pid, var), 0) == wrap64(value):
+            return self
         return self._patch((((pid, var), value),))
-
-    def __iter__(self) -> Iterator:
-        return iter(self.items())
-
-    def __len__(self) -> int:
-        return len(self._map)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{p}.{x}={v}" for (p, x), v in self.items())
@@ -459,10 +454,6 @@ class RunResult(NamedTuple):
     final: object  # the choreography or network the run stopped at
     final_state: State
     outcome: str  # terminated | deadlocked | fuel-exhausted
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(r.label for r in self.trace)
 
 
 def drive(

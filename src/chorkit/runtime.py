@@ -187,12 +187,12 @@ def execute(
                 outcome = "step-limit"
                 break
             rich = candidates[rng.randrange(len(candidates))]
-            post = digest
+            nxt = state
             if type(rich) is RichComm:
-                state = state.set(rich.receiver, rich.var, rich.value)
-                post = state_digest(state)
+                nxt = state.set(rich.receiver, rich.var, rich.value)
+            post = digest if nxt is state else state_digest(nxt)
             trace.append(trace_record(len(trace), rich, digest, post))
-            digest = post
+            state, digest = nxt, post
             for pid in label_pids(rich):
                 workers[pid].grants.put(rich)
                 del offers[pid]

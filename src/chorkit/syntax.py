@@ -1,4 +1,4 @@
-"""Surface syntax: tokenizer, parsers and printers.
+"""Surface syntax: lexer, parsers and printers.
 
 Choreography sources use the ``.chor`` grammar; behaviours have their own
 single-line notation used by ``project`` output.  Both printers are exact
@@ -118,12 +118,6 @@ class Span(NamedTuple):
         return f"{self.line}:{self.col}-{self.end_line}:{self.end_col}"
 
 
-class Token(NamedTuple):
-    kind: str  # ident | int | punct | eof
-    text: str
-    pos: int  # offset of the first character
-
-
 def _line_col(text: str, pos: int) -> Tuple[int, int]:
     """1-based line and column of offset ``pos`` in ``text``."""
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
@@ -205,21 +199,6 @@ def is_name(text: str) -> bool:
     return text.isascii() and text.isidentifier() and text not in RESERVED
 
 
-def tokenize(text: str) -> List[Token]:
-    try:
-        texts = _token_texts(text)
-    except _Error as e:
-        raise _positioned(text, e) from None
-    return [
-        Token(
-            "eof" if not t else "ident" if t.isidentifier() else "int" if t.isdigit() else "punct",
-            t,
-            start,
-        )
-        for t, (start, _end) in zip(texts, _token_spans(text))
-    ]
-
-
 def _canonical(path: Path) -> tuple:
     """``path`` with each run of "cont" segments replaced by its length."""
     out: list = []
@@ -240,31 +219,18 @@ class SourceUnit:
     ``blocks`` holds the first and last token indices of the whole
     program and of each procedure definition.  ``span_for`` turns them
     into lines and columns, locating the tokens in ``text`` on its first
-    call and keeping them in ``_spans``, which ``==`` and repr leave out.
+    call and keeping them in ``_spans``.
     """
 
     __slots__ = ("path", "text", "program", "spines", "blocks", "_spans")
-    __hash__ = None
 
     def __init__(
         self, path: str, text: str, program: ChorProgram,
-        spines: Optional[Dict[tuple, Tuple[List[int], int]]] = None,
-        blocks: Optional[Dict[tuple, Tuple[int, int]]] = None,
+        spines: Dict[tuple, Tuple[List[int], int]], blocks: Dict[tuple, Tuple[int, int]],
     ) -> None:
         self.path, self.text, self.program = path, text, program
-        self.spines = {} if spines is None else spines
-        self.blocks = {} if blocks is None else blocks
+        self.spines, self.blocks = spines, blocks
         self._spans: Optional[List[Tuple[int, int]]] = None
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not SourceUnit:
-            return NotImplemented
-        compared = SourceUnit.__slots__[:-1]
-        return [getattr(self, n) for n in compared] == [getattr(other, n) for n in compared]
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in SourceUnit.__slots__[:-1])
-        return f"SourceUnit({body})"
 
     def _tokens(self, key: tuple) -> Optional[Tuple[int, int]]:
         """First and last token indices of the node at canonical ``key``."""

@@ -176,11 +176,11 @@ def _sp_self_checks(ctx, net, s, sp_trans, verdict):
 
 def _hypotheses(p, xs, ps):
     out = []
-    wf = cc_check_wf(p)
-    for v in wf.violations:
+    violations = cc_check_wf(p)
+    for v in violations:
         name = "well-annotation" if v.rule == "undeclared-process-use" else "well-formedness"
         out.append(HypothesisFailure(name, str(v)))
-    if not wf.ok:
+    if violations:
         return tuple(out)
     for f in reference_projectable(xs, ps, p):
         out.append(HypothesisFailure("projectability", str(f)))

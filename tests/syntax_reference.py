@@ -4,8 +4,8 @@
 carried its start and end line and column.  It steps through the text
 one match at a time and counts newlines in every lexeme, whitespace
 included.  Slow but plain; the differential tests in ``test_syntax.py``
-hold the live tokenizer, which keeps only offsets, and its position
-helper to it.
+hold the live lexer's token texts, its offsets and its positioned
+errors to it.
 
 ``reference_parse`` is the recursive choreography parser as it was
 before it parsed interaction spines in a loop: one call per node, and a

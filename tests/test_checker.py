@@ -622,6 +622,34 @@ def _par_program(pairs: int, length: int) -> ChorProgram:
     return ChorProgram({}, c)
 
 
+def _nest_program(depth: int) -> ChorProgram:
+    """nest(D): D conditionals of p, each in the then branch of the one
+    before.  p tells q which way it went and q answers, so q's projection
+    merges two branchings at every level.  From the empty store every
+    guard holds: one path of 3D transitions, 3D + 1 configurations."""
+    text = "end"
+    for d in range(1, depth + 1):
+        text = (
+            f"if p.x < 1 then {{ p -> q[left]; q.{d} -> p.y; {text} }} "
+            "else { p -> q[right]; end }"
+        )
+    return parse(f"main {{ {text} }}").program
+
+
+def _rec_program(rounds: int) -> ChorProgram:
+    """rec(N): a loop of N rounds over a, b and c, entered gradually on
+    every round.  A round reaches 15 configurations: the call, its six
+    partly entered forms and the entered body (8), the first
+    communication with c entered or not (2), the second one (1), and the
+    conditional with its two selections, the second with b entered or
+    not (4); the last round's four end at ``end`` instead."""
+    body = (
+        f"a.(n + 1) -> b.m; b.m -> c.k; c.k -> a.n; if a.n < {rounds} then "
+        "{ a -> b[left]; a -> c[left]; call Loop } else { a -> b[right]; a -> c[right]; end }"
+    )
+    return parse(f"def Loop(a, b, c) {{ {body} }} main {{ call Loop }}").program
+
+
 class TestCounterGrowth:
     """Counters of one ``verify_epp`` per explored configuration, at two
     sizes of a scaling family: a cost that grows with the program where
@@ -695,6 +723,29 @@ class TestCounterGrowth:
         for name in self.COUNTERS:
             factor = 2.25 if name in ("bproj", "cc_enabled", "visited") else 1.25
             assert 0 < large[name] <= factor * small[name], (name, small, large)
+
+    def test_nest(self, monkeypatch):
+        # one path whose steps take a conditional or a prefix of one
+        # level: each reached term is a subterm of the program, so every
+        # count is constant per configuration
+        sizes = (8, 16)
+        programs = [_nest_program(d) for d in sizes]
+        small, large = self._per_config(monkeypatch, programs, [3 * d + 1 for d in sizes])
+        for name in self.COUNTERS:
+            assert 0 < large[name] <= 1.25 * small[name], (name, small, large)
+
+    def test_rec(self, monkeypatch):
+        # every round reaches the same terms with another store: every
+        # count is constant per configuration, and bproj, whose memo and
+        # network cache serve the terms of every round after the first,
+        # makes the same number of calls at both sizes
+        sizes = (8, 16)
+        programs = [_rec_program(n) for n in sizes]
+        configs = [15 * n for n in sizes]
+        small, large = self._per_config(monkeypatch, programs, configs)
+        for name in self.COUNTERS:
+            assert 0 < large[name] <= 1.25 * small[name], (name, small, large)
+        assert round(small["bproj"] * configs[0]) == round(large["bproj"] * configs[1])
 
 
 class TestLongPrograms:

@@ -303,7 +303,7 @@ class TestAuthNetworkReplay:
         np = epp_program(auth)
         res = sp_run(np, State({("c", "credentials"): 7}), policy="first")
         assert res.outcome == "terminated"
-        assert res.labels == (
+        assert tuple(r.label for r in res.trace) == (
             ObsComm("c", 7, "ip"),
             ObsTau("ip"),
             ObsSelect("ip", "s", "right"),

@@ -1,8 +1,8 @@
 """chorkit's records: how they are built, compared and printed, and what
 a fresh import of the CLI loads.
 
-The frozen records are NamedTuples; ``Verdict`` and ``SourceUnit`` are
-mutable ``__slots__`` classes.  ``str()`` and repr read as they did when
+The frozen records are NamedTuples; ``Verdict`` is a mutable
+``__slots__`` class.  ``str()`` and repr read as they did when
 the records were dataclasses, and ``tests/cli_golden.json`` pins what
 the CLI prints from them.
 """
@@ -13,15 +13,14 @@ import subprocess
 import sys
 
 import pytest
-from conftest import CORPUS, load, load_program
+from conftest import CORPUS, load_program
 
 from chorkit.checker import Counterexample, HypothesisFailure, Verdict, verify_epp
-from chorkit.chor import CHOR_END, ChorProgram, CommEta, Interaction, WfReport, WfViolation
-from chorkit.core import EMPTY_STATE, Lit, RichComm, RunResult, trace_record
+from chorkit.chor import CHOR_END, ChorProgram, CommEta, Interaction, WfViolation
+from chorkit.core import EMPTY_STATE, Lit, RunResult
 from chorkit.net import Network
 from chorkit.projection import ProjectionError, ProjectionFailure, epp, infer_params
 from chorkit.runtime import ExecutionReport, RuntimeConfig
-from chorkit.syntax import SourceUnit
 
 SRC = CORPUS.parent / "src"
 
@@ -61,7 +60,6 @@ class TestImportFootprint:
 FROZEN = {
     RunResult: (("trace", "final", "final_state", "outcome"), {}),
     WfViolation: (("rule", "path", "detail"), {}),
-    WfReport: (("violations",), {"violations": ()}),
     ProjectionFailure: (
         ("process", "path", "kind", "conflict", "detail"),
         {"conflict": None, "detail": ""},
@@ -136,14 +134,6 @@ class TestFrozenRecords:
         report = ExecutionReport((), EMPTY_STATE, Network(), "terminated")
         assert report.error is None and report.trace == ()
 
-    def test_properties(self):
-        rec = trace_record(0, RichComm("p", 1, "q", "x"), "0" * 16, "1" * 16)
-        assert RunResult((rec, rec), CHOR_END, EMPTY_STATE, "terminated").labels == (
-            rec.label,
-            rec.label,
-        )
-        assert WfReport().ok and not WfReport((WfViolation("r", (), "d"),)).ok
-
     def test_repr_names_every_field(self):
         assert repr(RuntimeConfig()) == (
             "RuntimeConfig(seed=0, step_timeout_ms=2000, max_steps=10000)"
@@ -194,25 +184,6 @@ class TestVerdict:
         )
 
 
-class TestSourceUnit:
-    def test_span_maps_default_to_fresh_dicts(self):
-        p = load_program("auth")
-        a, b = SourceUnit("a.chor", "", p), SourceUnit(path="a.chor", text="", program=p)
-        assert a.spines == a.blocks == {} and a == b
-        a.spines[("main",)] = ([0], 0)
-        assert b.spines == {} and a != b
-
-    def test_located_tokens_are_left_out_of_equality_and_repr(self):
-        a, b = load("auth"), load("auth")
-        before = repr(a)
-        assert a.span_for(("main", "cont")) is not None
-        assert a._spans is not None and b._spans is None
-        assert a == b and repr(a) == repr(b) == before
-        assert before.startswith("SourceUnit(path=") and "_spans" not in before
-        with pytest.raises(TypeError):
-            hash(a)
-
-
 class TestPrintedFailures:
     """``str()`` of the failures the corpus and the negative controls
     (``test_checker.py::TestNegativeControls``) produce."""
@@ -246,9 +217,7 @@ class TestPrintedFailures:
 
     def test_records_at_the_root_and_without_a_label(self):
         assert str(WfViolation("r", (), "d")) == "[r] at <root>: d"
-        report = WfReport((WfViolation("r", ("main", "cont"), "d"), WfViolation("s", (), "e")))
-        assert str(report) == "[r] at main/cont: d\n[s] at <root>: e"
-        assert str(WfReport()) == "well-formed"
+        assert str(WfViolation("s", ("main", "cont"), "e")) == "[s] at main/cont: e"
         assert str(ProjectionFailure("p", (), "undefined")) == (
             "projection fails for p at <root> (undefined)"
         )

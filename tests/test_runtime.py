@@ -271,9 +271,9 @@ class TestValidation:
         np, report = self._good()
         digested = _count_digests(monkeypatch, runtime)
         assert validate_trace(np, AUTH_STATE, report).ok
-        # auth's selections leave the store as it is
-        assert _store_changes(report.trace) < len(report.trace)
-        assert len(digested) <= _store_changes(report.trace) + 1
+        # auth's selections and its first communication leave the store as it is
+        assert _store_changes(AUTH_STATE, report.trace) < len(report.trace)
+        assert len(digested) == _store_changes(AUTH_STATE, report.trace) + 1
 
     def test_digest_reused_across_a_communication_detected(self):
         # the trace a driver that never re-digests would write: every
@@ -309,9 +309,16 @@ def _count_digests(monkeypatch, module) -> list:
     return digested
 
 
-def _store_changes(trace) -> int:
-    """Steps that wrote the store: communications, and nothing else."""
-    return sum(type(r.rich) is RichComm for r in trace)
+def _store_changes(s0: State, trace) -> int:
+    """Steps that changed the store: communications of a value their
+    receiver's variable did not already hold."""
+    store, n = dict(s0.items()), 0
+    for r in trace:
+        rich = r.rich
+        if type(rich) is RichComm and store.get((rich.receiver, rich.var), 0) != rich.value:
+            store[rich.receiver, rich.var] = rich.value
+            n += 1
+    return n
 
 
 def _ring_hops(n: int) -> str:
@@ -326,15 +333,20 @@ def _ring_hops(n: int) -> str:
 _DIGEST_CASES = {
     "ring": (_ring_hops(30), EMPTY_STATE),
     "loop": (load("pingpong").text, State({("p", "n"): 4})),
+    # auth's first step sends c.credentials, 0, to ip.x, which holds 0
+    "auth": (load("auth").text, AUTH_STATE),
+    # every communication sends the value its receiver already holds
+    "echo": ("main { p.x -> q.y; q.y -> p.x; p.1 -> q.y; p.1 -> q.y; end }", EMPTY_STATE),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_DIGEST_CASES))
 class TestOneDigestPerStoreChange:
-    """Each run driver hashes a store once when a step writes it, plus
-    once for its initial store: selections, conditionals and calls keep
-    the previous digest.  The traces still validate, so each digest kept
-    is the digest of the store it stands for."""
+    """Each run driver hashes a store once when a step changes it, plus
+    once for its initial store: selections, conditionals, calls and
+    communications of the value already held keep the previous digest.
+    The traces still validate, so each digest kept is the digest of the
+    store it stands for."""
 
     @pytest.fixture
     def case(self, name):
@@ -347,16 +359,16 @@ class TestOneDigestPerStoreChange:
         digested = _count_digests(monkeypatch, core)
         result = cc_run(p, s0)
         assert result.outcome == "terminated"
-        assert _store_changes(result.trace) < len(result.trace)
-        assert len(digested) <= _store_changes(result.trace) + 1
+        assert _store_changes(s0, result.trace) < len(result.trace)
+        assert len(digested) == _store_changes(s0, result.trace) + 1
 
     def test_simulate(self, case, monkeypatch):
         p, np, s0 = case
         digested = _count_digests(monkeypatch, core)
         result = sp_run(np, s0)
         assert result.outcome == "terminated"
-        assert _store_changes(result.trace) < len(result.trace)
-        assert len(digested) <= _store_changes(result.trace) + 1
+        assert _store_changes(s0, result.trace) < len(result.trace)
+        assert len(digested) == _store_changes(s0, result.trace) + 1
         assert validate_trace(np, s0, ExecutionReport(
             result.trace, result.final_state, result.final, result.outcome
         )).ok
@@ -366,11 +378,11 @@ class TestOneDigestPerStoreChange:
         digested = _count_digests(monkeypatch, runtime)
         report = execute(np, s0, RuntimeConfig())
         assert report.outcome == "terminated"
-        assert _store_changes(report.trace) < len(report.trace)
-        assert len(digested) <= _store_changes(report.trace) + 1
+        assert _store_changes(s0, report.trace) < len(report.trace)
+        assert len(digested) == _store_changes(s0, report.trace) + 1
         del digested[:]
         assert validate_trace(np, s0, report).ok
-        assert len(digested) <= _store_changes(report.trace) + 1
+        assert len(digested) == _store_changes(s0, report.trace) + 1
 
 
 # Faults planted in the workers.  The sequencer runs no semantics of its

@@ -1,4 +1,4 @@
-"""Surface syntax: tokenizer, parser, spans, and the printers."""
+"""Surface syntax: lexer, parser, spans, and the printers."""
 
 import random
 import re
@@ -33,8 +33,18 @@ from chorkit.syntax import (
     print_bexpr,
     print_choreography,
     print_expr,
-    tokenize,
 )
+
+
+def _kind(t):
+    return "eof" if not t else "ident" if t.isidentifier() else "int" if t.isdigit() else "punct"
+
+
+def _lex_error(text):
+    """The ``ParseError`` the parser reports for a text its lexer rejects."""
+    with pytest.raises(syntax._Error) as e:
+        syntax._token_texts(text)
+    return syntax._positioned(text, e.value)
 
 
 class TestExpressions:
@@ -77,9 +87,7 @@ class TestBooleanExpressions:
         )
 
     def test_single_equals_is_rejected(self):
-        with pytest.raises(ParseError) as e:
-            tokenize("main { if p.x = 1 then { end } else { end } }")
-        assert "==" in str(e.value)
+        assert "==" in str(_lex_error("main { if p.x = 1 then { end } else { end } }"))
 
 
 class TestChoreographyParsing:
@@ -238,23 +246,23 @@ def _assert_same_as_reference(text):
     try:
         ref = reference_tokenize(text)
     except ParseError as e:
-        with pytest.raises(ParseError) as live:
-            tokenize(text)
-        assert (live.value.msg, live.value.line, live.value.col) == (e.msg, e.line, e.col)
+        live = _lex_error(text)
+        assert (live.msg, live.line, live.col) == (e.msg, e.line, e.col)
         return
-    toks = tokenize(text)
-    assert [(t.kind, t.text) for t in toks] == [(r.kind, r.text) for r in ref]
-    for t, r in zip(toks, ref):
-        assert _line_col(text, t.pos) == (r.line, r.col), t
-        if t.kind != "eof":
-            last = _line_col(text, t.pos + len(t.text) - 1)
-            assert last == (r.end_line, r.end_col), t
+    texts, spans = syntax._token_texts(text), syntax._token_spans(text)
+    assert [(_kind(t), t) for t in texts] == [(r.kind, r.text) for r in ref]
+    assert len(spans) == len(texts)
+    for t, (start, end), r in zip(texts, spans, ref):
+        assert _line_col(text, start) == (r.line, r.col), t
+        if t:
+            assert _line_col(text, end - 1) == (r.end_line, r.end_col), t
 
 
 class TestAgainstReference:
-    """``tokenize`` and the position helper against the frozen line/column
-    tokenizer in ``syntax_reference.py``: same tokens, each starting and
-    ending where the reference says, and the same errors."""
+    """The lexer's token texts and offsets, and its errors as positioned,
+    against the frozen line/column tokenizer in ``syntax_reference.py``:
+    same tokens, each starting and ending where the reference says, and
+    the same errors."""
 
     @pytest.mark.parametrize("name", sorted(f.stem for f in CORPUS.glob("*.chor")))
     def test_corpus(self, name):
@@ -278,16 +286,18 @@ class TestAgainstReference:
     )
     def test_offsets_cover_the_text(self, text):
         try:
-            toks = tokenize(text)
-        except ParseError:
+            texts = syntax._token_texts(text)
+        except syntax._Error:
             return
+        spans = syntax._token_spans(text)
+        assert len(spans) == len(texts)
         prev, end = -1, 0
-        for t in toks:
-            assert t.pos > prev
-            assert text[t.pos : t.pos + len(t.text)] == t.text
-            assert _GAP_RE.fullmatch(text, end, t.pos), (text, t)
-            prev, end = t.pos, t.pos + len(t.text)
-        assert toks[-1] == ("eof", "", len(text))
+        for t, (start, stop) in zip(texts, spans):
+            assert start > prev
+            assert text[start:stop] == t
+            assert _GAP_RE.fullmatch(text, end, start), (text, t)
+            prev, end = start, stop
+        assert texts[-1] == "" and spans[-1] == (len(text), len(text))
 
 
 # Choreography sources for the parser's differential test: procedures,
@@ -526,7 +536,7 @@ def _chunked(text) -> bool:
 
 def _assert_same_texts(text) -> bool:
     """The live lexer gives the frozen one-``findall`` lexer's token list,
-    or the same error, and ``tokenize`` the frozen tokenizer's error;
+    or the same error, positioned as the frozen tokenizer positions it;
     True if the text was accepted."""
     try:
         ref = reference_token_texts(text)
@@ -534,11 +544,10 @@ def _assert_same_texts(text) -> bool:
         with pytest.raises(syntax._Error) as live:
             syntax._token_texts(text)
         assert live.value.args == e.args
-        with pytest.raises(ParseError) as live:
-            tokenize(text)
+        positioned = syntax._positioned(text, live.value)
         with pytest.raises(ParseError) as frozen:
             reference_tokenize(text)
-        assert (live.value.msg, live.value.line, live.value.col) == (
+        assert (positioned.msg, positioned.line, positioned.col) == (
             frozen.value.msg, frozen.value.line, frozen.value.col
         )
         return False
@@ -673,9 +682,8 @@ class TestEdgeCasesAgainstReference:
             return
         d = digits[0]
         k = next(i for i, ch in enumerate(d.text) if not ch.isascii())
-        with pytest.raises(ParseError) as e:
-            tokenize(text)
-        assert (e.value.msg, e.value.line, e.value.col) == (
+        e = _lex_error(text)
+        assert (e.msg, e.line, e.col) == (
             f"unexpected character {d.text[k]!r}", d.line, d.col + k
         )
 
