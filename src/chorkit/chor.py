@@ -149,18 +149,33 @@ def subterms(c: Choreography) -> Iterator[Choreography]:
         yield c
 
 
-def called_procs(c: Choreography) -> frozenset:
-    """Procedure names syntactically reachable in one choreography term."""
-    return frozenset(n.proc for n in subterms(c) if type(n) is Call or type(n) is RunningCall)
+def term_names(c: Choreography) -> Tuple[frozenset, frozenset]:
+    """The processes a choreography term names and the procedures it
+    calls, in one walk.  The scan is syntactic: a call adds no processes,
+    a running call its pending ones and its name."""
+    pids: set = set()
+    procs: set = set()
+    for n in subterms(c):
+        t = type(n)
+        if t is Interaction:
+            pids.add(n.eta.sender)
+            pids.add(n.eta.receiver)
+        elif t is Cond:
+            pids.add(n.pid)
+        elif t is Call:
+            procs.add(n.proc)
+        elif t is RunningCall:
+            procs.add(n.proc)
+            pids.update(n.pending)
+    return frozenset(pids), frozenset(procs)
 
 
 def chor_pids(c: Choreography, vars_of: Callable[[ProcName], Iterable[Pid]]) -> frozenset:
     """Processes used by a choreography.
 
-    ``vars_of`` supplies the processes attributed to each procedure call;
-    pass ``lambda _: ()`` for a purely syntactic scan or the declared
-    parameter lists to count call sites as using their procedure's
-    processes.
+    ``vars_of`` supplies the processes attributed to each procedure call:
+    the declared parameter lists count call sites as using their
+    procedure's processes.  ``term_names`` is the purely syntactic scan.
     """
     out: set = set()
     for n in subterms(c):
@@ -314,22 +329,19 @@ def infer_params(p: ChorProgram) -> Tuple[tuple, tuple]:
     parameter lists.  The result satisfies the coverage conjuncts of
     ``projectable`` by construction.
     """
+    pids, calls = term_names(p.main)
+    ps = set(pids)
     xs: set = set()
-    todo = list(called_procs(p.main))
+    todo = list(calls)
     while todo:
         name = todo.pop()
         if name not in xs:
             xs.add(name)
-            if name in p.procs:
-                todo.extend(called_procs(p.procs[name].body))
-    syntactic = lambda _name: ()
-    ps = set(chor_pids(p.main, syntactic))
-    for name in xs:
-        d = p.procs.get(name)
-        if d is None:
-            continue
-        ps |= set(d.params)
-        ps |= chor_pids(d.body, syntactic)
+            d = p.procs.get(name)
+            if d is not None:
+                pids, calls = term_names(d.body)
+                ps.update(d.params, pids)
+                todo.extend(calls)
     return tuple(sorted(xs)), tuple(sorted(ps))
 
 

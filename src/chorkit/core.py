@@ -221,10 +221,20 @@ class State(CanonicalMap):
 
     def set(self, pid: Pid, var: VarName, value: int) -> "State":
         """The store with ``var`` of ``pid`` set, or this one if it already
-        holds ``value``: a write that changes nothing makes no new store."""
-        if self._map.get((pid, var), 0) == wrap64(value):
+        holds ``value``: a write that changes nothing makes no new store.
+        The value is wrapped once; the copy differs in that one entry."""
+        value = wrap64(value)
+        key = (pid, var)
+        if self._map.get(key, 0) == value:
             return self
-        return self._patch((((pid, var), value),))
+        m = dict(self._map)
+        if value:
+            m[key] = value
+        else:
+            del m[key]
+        new = object.__new__(State)
+        new._map = m
+        return new
 
     def __repr__(self) -> str:
         body = ", ".join(f"{p}.{x}={v}" for (p, x), v in self.items())

@@ -38,10 +38,9 @@ from .chor import (
     Interaction,
     ProcDef,
     RunningCall,
-    called_procs,
-    chor_pids,
     infer_params,
     subterms,
+    term_names,
 )
 from .core import Pid, ProcName
 from .merge import UNDEFINED, deepest_conflict, xmerge
@@ -207,24 +206,20 @@ def _coverage_failures(xs, ps, p: ChorProgram) -> list:
 
     ps_set = set(ps)
     xs_set = set(xs)
-    syntactic = lambda _name: ()
-    for pid in sorted(chor_pids(p.main, syntactic) - ps_set):
+    bodies = {name: p.procs[name] for name in sorted(xs_set) if name in p.procs}
+    names = {name: term_names(d.body) for name, d in bodies.items()}
+    main_pids, main_calls = term_names(p.main)
+    for pid in sorted(main_pids - ps_set):
         uncovered(pid, ("main",), f"process {pid} of main not in ps")
-    for name in sorted(xs_set):
-        d = p.procs.get(name)
-        if d is None:
-            continue
+    for name, d in bodies.items():
         for pid in sorted(set(d.params) - ps_set):
             uncovered(pid, ("def", name), f"declared process {pid} not in ps")
-        for pid in sorted(chor_pids(d.body, syntactic) - ps_set):
+        for pid in sorted(names[name][0] - ps_set):
             uncovered(pid, ("def", name), f"process {pid} of the body not in ps")
-    for name in sorted(called_procs(p.main) - xs_set):
+    for name in sorted(main_calls - xs_set):
         uncovered("-", ("main",), f"procedure {name} called from main but not listed")
-    for name in sorted(xs_set):
-        d = p.procs.get(name)
-        if d is None:
-            continue
-        for callee in sorted(called_procs(d.body) - xs_set):
+    for name, (_pids, calls) in names.items():
+        for callee in sorted(calls - xs_set):
             uncovered("-", ("def", name), f"procedure {callee} called from {name} but not listed")
     return out
 

@@ -109,7 +109,7 @@ class _Worker(threading.Thread):
         self.procs = procs
         self.store = store
         self.offers = offers
-        self.grants: "queue.Queue" = queue.Queue()
+        self.grants: "queue.SimpleQueue" = queue.SimpleQueue()
 
     def run(self) -> None:
         try:
@@ -150,7 +150,7 @@ def execute(
 ) -> ExecutionReport:
     """Run the network concurrently; see the module docstring for the model."""
     rng = random.Random(cfg.seed)
-    offers_q: "queue.Queue" = queue.Queue()
+    offers_q: "queue.SimpleQueue" = queue.SimpleQueue()
     workers: Dict[Pid, _Worker] = {}
     for pid, b in p.net.items():
         own = State(((q, var), v) for (q, var), v in s0.items() if q == pid)

@@ -22,6 +22,17 @@ only into conditional branches, behaviour branches and parentheses.
 Chains of sends, receives and selections in behaviours are handled the
 same way, and so is printing them.
 
+Statement memo.  Generated and hand-written sources repeat their
+interactions, so each parse keeps a dict from the token texts of an
+interaction statement, its tokens up to the next ";", to the ``Eta``
+parsed from them, and a statement met again costs a slice and a dict
+probe.  An entry is stored only where ``eta`` read exactly those
+tokens; anything else raises the error it would without the memo.  The
+dict belongs to one ``_Parser`` and dies with it.  Equal statements of
+one source thus become one ``CommEta`` or ``SelectEta`` object, shared
+by their ``Interaction`` nodes; the terms are immutable, so nothing can
+tell but ``id``.
+
 Span keys.  Diagnostics name a node by its path: ("main",) or
 ("def", X), then one "cont", "then" or "else" segment per step down.
 Along a spine that path grows by a "cont" per interaction, so spans are
@@ -280,6 +291,7 @@ class _Parser:
         self.i = 0
         self.spines: Dict[tuple, Tuple[List[int], int]] = {}
         self.blocks: Dict[tuple, Tuple[int, int]] = {}
+        self.memo: Dict[tuple, Eta] = {}  # the statement memo
 
     # -- plumbing ----------------------------------------------------
 
@@ -313,41 +325,47 @@ class _Parser:
     # -- expressions -------------------------------------------------
 
     def expr(self) -> Expr:
-        e = self.term()
+        """A sum of products of factors.  Both levels are loops in this one
+        call and literals and names are read in place, so only a
+        parenthesised operand recurses."""
         texts = self.texts
-        while True:
-            op = texts[self.i]
-            if op == "+":
-                self.i += 1
-                e = Add(e, self.term())
-            elif op == "-":
-                self.i += 1
-                e = Sub(e, self.term())
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.texts[self.i] == "*":
-            self.i += 1
-            e = Mul(e, self.factor())
-        return e
-
-    def factor(self) -> Expr:
         i = self.i
-        t = self.texts[i]
-        if t.isdigit():
-            self.i = i + 1
-            return Lit(int(t))
-        if t.isidentifier() and t not in RESERVED:
-            self.i = i + 1
-            return VarRef(t)
-        if t == "(":
-            self.i = i + 1
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise self.expected("expression")
+        total: Optional[Expr] = None
+        add = None
+        while True:
+            product: Optional[Expr] = None
+            while True:
+                t = texts[i]
+                if t.isdigit():
+                    e: Expr = Lit(int(t))
+                    i += 1
+                elif t.isidentifier() and t not in RESERVED:
+                    e = VarRef(t)
+                    i += 1
+                elif t == "(":
+                    self.i = i + 1
+                    e = self.expr()
+                    i = self.i
+                    if texts[i] != ")":
+                        raise self.expected("')'")
+                    i += 1
+                else:
+                    self.i = i
+                    raise self.expected("expression")
+                product = e if product is None else Mul(product, e)
+                if texts[i] != "*":
+                    break
+                i += 1
+            total = product if add is None else add(total, product)
+            op = texts[i]
+            if op == "+":
+                add = Add
+            elif op == "-":
+                add = Sub
+            else:
+                self.i = i
+                return total
+            i += 1
 
     def bexpr(self) -> BExpr:
         b = self.batom()
@@ -389,8 +407,11 @@ class _Parser:
     # -- choreographies ----------------------------------------------
 
     def chor(self, root: tuple) -> Choreography:
-        """The spine whose first node is at canonical path ``root``."""
+        """The spine whose first node is at canonical path ``root``.  Its
+        interaction statements go through the statement memo (see the
+        module docstring)."""
         texts = self.texts
+        memo = self.memo
         starts: List[int] = []
         etas: List[Eta] = []
         while True:
@@ -421,30 +442,66 @@ class _Parser:
                 self.i = i + 1
                 c = Call(self.ident("procedure name"))
                 break
-            etas.append(self.eta())
-            self.expect(";")
+            try:
+                j = texts.index(";", i)
+            except ValueError:  # no ";" is left, so the statement is an error
+                j = len(texts)
+            key = tuple(texts[i:j])
+            eta = memo.get(key)
+            if eta is None:
+                eta = self.eta()
+                if self.i != j:
+                    raise self.expected("';'")
+                memo[key] = eta
+            etas.append(eta)
+            self.i = j + 1
         self.spines[root] = (starts, self.i - 1)
         for eta in reversed(etas):
             c = Interaction(eta, c)
         return c
 
     def eta(self) -> Eta:
-        sender = self.ident("process name")
-        t = self.texts[self.i]
+        """``p.e -> q.x`` or ``p -> q[l]``.  The fixed tokens after ``e``,
+        or after ``p`` in a selection, are checked in one test; where it
+        fails they are read one at a time, which names the error."""
+        texts = self.texts
+        i = self.i
+        sender = texts[i]
+        if not sender.isidentifier() or sender in RESERVED:
+            raise self.expected("process name")
+        t = texts[i + 1]
         if t == ".":
-            self.i += 1
+            self.i = i + 2
             e = self.expr()
+            i = self.i
+            if (
+                texts[i] == "->"
+                and (recv := texts[i + 1]).isidentifier() and recv not in RESERVED
+                and texts[i + 2] == "."
+                and (var := texts[i + 3]).isidentifier() and var not in RESERVED
+            ):
+                self.i = i + 4
+                return CommEta(sender, e, recv, var)
             self.expect("->")
             recv = self.ident("process name")
             self.expect(".")
             return CommEta(sender, e, recv, self.ident("variable name"))
         if t == "->":
-            self.i += 1
+            if (
+                (recv := texts[i + 2]).isidentifier() and recv not in RESERVED
+                and texts[i + 3] == "["
+                and (lab := texts[i + 4]) in LABELS
+                and texts[i + 5] == "]"
+            ):
+                self.i = i + 6
+                return SelectEta(sender, recv, lab)
+            self.i = i + 2
             recv = self.ident("process name")
             self.expect("[")
             lab = self.label()
             self.expect("]")
             return SelectEta(sender, recv, lab)
+        self.i = i + 1
         raise self.fail("expected '.' or '->' after process name")
 
     def program(self) -> ChorProgram:

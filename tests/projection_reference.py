@@ -18,10 +18,15 @@ monkeypatched projection seam reaches both sides.
 """
 
 from chorkit import projection, pruning
-from chorkit.chor import Call, Cond, End, Interaction, RunningCall, called_procs, chor_pids
+from chorkit.chor import Call, Cond, End, Interaction, RunningCall, chor_pids, subterms
 from chorkit.merge import UNDEFINED, xmerge
 from chorkit.net import Branch, Cond as NetCond, Network, NetProgram, Recv, SelectSend, Send
 from chorkit.projection import ProjectionFailure
+
+
+def called_procs(c) -> frozenset:
+    """Procedure names syntactically reachable in one choreography term."""
+    return frozenset(n.proc for n in subterms(c) if type(n) is Call or type(n) is RunningCall)
 
 
 def reference_deepest_conflict(b1, b2):

@@ -1,5 +1,6 @@
 """Values, stores, expression evaluation, labels, digests."""
 
+import random
 from types import MappingProxyType
 
 import pytest
@@ -135,6 +136,26 @@ class TestState:
         rebuilt = State(d)
         assert s == rebuilt and hash(s) == hash(rebuilt)
         assert s.items() == rebuilt.items() and repr(s) == repr(rebuilt)
+
+    def test_set_against_a_store_built_from_scratch(self):
+        # after every write: the same entries as State built from all the
+        # writes so far, the earlier store untouched, and the store itself
+        # back exactly when the wrapped value is already there
+        rng = random.Random(7)
+        values = [0, 0, 1, -1, I64_MAX, I64_MIN, 2**63, I64_MIN - 1, 2**64, -(2**64), 3 * 2**64]
+        for _ in range(40):
+            s, d = EMPTY_STATE, {}
+            for _ in range(60):
+                key = (rng.choice("pqr"), rng.choice("xy"))
+                v = rng.choice(values) if rng.random() < 0.5 else rng.randint(-(2**66), 2**66)
+                before, held = s.items(), s.get(*key)
+                t = s.set(*key, v)
+                assert (t is s) == (held == wrap64(v))
+                assert s.items() == before
+                d[key] = v
+                rebuilt = State(d)
+                assert t._map == rebuilt._map and t == rebuilt and hash(t) == hash(rebuilt)
+                s = t
 
 
 class TestOrderOnRead:

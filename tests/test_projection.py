@@ -13,6 +13,7 @@ from conftest import (
 )
 from hypothesis import given, settings
 from projection_reference import (
+    called_procs,
     reference_compile,
     reference_projectable,
     reference_str_projectable,
@@ -215,13 +216,19 @@ class TestInferParams:
 
     def test_wide_reach_at_the_default_recursion_limit(self, default_recursion_limit, monkeypatch):
         # main reaches 4 000 procedures through a tree of conditionals,
-        # and each calls the next; every body is scanned once
+        # and each calls the next; every body is scanned once, by
+        # infer_params and again by the coverage conjuncts
         p = _procedure_tree(4000)
         scanned = []
-        original = chor_mod.called_procs
-        monkeypatch.setattr(chor_mod, "called_procs", lambda c: scanned.append(c) or original(c))
+        original = chor_mod.term_names
+        counted = lambda c: scanned.append(c) or original(c)
+        monkeypatch.setattr(chor_mod, "term_names", counted)
+        monkeypatch.setattr(projection, "term_names", counted)
         xs, ps = infer_params(p)
         assert xs == tuple(sorted(p.procs)) and ps == ("p", "q")
+        assert len(scanned) == len(p.procs) + 1
+        scanned.clear()
+        assert projection._coverage_failures(xs, ps, p) == []
         assert len(scanned) == len(p.procs) + 1
 
     def test_matches_a_fixpoint(self):
@@ -259,9 +266,9 @@ def _procedure_tree(n: int) -> ChorProgram:
 def _fixpoint_params(p: ChorProgram) -> tuple:
     """``infer_params`` stated as a fixpoint: grow the reached names until
     no reached body calls a new one."""
-    xs = set(chor_mod.called_procs(p.main))
+    xs = set(called_procs(p.main))
     while True:
-        more = {n for x in xs if x in p.procs for n in chor_mod.called_procs(p.procs[x].body)} - xs
+        more = {n for x in xs if x in p.procs for n in called_procs(p.procs[x].body)} - xs
         if not more:
             break
         xs |= more

@@ -1,7 +1,9 @@
 """Surface syntax: lexer, parser, spans, and the printers."""
 
+import inspect
 import random
 import re
+import textwrap
 
 import pytest
 from conftest import AUTH_CLIENT, AUTH_PROVIDER, AUTH_SERVER, CORPUS, PROJECTABLE, load
@@ -17,7 +19,7 @@ from syntax_reference import (
 from test_checker import GENERATED
 
 from chorkit.chor import Call as ChorCall
-from chorkit.chor import CommEta, Cond as ChorCond, Interaction, RunningCall
+from chorkit.chor import CommEta, Cond as ChorCond, Interaction, RunningCall, subterms
 from chorkit.chor import End as ChorEnd
 from chorkit.core import Add, And, Eq, Le, Lit, Lt, Mul, Not, Sub, VarRef
 from chorkit.net import Branch, Call, Cond, Recv, SP_END, SelectSend, Send
@@ -308,14 +310,19 @@ _EXPRS = ["1", "x", "(x + 2)", "x * 3 - 1", "(y - (x * 2))", "10"]
 _GUARDS = ["x == 1", "x < y + 1", "(x) <= 2", "(x == 1)", "!(x < 2) && true", "false"]
 
 
-def _program_source(rnd: random.Random, main_spine: int, depth: int) -> str:
+def _program_source(rnd: random.Random, main_spine: int, depth: int, pool: int = 0) -> str:
+    """A random program; with ``pool``, every statement is one of ``pool``
+    statements drawn first."""
     gap = lambda: rnd.choice(_GAPS)
     pid = lambda: rnd.choice("pqr")
 
-    def eta():
+    def fresh():
         if rnd.random() < 0.8:
             return f"{pid()}.{rnd.choice(_EXPRS)} -> {pid()}.{rnd.choice('xy')}"
         return f"{pid()} -> {pid()}[{rnd.choice(('left', 'right'))}]"
+
+    drawn = [fresh() for _ in range(pool)]
+    eta = (lambda: rnd.choice(drawn)) if pool else fresh
 
     def body(spine, depth):
         parts = [eta() + ";" for _ in range(spine)]
@@ -447,6 +454,143 @@ class TestParserAgainstReference:
             _assert_same_as_reference_parser(
                 (CORPUS / "auth.chor").read_text(encoding="utf-8")
             )
+
+
+# The statement memo: within one parse, an interaction statement met
+# again is not parsed again.  These sources repeat their statements.
+
+
+def _tree_source(depth: int) -> str:
+    """Conditionals of p ``depth`` deep, each branch told to q, and the same
+    four interactions at every leaf."""
+    leaf = ["q.(y + 1) -> w.z;", "w.(z + 1) -> u.v;", "u.(v + 1) -> w.z;", "w.(z + 1) -> u.v;"]
+
+    def body(d, pad):
+        if d == 0:
+            return [pad + line for line in leaf + ["end"]]
+        return [
+            f"{pad}if p.x < {10 * d} then {{",
+            f"{pad}  p -> q[left];", f"{pad}  p.(x + {d}) -> q.y;", *body(d - 1, pad + "  "),
+            f"{pad}}} else {{",
+            f"{pad}  p -> q[right];", f"{pad}  p.(x - {d}) -> q.y;", *body(d - 1, pad + "  "),
+            f"{pad}}}",
+        ]
+
+    return "main {\n" + "\n".join(body(depth, "  ")) + "\n}\n"
+
+
+def _repeating_ring_source(n: int) -> str:
+    """A ring of ``n`` interactions on three processes adding ``i mod 7``:
+    21 distinct statements."""
+    hops = "".join(f"  p{i % 3}.(x + {i % 7}) -> p{(i + 1) % 3}.x;\n" for i in range(n))
+    return f"main {{\n{hops}  end\n}}\n"
+
+
+def _statements(text) -> set:
+    """The distinct statements of a source with one statement a line."""
+    return {line.strip() for line in text.splitlines() if line.strip().endswith(";")}
+
+
+# Statements met a second time: with a memoised statement's tokens as a
+# prefix and then something else, or with an error.
+_REPEATS = [
+    "main { p.x -> q.y; p.x -> q.y z; end }",
+    "main { p.x -> q.y; p.x -> q.y.z; end }",
+    "main { p.x -> q.y; p.x -> q.y -> r.z; end }",
+    "main { p.(x + 1) -> q.y; p.(x + 1) * 2 -> q.y; end }",
+    "main { p.x -> q.y; p.x -> q.yy; p.x -> q.y; end }",
+    "main { p -> q[left]; p -> q[left] x; end }",
+    "main { p -> q[left]; p -> q[right]; p -> q[left]]; end }",
+    "main { p.x -> q.y; p.x -> q.y end }",
+    "main { p.x -> q.y; p.x -> q.y }",
+    "main { p.x -> q.y; p.x -> q.y",
+    "main { p.x -> q.y; p.x -> q.; end }",
+    "main { p.x -> q.y; p.x -> q.y; ; end }",
+    "main { p.(x + 1) -> q.y; p.(x + 1 -> q.y; end }",
+    "main { p -> q[left]; p -> q[left]; p -> q[left; end }",
+    "def X(p, q) { p.x -> q.y; end } main { p.x -> q.y; p.x -> q.y call X }",
+    "main { p.x -> q.y; if p.x == 1 then { p.x -> q.y; end } else { p.x -> q.y } }",
+    "main { p.x -> q.y; p.x -> q.y; p.x -> q.y; end } p.x -> q.y;",
+]
+
+
+def _repetitive_sources(n: int, seed: int = 0):
+    """Generated programs drawing every statement from a pool of four, as
+    they are and with one edit inside the text's second half, where the
+    statements have mostly been met before."""
+    rnd = random.Random(seed)
+    edits = ["", "x", ";", "->", ".", "(", ")", "[left]", " 1", "*", "]", "end"]
+    for _ in range(n):
+        text = _program_source(rnd, rnd.randrange(1, 60), rnd.randrange(3), pool=4)
+        yield text
+        k = rnd.randrange(len(text) // 2, len(text) + 1)
+        yield text[:k] + rnd.choice(edits) + text[k + rnd.randrange(3):]
+
+
+def _planted_chor(old: str, new: str):
+    """``_Parser.chor`` with its one line holding ``old`` changed to ``new``."""
+    source = textwrap.dedent(inspect.getsource(syntax._Parser.chor))
+    assert source.count(old) == 1, old
+    scope: dict = {}
+    exec(source.replace(old, new), vars(syntax), scope)
+    return scope["chor"]
+
+
+def _memo_sweep():
+    """Every memo test source against the reference."""
+    for text in _REPEATS:
+        _assert_same_as_reference_parser(text)
+    for text in _repetitive_sources(150):
+        _assert_same_as_reference_parser(text)
+
+
+class TestStatementMemo:
+    def test_repeats_and_generated_sources_against_the_reference(self):
+        _memo_sweep()
+        for text in (_tree_source(5), _repeating_ring_source(300)):
+            _assert_same_as_reference_parser(text)
+
+    def test_generated_sources_reach_errors_and_successes(self):
+        outcomes = set()
+        for text in _repetitive_sources(150):
+            try:
+                reference_parse(text)
+                outcomes.add("parsed")
+            except ParseError:
+                outcomes.add("error")
+        assert outcomes == {"parsed", "error"}
+
+    def test_eta_runs_once_per_distinct_statement(self, monkeypatch):
+        calls = []
+        original = syntax._Parser.eta
+        monkeypatch.setattr(syntax._Parser, "eta", lambda self: calls.append(1) or original(self))
+        for text, distinct in ((_tree_source(5), 15), (_repeating_ring_source(300), 21)):
+            calls.clear()
+            program = parse(text).program
+            assert len(_statements(text)) == distinct == len(calls)
+            # equal statements share one Eta object
+            etas = {id(c.eta) for c in subterms(program.main) if type(c) is Interaction}
+            assert len(etas) == distinct
+
+    # Planted faults: the sweep must notice each.
+
+    def test_catches_a_key_without_the_last_token(self, monkeypatch):
+        chor = _planted_chor("key = tuple(texts[i:j])", "key = tuple(texts[i:j - 1])")
+        monkeypatch.setattr(syntax._Parser, "chor", chor)
+        with pytest.raises((AssertionError, pytest.fail.Exception)):
+            _memo_sweep()
+
+    def test_catches_a_memo_answering_for_a_statement_read_short(self, monkeypatch):
+        chor = _planted_chor("if self.i != j:", "if False:")
+        monkeypatch.setattr(syntax._Parser, "chor", chor)
+        with pytest.raises((AssertionError, pytest.fail.Exception)):
+            _memo_sweep()
+
+    def test_planted_chor_unchanged_parses_alike(self, monkeypatch):
+        # the planting itself changes nothing but the line it replaces
+        chor = _planted_chor("if self.i != j:", "if self.i != j:")
+        monkeypatch.setattr(syntax._Parser, "chor", chor)
+        _memo_sweep()
 
 
 def _ring_source(n: int) -> str:
