@@ -20,7 +20,7 @@ order) so that runs and golden tests are reproducible.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .core import (
     BExpr,
@@ -170,28 +170,6 @@ def term_names(c: Choreography) -> Tuple[frozenset, frozenset]:
     return frozenset(pids), frozenset(procs)
 
 
-def chor_pids(c: Choreography, vars_of: Callable[[ProcName], Iterable[Pid]]) -> frozenset:
-    """Processes used by a choreography.
-
-    ``vars_of`` supplies the processes attributed to each procedure call:
-    the declared parameter lists count call sites as using their
-    procedure's processes.  ``term_names`` is the purely syntactic scan.
-    """
-    out: set = set()
-    for n in subterms(c):
-        t = type(n)
-        if t is Interaction:
-            out.add(n.eta.sender)
-            out.add(n.eta.receiver)
-        elif t is Cond:
-            out.add(n.pid)
-        elif t is Call:
-            out.update(vars_of(n.proc))
-        elif t is RunningCall:
-            out.update(n.pending)
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # Well-formedness
 
@@ -213,18 +191,24 @@ def _scan_chor(
     procs: Mapping[ProcName, ProcDef],
     out: list,
     in_procedure: bool,
-) -> None:
-    """Append the violations in ``c``, at ``path``, to ``out`` in pre-order.
+) -> set:
+    """Append the violations in ``c``, at ``path``, to ``out`` in pre-order,
+    and return the processes ``c`` uses: both ends of each interaction (in a
+    procedure body only), a conditional's decider, the declared processes of
+    a called procedure that exists, and a running call's pending list.
 
     Interaction spines are walked in a loop and a node's path is built
     only to report it or to descend into a branch, so a long spine costs
     neither stack depth nor quadratic path building."""
+    used: set = set()
     todo = [(c, path)]
     while todo:
         c, path = todo.pop()
         k = 0  # "cont" steps taken from path
         while type(c) is Interaction:
             eta = c.eta
+            if in_procedure:  # main's set is not read, and main is most of a file
+                used.update((eta.sender, eta.receiver))
             if eta.sender == eta.receiver:
                 out.append(
                     WfViolation(
@@ -241,15 +225,19 @@ def _scan_chor(
         if k:
             path = path + ("cont",) * k
         if t is Cond:
+            used.add(c.pid)
             # else is pushed first so that then is reported first
             todo.append((c.else_c, path + ("else",)))
             todo.append((c.then_c, path + ("then",)))
         elif t is Call:
-            if c.proc not in procs:
+            if c.proc in procs:
+                used.update(procs[c.proc].params)
+            else:
                 out.append(
                     WfViolation("unknown-procedure", path, f"call to undefined {c.proc}")
                 )
         elif t is RunningCall:
+            used.update(c.pending)
             if in_procedure:
                 out.append(
                     WfViolation(
@@ -282,6 +270,7 @@ def _scan_chor(
                             )
                         )
             todo.append((c.body, path + ("body",)))
+    return used
 
 
 def cc_check_wf(p: ChorProgram) -> Tuple[WfViolation, ...]:
@@ -290,11 +279,10 @@ def cc_check_wf(p: ChorProgram) -> Tuple[WfViolation, ...]:
 
     No self-communication anywhere; procedure bodies are initial; every
     running call has a non-empty, duplicate-free pending list contained in
-    the declared parameters; procedure bodies only use processes their
-    definition declares; all called procedures exist.
+    the declared parameters; the processes a body's scan returns are all
+    declared by its definition; all called procedures exist.
     """
     out: list = []
-    vars_of = lambda name: p.procs[name].params if name in p.procs else ()
     for name, d in sorted(p.procs.items()):
         if not d.params:
             out.append(
@@ -306,9 +294,7 @@ def cc_check_wf(p: ChorProgram) -> Tuple[WfViolation, ...]:
                     "duplicate-params", ("def", name), f"duplicates in {d.params}"
                 )
             )
-        _scan_chor(d.body, ("def", name), p.procs, out, True)
-        used = chor_pids(d.body, vars_of)
-        extra = used - set(d.params)
+        extra = _scan_chor(d.body, ("def", name), p.procs, out, True) - set(d.params)
         if extra:
             out.append(
                 WfViolation(

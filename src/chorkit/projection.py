@@ -135,7 +135,7 @@ class ProjectionFailure(NamedTuple):
 
     process: Pid
     path: Path
-    kind: str  # merge-conflict | undefined | coverage | other
+    kind: str  # merge-conflict | undefined | coverage
     conflict: Optional[tuple] = None  # the deepest failing merge operand pair
     detail: str = ""
 

@@ -5,15 +5,16 @@ and its position in its behaviour.  Communication is a two-phase
 rendezvous spoken in the calculus' own terms.  A thread offers its
 current behaviour node together with what only its own store can give:
 the value of a ``Send`` or the outcome of a ``Cond`` guard, else None.
-It then blocks until the sequencer answers.  The sequencer waits until
-every running thread has an outstanding offer, matches the offered heads
-into rich labels (a send meets a receive from it, a label send meets a
-branching that offers the label, a conditional or a call acts alone),
-picks one with a seeded generator, appends a trace record, and sends
-the label itself to each process it involves.  A thread moves on from
-its head and the label: a receive stores the label's value, a branching
-follows its label, a conditional follows its own guard.  None instead
-of a label halts the thread.
+It then blocks until the sequencer answers, unless it offered ``End``:
+it has ended, and the sequencer keeps no such offer.  The sequencer
+waits until every running thread has an outstanding offer, matches the
+offered heads into rich labels (a send meets a receive from it, a label
+send meets a branching that offers the label, a conditional or a call
+acts alone), picks one with a seeded generator, appends a trace record,
+and sends the label itself to each process it involves.  A thread moves
+on from its head and the label: a receive stores the label's value, a
+branching follows its label, a conditional follows its own guard.  None
+instead of a label halts the thread.
 
 The sequencer never runs the sequential semantics.  The only store it
 keeps is the one the trace digests need, updated from each committed
@@ -174,8 +175,6 @@ def execute(
             if failed:
                 outcome, error = "worker-error", offers[failed[0]]
                 break
-            for pid in [q for q, (head, _) in offers.items() if type(head) is End]:
-                del offers[pid]
             if not offers:
                 outcome = "terminated"
                 break
@@ -210,13 +209,14 @@ def execute(
 
 
 def _drain_offers(offers_q, offers, awaited, timeout: float) -> bool:
-    """Collect offers until none are outstanding; False on timeout."""
+    """Collect offers until none are outstanding, keeping no ``End``; False on timeout."""
     while awaited:
         try:
             pid, offer = offers_q.get(timeout=timeout)
         except queue.Empty:
             return False
-        offers[pid] = offer
+        if isinstance(offer, Exception) or type(offer[0]) is not End:
+            offers[pid] = offer
         awaited.discard(pid)
     return True
 

@@ -13,6 +13,13 @@ its node's path.
 ``reference_subterms`` lists a term's nodes in pre-order by plain
 recursion, as ``subterms`` yields them from its own stack.
 
+``reference_chor_pids`` is the second walk ``cc_check_wf`` made of each
+procedure body before ``_scan_chor`` came to return the processes a term
+uses, and ``reference_cc_check_wf`` is ``cc_check_wf`` as it was then:
+both ends of each interaction, a conditional's decider, the processes
+``vars_of`` gives a call (the callee's declared ones, none when it is
+undefined) and a running call's pending list.
+
 Slow but plain; the differential tests in ``test_chor.py`` hold the
 live functions to them.
 """
@@ -160,3 +167,43 @@ def reference_subterms(c) -> list:
     if t is End or t is Call:
         return [c]
     raise TypeError(f"not a choreography: {c!r}")
+
+
+def reference_chor_pids(c, vars_of) -> frozenset:
+    out: set = set()
+    for n in reference_subterms(c):
+        t = type(n)
+        if t is Interaction:
+            out.add(n.eta.sender)
+            out.add(n.eta.receiver)
+        elif t is Cond:
+            out.add(n.pid)
+        elif t is Call:
+            out.update(vars_of(n.proc))
+        elif t is RunningCall:
+            out.update(n.pending)
+    return frozenset(out)
+
+
+def reference_cc_check_wf(p) -> tuple:
+    out: list = []
+    vars_of = lambda name: p.procs[name].params if name in p.procs else ()
+    for name, d in sorted(p.procs.items()):
+        if not d.params:
+            out.append(WfViolation("empty-params", ("def", name), "no declared processes"))
+        if len(set(d.params)) != len(d.params):
+            out.append(
+                WfViolation("duplicate-params", ("def", name), f"duplicates in {d.params}")
+            )
+        reference_scan_chor(d.body, ("def", name), p.procs, out, True)
+        extra = reference_chor_pids(d.body, vars_of) - set(d.params)
+        if extra:
+            out.append(
+                WfViolation(
+                    "undeclared-process-use",
+                    ("def", name),
+                    f"body uses {sorted(extra)} not declared in {list(d.params)}",
+                )
+            )
+    reference_scan_chor(p.main, ("main",), p.procs, out, False)
+    return tuple(out)

@@ -14,11 +14,12 @@ recursion, against which ``projection.str_projectable`` is tested.
 
 Only ``bproj``, the merge and the syntax helpers are shared with the
 live code, looked up on the live module at call time, so a
-monkeypatched projection seam reaches both sides.
+monkeypatched projection seam reaches both sides.  The processes a term
+names come from ``syntactic_pids``, this module's own walk.
 """
 
 from chorkit import projection, pruning
-from chorkit.chor import Call, Cond, End, Interaction, RunningCall, chor_pids, subterms
+from chorkit.chor import Call, Cond, End, Interaction, RunningCall, subterms
 from chorkit.merge import UNDEFINED, xmerge
 from chorkit.net import Branch, Cond as NetCond, Network, NetProgram, Recv, SelectSend, Send
 from chorkit.projection import ProjectionFailure
@@ -27,6 +28,27 @@ from chorkit.projection import ProjectionFailure
 def called_procs(c) -> frozenset:
     """Procedure names syntactically reachable in one choreography term."""
     return frozenset(n.proc for n in subterms(c) if type(n) is Call or type(n) is RunningCall)
+
+
+def syntactic_pids(c) -> frozenset:
+    """The processes one choreography term names: both ends of each
+    interaction, each decider and each running call's pending list; a
+    call names none."""
+    out: set = set()
+    todo = [c]
+    while todo:
+        c = todo.pop()
+        t = type(c)
+        if t is Interaction:
+            out.update((c.eta.sender, c.eta.receiver))
+            todo.append(c.cont)
+        elif t is Cond:
+            out.add(c.pid)
+            todo.extend((c.then_c, c.else_c))
+        elif t is RunningCall:
+            out.update(c.pending)
+            todo.append(c.body)
+    return frozenset(out)
 
 
 def reference_deepest_conflict(b1, b2):
@@ -117,8 +139,7 @@ def reference_projectable(xs, ps, p):
     out.extend(_body_failures(xs, p.procs))
     ps_set = set(ps)
     xs_set = set(xs)
-    syntactic = lambda _name: ()
-    for pid in sorted(chor_pids(p.main, syntactic) - ps_set):
+    for pid in sorted(syntactic_pids(p.main) - ps_set):
         detail = f"process {pid} of main not in ps"
         out.append(ProjectionFailure(pid, ("main",), "coverage", detail=detail))
     for name in sorted(xs_set):
@@ -128,7 +149,7 @@ def reference_projectable(xs, ps, p):
         for pid in sorted(set(d.params) - ps_set):
             detail = f"declared process {pid} not in ps"
             out.append(ProjectionFailure(pid, ("def", name), "coverage", detail=detail))
-        for pid in sorted(chor_pids(d.body, syntactic) - ps_set):
+        for pid in sorted(syntactic_pids(d.body) - ps_set):
             detail = f"process {pid} of the body not in ps"
             out.append(ProjectionFailure(pid, ("def", name), "coverage", detail=detail))
     for name in sorted(called_procs(p.main) - xs_set):

@@ -1,8 +1,14 @@
 """Choreography language: well-formedness, transitions, runs."""
 
 import pytest
-from cc_reference import reference_cc_enabled, reference_scan_chor, reference_subterms
-from hypothesis import given, settings
+from cc_reference import (
+    reference_cc_check_wf,
+    reference_cc_enabled,
+    reference_chor_pids,
+    reference_scan_chor,
+    reference_subterms,
+)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chorkit import chor as chor_mod
@@ -43,6 +49,7 @@ from chorkit.core import (
 from chorkit.syntax import parse
 
 from conftest import CORPUS, PROJECTABLE, explore, load_program
+from test_checker import GENERATED
 
 
 class TestWellFormedness:
@@ -86,6 +93,26 @@ class TestWellFormedness:
         violations = cc_check_wf(p)
         paths = [v.path for v in violations if v.rule == "non-initial-procedure-body"]
         assert paths == [("def", "X", "cont")]
+
+    # X declares p and q; every body below uses r besides, in one way
+    # each, and a call to the undefined Z adds no process
+    _guard = Eq(VarRef("x"), Lit(0))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            Interaction(CommEta("p", Lit(1), "r", "x"), Call("Z")),
+            Cond("r", _guard, Call("Z"), CHOR_END),
+            Interaction(SelectEta("p", "q", "left"), Call("Y")),
+            Cond("p", _guard, CHOR_END, RunningCall("Y", ("r",), CHOR_END)),
+        ],
+        ids=["interaction", "decider", "callee-declares", "pending"],
+    )
+    def test_undeclared_process_use(self, body):
+        p = ChorProgram({"X": ProcDef(("p", "q"), body), "Y": ProcDef(("r",), CHOR_END)}, CHOR_END)
+        (v,) = [v for v in cc_check_wf(p) if v.rule == "undeclared-process-use"]
+        assert v.path == ("def", "X")
+        assert v.detail == "body uses ['r'] not declared in ['p', 'q']"
 
     def test_preserved_under_steps(self):
         for name in PROJECTABLE:
@@ -376,21 +403,72 @@ class TestAgainstReference:
         assert writes == [("p1", "x", 0)]
 
 
+# a body that calls a declared procedure and an undefined one and holds
+# a running call, for the differentials to see every kind of call
+_CALLS = Cond(
+    "r", Eq(VarRef("x"), Lit(0)), Call("Y"), RunningCall("X", ("q",), Call("Z"))
+)
+
+
 class TestWellFormednessAgainstReference:
     """The spine-looping scan against the frozen recursive one in
-    ``cc_reference.py``: the same violations, paths and order."""
+    ``cc_reference.py``: the same violations, paths and order, and in a
+    body the processes the second walk of the earlier ``cc_check_wf``
+    found."""
 
     @settings(max_examples=400, deadline=None)
     @given(_choreographies(), _choreographies(), st.booleans(), st.integers(0, 60))
+    @example(_CALLS, _CALLS, True, 0)
     def test_generated(self, c, body_x, in_procedure, spine):
         # a spine of self-communications and others in front of c
         for i in range(spine):
             c = Interaction(CommEta("p", Lit(i), "p" if i % 7 == 0 else "q", "x"), c)
-        procs = {"X": ProcDef(("p", "q"), body_x)}
+        procs = {"X": ProcDef(("p", "q"), body_x), "Y": ProcDef(("q", "r", "s"), CHOR_END)}
         live, ref = [], []
-        chor_mod._scan_chor(c, ("main",), procs, live, in_procedure)
+        used = chor_mod._scan_chor(c, ("main",), procs, live, in_procedure)
         reference_scan_chor(c, ("main",), procs, ref, in_procedure)
         assert live == ref
+        if in_procedure:  # only a body's processes are read, and collected
+            vars_of = lambda name: procs[name].params if name in procs else ()
+            assert used == reference_chor_pids(c, vars_of)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_choreographies(), _choreographies(), _choreographies(), _choreographies())
+    @example(CHOR_END, _CALLS, _CALLS, _CALLS)
+    def test_generated_programs(self, main, body_x, body_y, body_w):
+        # W declares nothing, so its body uses undeclared processes
+        procs = {
+            "X": ProcDef(("p", "q"), body_x),
+            "Y": ProcDef(("q", "r", "s"), body_y),
+            "W": ProcDef((), body_w),
+        }
+        p = ChorProgram(procs, main)
+        assert cc_check_wf(p) == reference_cc_check_wf(p)
+
+    @pytest.mark.parametrize(
+        "name", sorted(f.stem for f in CORPUS.glob("*.chor")) + sorted(GENERATED)
+    )
+    def test_corpus_and_generated(self, name):
+        p = GENERATED[name] if name in GENERATED else load_program(name)
+        assert cc_check_wf(p) == reference_cc_check_wf(p)
+
+    def test_one_scan_per_term(self, monkeypatch):
+        # the scan of each body gives its processes: no second walk
+        def refuse(*_args):
+            raise AssertionError("cc_check_wf walked a term a second time")
+
+        monkeypatch.setattr(chor_mod, "subterms", refuse)
+        monkeypatch.setattr(chor_mod, "term_names", refuse)
+        scanned = []
+        original = chor_mod._scan_chor
+        counted = lambda c, *rest: scanned.append(c) or original(c, *rest)
+        monkeypatch.setattr(chor_mod, "_scan_chor", counted)
+        for p in [load_program(f.stem) for f in sorted(CORPUS.glob("*.chor"))]:
+            scanned.clear()
+            cc_check_wf(p)
+            terms = [d.body for _name, d in sorted(p.procs.items())] + [p.main]
+            assert len(scanned) == len(terms)
+            assert all(a is b for a, b in zip(scanned, terms))
 
     def test_long_ring_at_the_default_recursion_limit(self, default_recursion_limit):
         assert cc_check_wf(_ring(10_000)) == ()

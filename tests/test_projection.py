@@ -17,6 +17,7 @@ from projection_reference import (
     reference_compile,
     reference_projectable,
     reference_str_projectable,
+    syntactic_pids,
 )
 from test_checker import GENERATED
 from test_chor import _choreographies
@@ -272,9 +273,9 @@ def _fixpoint_params(p: ChorProgram) -> tuple:
         if not more:
             break
         xs |= more
-    ps = set(chor_mod.chor_pids(p.main, lambda _name: ()))
+    ps = set(syntactic_pids(p.main))
     for x in xs & p.procs.keys():
-        ps |= {*p.procs[x].params, *chor_mod.chor_pids(p.procs[x].body, lambda _name: ())}
+        ps |= {*p.procs[x].params, *syntactic_pids(p.procs[x].body)}
     return tuple(sorted(xs)), tuple(sorted(ps))
 
 

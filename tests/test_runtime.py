@@ -26,6 +26,7 @@ from chorkit.net import (
     Call,
     Cond,
     EMPTY_NET,
+    End,
     NetProgram,
     Network,
     Recv,
@@ -454,6 +455,40 @@ class TestPlantedFaults:
         report = execute(np, s0, RuntimeConfig())
         assert report.final_state.get("z", "q") == 3
         assert validate_trace(np, s0, report).ok
+
+
+class TestEndOffers:
+    """An ``End`` offer is dropped as it is drained: its thread has ended."""
+
+    def test_drain_keeps_no_end(self):
+        offers_q = queue.SimpleQueue()
+        send, error = (Send("q", Lit(1), SP_END), 1), ZeroDivisionError("planted")
+        for item in (("p", (SP_END, None)), ("q", send), ("r", error)):
+            offers_q.put(item)
+        offers, awaited = {}, {"p", "q", "r"}
+        assert runtime._drain_offers(offers_q, offers, awaited, 1.0)
+        assert offers == {"q": send, "r": error} and awaited == set()
+
+    def test_enabled_offers_never_sees_an_end(self, monkeypatch):
+        offered = []
+        original = runtime._enabled_offers
+
+        def recorded(offers):
+            offered.append(dict(offers))
+            return original(offers)
+
+        monkeypatch.setattr(runtime, "_enabled_offers", recorded)
+        dropped = 0  # steps taken after some process had ended
+        for name in PROJECTABLE:
+            np = epp_program(load_program(name))
+            for seed in range(3):
+                offered.clear()
+                report = execute(np, AUTH_STATE, RuntimeConfig(seed=seed, max_steps=200))
+                assert validate_trace(np, AUTH_STATE, report).ok, name
+                heads = [b for offers in offered for b, _local in offers.values()]
+                assert all(type(b) is not End for b in heads), name
+                dropped += sum(len(offers) < len(np.net.items()) for offers in offered)
+        assert dropped
 
 
 class TestNoMirror:
