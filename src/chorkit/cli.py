@@ -30,6 +30,7 @@ import functools
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
 from typing import List, Optional, Tuple
 
@@ -43,7 +44,7 @@ from .checker import (
 )
 from .core import State, TraceRecord, obs_label_text, rich_label_text, state_digest
 from .net import sp_run
-from .projection import ProjectionError, epp, infer_params
+from .projection import ProjectionError, epp_inferred
 from .runtime import RuntimeConfig, execute, validate_trace
 from .syntax import ParseError, SourceUnit, is_name, parse, print_behaviour
 
@@ -82,29 +83,39 @@ def _print_doc(args, **fields) -> None:
     print(json.dumps({"format": FORMAT_VERSION, "file": args.file, **fields}, indent=2))
 
 
-def _record_json(r: TraceRecord) -> dict:
-    return {
-        "step": r.step,
-        "richLabel": rich_label_text(r.rich),
-        "label": obs_label_text(r.label),
-        "actors": list(r.actors),
-        "stateDigest": r.post_digest,
-    }
+def _label_texts(r: TraceRecord) -> Tuple[str, str]:
+    """A record's ``richLabel`` and ``label`` texts, which both formats print."""
+    return rich_label_text(r.rich), obs_label_text(r.label)
 
 
 def _emit_trace(trace, outcome: str, final_state: State, as_json: bool):
-    """Print a run as JSONL (header, records, outcome line) or one document."""
-    records = [_record_json(r) for r in trace]
+    """Print a run as JSONL (header, records, outcome line) or one document.
+
+    A JSONL record is one f-string over its fields, each string through
+    ``json.dumps``' default escaper, so the line is the bytes ``json.dumps``
+    prints for the record's dict.
+    """
+    texts = [_label_texts(r) for r in trace]
     tail = {
         "outcome": outcome,
         "finalState": {f"{pid}.{var}": value for (pid, var), value in final_state.items()},
         "finalDigest": state_digest(final_state),
     }
     if as_json:
+        records = [
+            {"step": r.step, "richLabel": rich, "label": obs,
+             "actors": list(r.actors), "stateDigest": r.post_digest}
+            for r, (rich, obs) in zip(trace, texts)
+        ]
         print(json.dumps({"format": FORMAT_VERSION, "trace": records, **tail}, indent=2))
     else:
-        lines = [{"format": FORMAT_VERSION}, *records, tail]
-        print("\n".join(map(json.dumps, lines)))
+        q = encode_basestring_ascii
+        records = (
+            f'{{"step": {r.step}, "richLabel": {q(rich)}, "label": {q(obs)}, '
+            f'"actors": [{", ".join(map(q, r.actors))}], "stateDigest": {q(r.post_digest)}}}'
+            for r, (rich, obs) in zip(trace, texts)
+        )
+        print("\n".join([json.dumps({"format": FORMAT_VERSION}), *records, json.dumps(tail)]))
 
 
 def _failure(unit: SourceUnit, head: dict, path, tail: dict, message: str) -> dict:
@@ -141,9 +152,9 @@ def _gate(unit: SourceUnit, compile: bool) -> Tuple[List[dict], object, tuple]:
         return failures, None, ()
     if not compile:
         return failures, unit.program, ()
-    xs, ps = infer_params(unit.program)
     try:
-        return failures, epp(xs, ps, unit.program), ps
+        ps, np = epp_inferred(unit.program)
+        return failures, np, ps
     except ProjectionError as e:
         found = e.failures
     for f in found:

@@ -277,14 +277,20 @@ def epp(xs, ps, p: ChorProgram, memo=None) -> NetProgram:
     every listed procedure body at each process it declares, once each.
     A projection that is undefined is diagnosed where it is found (its
     deepest merge conflicts, else one ``undefined`` entry), and the
-    coverage failures follow; any failure raises ``ProjectionError``
-    carrying them all.  Otherwise the network maps each listed pid to its
-    projection of main and the procedure table has one entry per (listed
-    procedure, declared process).  ``memo`` is passed to ``bproj`` for
-    main, so a caller that keeps it gets back the network's own behaviour
-    objects when it projects main again.  The diagnosis of main reads its
-    branch views from ``memo`` too; any other diagnosis uses a fresh one.
+    coverage failures of the caller's lists follow; any failure raises
+    ``ProjectionError`` carrying them all.  Otherwise the network maps
+    each listed pid to its projection of main and the procedure table has
+    one entry per (listed procedure, declared process).  ``memo`` is
+    passed to ``bproj`` for main, so a caller that keeps it gets back the
+    network's own behaviour objects when it projects main again.  The
+    diagnosis of main reads its branch views from ``memo`` too; any other
+    diagnosis uses a fresh one.
     """
+    return _compile(xs, ps, p, memo, _coverage_failures(xs, ps, p))
+
+
+def _compile(xs, ps, p: ChorProgram, memo, coverage: list) -> NetProgram:
+    """``epp``'s projection pass, with ``coverage`` the coverage failures."""
     procs = p.procs
     failures: list = []
 
@@ -307,7 +313,7 @@ def epp(xs, ps, p: ChorProgram, memo=None) -> NetProgram:
             continue
         for pid in d.params:
             procs_b[(name, pid)] = project(d.body, pid, ("def", name))
-    failures.extend(_coverage_failures(xs, ps, p))
+    failures.extend(coverage)
     if failures:
         raise ProjectionError(failures)
     return NetProgram(procs_b, Network(entries))
@@ -328,7 +334,17 @@ def projectable(xs, ps, p: ChorProgram) -> list:
     return []
 
 
+def epp_inferred(p: ChorProgram) -> Tuple[tuple, NetProgram]:
+    """The pids ``infer_params`` finds for ``p``, and ``p`` compiled for
+    them and the procedure names it finds, as ``epp`` compiles.
+
+    Those lists cover the program by construction, so their coverage is
+    not checked again: each term is walked once for names.
+    """
+    xs, ps = infer_params(p)
+    return ps, _compile(xs, ps, p, None, [])
+
+
 def epp_program(p: ChorProgram) -> NetProgram:
     """Compile with inferred procedure names and process list."""
-    xs, ps = infer_params(p)
-    return epp(xs, ps, p)
+    return epp_inferred(p)[1]

@@ -3,6 +3,7 @@ as ``python -m chorkit`` in a child process."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,19 @@ from conftest import CORPUS, load_program
 from chorkit import cli, projection, runtime
 from chorkit.chor import cc_run
 from chorkit.cli import main
-from chorkit.core import CanonicalMap
+from chorkit.core import (
+    CanonicalMap,
+    RichCall,
+    RichComm,
+    RichCond,
+    RichSelect,
+    State,
+    obs_label_text,
+    rich_label_text,
+    state_digest,
+    trace_record,
+    wrap64,
+)
 from chorkit.projection import infer_params
 
 AUTH = str(CORPUS / "auth.chor")
@@ -242,16 +255,90 @@ class TestCliGolden:
         assert golden_transcript(case["argv"], tmp_path, capsys) == case
 
 
+# Every outcome a run can report: cc_run and sp_run stop with the first
+# three, execute with any but fuel-exhausted.
+OUTCOMES = ("terminated", "deadlocked", "fuel-exhausted", "timeout", "step-limit", "worker-error")
+# Names the parser would refuse too, so that escapes are exercised.
+PIDS = ("p", "q", "r2", "caf\u00e9", 'say"hi', "back\\slash", "tab\tbed")
+VALUES = (0, 1, -1, -7, 2**63 - 1, -(2**63), wrap64(2**64 + 5), wrap64(-(2**64) - 5), wrap64(3 * 2**62))
+
+
+def _reference_emit(trace, outcome: str, final_state: State, as_json: bool) -> str:
+    """What ``_emit_trace`` prints, as one ``json.dumps`` per JSONL line."""
+    records = [
+        {
+            "step": r.step,
+            "richLabel": rich_label_text(r.rich),
+            "label": obs_label_text(r.label),
+            "actors": list(r.actors),
+            "stateDigest": r.post_digest,
+        }
+        for r in trace
+    ]
+    tail = {
+        "outcome": outcome,
+        "finalState": {f"{pid}.{var}": value for (pid, var), value in final_state.items()},
+        "finalDigest": state_digest(final_state),
+    }
+    if as_json:
+        return json.dumps({"format": 1, "trace": records, **tail}, indent=2) + "\n"
+    return "\n".join(map(json.dumps, [{"format": 1}, *records, tail])) + "\n"
+
+
+def _seeded_run(seed: int):
+    """A trace of every rich-label kind over ``PIDS`` and ``VALUES``, and
+    its final store; seed 0 gives the empty trace."""
+    rng = random.Random(seed)
+    state = State(((rng.choice(PIDS), rng.choice("xyz")), rng.choice(VALUES)) for _ in range(3))
+    digest = state_digest(state)
+    trace = []
+    for step in range(0 if seed == 0 else rng.randint(8, 30)):
+        p, q = rng.sample(PIDS, 2)
+        kind = rng.randrange(4)
+        if kind == 0:
+            rich = RichComm(p, rng.choice(VALUES), q, rng.choice("xyz"))
+            state = state.set(rich.receiver, rich.var, rich.value)
+        elif kind == 1:
+            rich = RichSelect(p, q, rng.choice(("left", "right")))
+        elif kind == 2:
+            rich = RichCond(p)
+        else:
+            rich = RichCall(rng.choice(("Loop", ("Loop", q))), p)
+        post = state_digest(state)
+        trace.append(trace_record(step, rich, digest, post))
+        digest = post
+    return tuple(trace), state
+
+
 class TestEmitTrace:
     @pytest.mark.parametrize("as_json", [False, True], ids=["jsonl", "json"])
     def test_each_record_is_rendered_once(self, as_json, monkeypatch, capsys):
         res = cc_run(load_program("counter"), fuel=12)
         rendered = []
-        original = cli._record_json
-        monkeypatch.setattr(cli, "_record_json", lambda r: rendered.append(r) or original(r))
+        original = cli._label_texts
+        monkeypatch.setattr(cli, "_label_texts", lambda r: rendered.append(r) or original(r))
         cli._emit_trace(res.trace, res.outcome, res.final_state, as_json)
         capsys.readouterr()
         assert rendered == list(res.trace)
+
+    def test_seeded_runs_cover_the_writer(self):
+        runs = [_seeded_run(seed) for seed in range(len(OUTCOMES) * 2)]
+        records = [r for trace, _final in runs for r in trace]
+        assert runs[0][0] == ()
+        assert {(type(r.rich), len(r.actors)) for r in records} == {
+            (RichComm, 2), (RichSelect, 2), (RichCond, 1), (RichCall, 1),
+        }
+        values = {r.rich.value for r in records if type(r.rich) is RichComm}
+        values.update(v for _trace, final in runs for _key, v in final.items())
+        assert min(values) < 0 and max(map(abs, values)) >= 2**62
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["jsonl", "json"])
+    @pytest.mark.parametrize("seed", range(len(OUTCOMES) * 2))
+    def test_matches_json_dumps(self, seed, as_json, capsys):
+        trace, final = _seeded_run(seed)
+        outcome = OUTCOMES[seed % len(OUTCOMES)]
+        cli._emit_trace(trace, outcome, final, as_json)
+        assert capsys.readouterr().out == _reference_emit(trace, outcome, final, as_json)
 
 
 class TestVerify:

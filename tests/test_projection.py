@@ -49,6 +49,7 @@ from chorkit.projection import (
     ProjectionFailure,
     bproj,
     epp,
+    epp_inferred,
     epp_program,
     infer_params,
     projectable,
@@ -203,6 +204,24 @@ class TestInferParams:
             xs, ps = infer_params(p)
             assert all(f.kind != "coverage" for f in projectable(xs, ps, p))
 
+    def test_compiling_with_inferred_lists_matches_epp(self):
+        # epp_inferred leaves out the coverage conjuncts, which the
+        # inferred lists satisfy: on every program it compiles what epp
+        # compiles for them, or fails with the same failures
+        programs = [load_program(f.stem) for f in sorted(CORPUS.glob("*.chor"))]
+        programs += [*GENERATED.values(), _procedure_tree(50)]
+        for p in programs:
+            xs, ps = infer_params(p)
+            assert projection._coverage_failures(xs, ps, p) == [], p
+            try:
+                expected = (ps, epp(xs, ps, p))
+            except ProjectionError as e:
+                with pytest.raises(ProjectionError) as got:
+                    epp_inferred(p)
+                assert got.value.failures == e.failures
+            else:
+                assert epp_inferred(p) == expected
+
     def test_long_ring_at_the_default_recursion_limit(self, default_recursion_limit):
         # a 10 000-interaction ring p -> q -> r -> p whose last step calls
         # a procedure; both scans along the spine keep their own stack
@@ -217,16 +236,20 @@ class TestInferParams:
 
     def test_wide_reach_at_the_default_recursion_limit(self, default_recursion_limit, monkeypatch):
         # main reaches 4 000 procedures through a tree of conditionals,
-        # and each calls the next; every body is scanned once, by
-        # infer_params and again by the coverage conjuncts
+        # and each calls the next; compiling with the inferred lists scans
+        # every body once, in infer_params, and the coverage conjuncts of
+        # lists a caller chose scan each again
         p = _procedure_tree(4000)
+        xs, ps = infer_params(p)
+        assert xs == tuple(sorted(p.procs)) and ps == ("p", "q")
         scanned = []
         original = chor_mod.term_names
         counted = lambda c: scanned.append(c) or original(c)
         monkeypatch.setattr(chor_mod, "term_names", counted)
         monkeypatch.setattr(projection, "term_names", counted)
-        xs, ps = infer_params(p)
-        assert xs == tuple(sorted(p.procs)) and ps == ("p", "q")
+        with pytest.raises(ProjectionError) as e:  # q never learns p's branch
+            epp_inferred(p)
+        assert all(f.kind == "merge-conflict" for f in e.value.failures)
         assert len(scanned) == len(p.procs) + 1
         scanned.clear()
         assert projection._coverage_failures(xs, ps, p) == []

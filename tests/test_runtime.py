@@ -209,6 +209,30 @@ class TestAbnormalOutcomes:
         assert report.trace == ()
         assert threading.active_count() == before
 
+    def test_worker_error_reports_the_lowest_failed_pid(self, monkeypatch):
+        # both senders raise, and a's error is posted well after b's: the
+        # report still carries the error of a, the lowest failed pid
+        def broken(_e, _s, pid):
+            if pid == "a":
+                time.sleep(0.05)
+            raise ZeroDivisionError(pid)
+
+        monkeypatch.setattr(runtime, "eval_expr", broken)
+        np = NetProgram(
+            {},
+            Network(
+                {
+                    "a": Send("c", Lit(1), SP_END),
+                    "b": Send("d", Lit(2), SP_END),
+                    "c": Recv("a", "x", SP_END),
+                    "d": Recv("b", "y", SP_END),
+                }
+            ),
+        )
+        report = execute(np, EMPTY_STATE, RuntimeConfig())
+        assert report.outcome == "worker-error"
+        assert report.error.args == ("a",)
+
     def test_step_limit(self):
         np = epp_program(load_program("counter"))
         report = execute(np, EMPTY_STATE, RuntimeConfig(max_steps=9))
